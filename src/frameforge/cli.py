@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -155,6 +154,8 @@ def _cmd_cube_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
     group = parse_group(args.group)
     spec = SearchSpec(
         group=group,
@@ -163,7 +164,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         dedupe_conjugates=args.dedupe,
         limit=args.limit,
         force=args.force,
-        workers=_worker_count(args.workers),
     )
     hits = search(spec)
     for hit in hits:
@@ -245,16 +245,6 @@ def _write_matrix(matrix, mu: int, path: str) -> None:
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _worker_count(flag_value: int) -> int:
-    env = os.environ.get("FRAMEFORGE_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SystemExit("FRAMEFORGE_THREADS must be an integer")
-    return max(1, flag_value)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frameforge",
@@ -267,14 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
     p.add_argument("--quasi", action="store_true")
     p.add_argument("--emit-matrix", metavar="PATH")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("diffset", help="verify a difference set")
     p.add_argument("--group", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--to-signature", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_diffset)
 
     p = sub.add_parser("cube-verify", help="verify a cube-root (quasi-)signature pair")
@@ -283,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="")
     p.add_argument("--quasi", action="store_true")
     p.add_argument("--emit-matrix", metavar="PATH")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_cube_verify)
 
     p = sub.add_parser("search", help="exhaustively search a small group")
@@ -293,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedupe", action="store_true")
     p.add_argument("--limit", type=int)
     p.add_argument("--force", action="store_true")
+    # accepted for compatibility: the batched screen runs in one thread
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("tables", help="run the prime-driven (2k,k) generators")
@@ -309,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", required=True, metavar="MATRIX_JSON")
     p.add_argument("--out", metavar="VECTORS_CSV")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_frame)
 
     return parser

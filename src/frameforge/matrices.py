@@ -343,12 +343,21 @@ def matrix_to_json(q: SeidelMatrix, mu: int | None = None) -> str:
 
 
 def matrix_from_json(text: str) -> SeidelMatrix:
+    """Parse matrix_to_json output; every schema fault raises ValueError."""
     payload = json.loads(text)
-    entries = payload["entries"]
-    n = int(payload["n"])
+    if not isinstance(payload, dict) or "entries" not in payload or "n" not in payload:
+        raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
+    entries, n = payload["entries"], payload["n"]
+    if not isinstance(n, int) or not isinstance(entries, list) or not all(
+        isinstance(row, list) for row in entries
+    ):
+        raise ValueError("'n' must be an integer and 'entries' a list of rows")
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError("entry grid does not match declared size")
-    cells = [[unit_from_token(tok) for tok in row] for row in entries]
+    try:
+        cells = [[unit_from_token(tok) for tok in row] for row in entries]
+    except TypeError:  # an unhashable token such as a list or an object
+        raise ValueError("matrix cells must be token strings") from None
     if all(cell.is_rational for row in cells for cell in row):
         return SeidelMatrixInt(np.array([[c.a for c in row] for row in cells]))
     a = np.array([[c.a for c in row] for row in cells])

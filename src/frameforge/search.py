@@ -1,22 +1,27 @@
 """Exhaustive enumeration of signature sets, quasi-signature sets and
 cube-root (quasi-)pairs in small groups.
 
-Candidates are generated over inverse-closure orbits, verified by the exact
-criteria, and returned in a deterministic order independent of worker count.
-Pruning never drops anything the verifiers would accept, so a naive scan of
-all subset assignments produces the same hit set.
+Candidates are generated over inverse-closure orbits and streamed in fixed
+chunks through an exact batched screen on the group algebra; only the
+survivors reach the verifiers, which decide acceptance.  The screen tests
+an identity that every accepted candidate satisfies, so it only discards
+candidates the verifiers would reject, and the hit set equals that of a
+naive scan of all subset assignments.  Results come back in a deterministic
+order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from itertools import compress, islice
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .cube_root import nmu_excluded, verify_quasi_signature_pair, verify_signature_pair
 from .groups import GroupTable
 from .signature_sets import verify_quasi_signature_set, verify_signature_set
-from .subsets import Subset, conjugate_subset
+from .subsets import Subset, conjugate_subset, convolve, indicator_columns
 from .verdicts import SignatureVerdict
 
 __all__ = [
@@ -25,6 +30,7 @@ __all__ = [
     "KINDS",
     "enumerate_inverse_closed",
     "cube_candidates",
+    "screen",
     "search",
 ]
 
@@ -38,6 +44,9 @@ DEFAULT_ORDER_LIMITS = {
     "cube-quasi": 16,
 }
 
+#: Candidates screened per batch; bounds the screen's working memory.
+_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class SearchSpec:
@@ -47,7 +56,6 @@ class SearchSpec:
     dedupe_conjugates: bool = False
     limit: int | None = None
     force: bool = False
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -73,6 +81,24 @@ def _orbits(group: GroupTable) -> tuple[list[int], list[tuple[int, int]]]:
     return involutions, paired
 
 
+def _half_tables(choices: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+    """Bit unions over the low and the high half of the orbits.
+
+    Orbit i offers choices[i]; entry c of a half's table is the union of the
+    choices picked by the mixed-radix digits of c, least significant orbit
+    first.  Walking the high table outside the low one therefore visits
+    every full code in ascending order.
+    """
+    half = len(choices) // 2
+    tables = []
+    for part in (choices[:half], choices[half:]):
+        table = [0]
+        for options in part:
+            table = [bits | opt for opt in options for bits in table]
+        tables.append(table)
+    return tables[0], tables[1]
+
+
 def enumerate_inverse_closed(group: GroupTable) -> Iterator[Subset]:
     """All inverse-closed subsets of the non-identity elements.
 
@@ -80,16 +106,11 @@ def enumerate_inverse_closed(group: GroupTable) -> Iterator[Subset]:
     """
     involutions, paired = _orbits(group)
     orbit_bits = [1 << x for x in involutions] + [(1 << x) | (1 << y) for x, y in paired]
-    for mask in range(1 << len(orbit_bits)):
-        bits = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                bits |= orbit_bits[i]
-            m >>= 1
-            i += 1
-        yield Subset(group.order, bits)
+    low, high = _half_tables([(0, bits) for bits in orbit_bits])
+    order = group.order
+    for hi in high:
+        for lo in low:
+            yield Subset(order, hi | lo)
 
 
 def cube_candidates(group: GroupTable) -> Iterator[tuple[Subset, Subset]]:
@@ -98,22 +119,58 @@ def cube_candidates(group: GroupTable) -> Iterator[tuple[Subset, Subset]]:
     ways (its partner landing in V).  Everything skipped here fails the
     closure conditions S = S^-1, V = T^-1."""
     involutions, paired = _orbits(group)
-    base = 0
-    for x in involutions:
-        base |= 1 << x
-    k = len(paired)
-    for code in range(3 ** k):
-        s_bits, t_bits = base, 0
-        c = code
-        for x, y in paired:
-            c, digit = divmod(c, 3)
-            if digit == 0:
-                s_bits |= (1 << x) | (1 << y)
-            elif digit == 1:
-                t_bits |= 1 << x
-            else:
-                t_bits |= 1 << y
-        yield Subset(group.order, s_bits), Subset(group.order, t_bits)
+    order = group.order
+    # S bits in the low `order` bits of a table entry, T bits above them;
+    # the involutions form one orbit with a single choice
+    low, high = _half_tables(
+        [(sum(1 << x for x in involutions),)]
+        + [((1 << x) | (1 << y), 1 << (order + x), 1 << (order + y)) for x, y in paired]
+    )
+    s_mask = (1 << order) - 1
+    for hi in high:
+        for lo in low:
+            bits = hi | lo
+            yield Subset(order, bits & s_mask), Subset(order, bits >> order)
+
+
+def screen(group: GroupTable, kind: str, chunk: Sequence) -> np.ndarray:
+    """Whether each candidate's matrix satisfies Q^2 = (n-1)I + mu*Q.
+
+    chunk holds candidates as the enumerators yield them: subsets S for the
+    real kinds, (S, T) pairs for the cube kinds.  With c the coefficient
+    function of Q = sum c(g) R(g), the identity reads c*c = mu*c off the
+    identity, and c*c + 1 = mu*c with mu = sum c for the bordered (quasi)
+    kinds.  Every verifier acceptance implies it: it is the real verifiers'
+    three-count mutual oracle, N_(S,S) - 2N_(S,T) + N_(T,T) = c*c, and the
+    matrix identity the cube verifiers certify.  So False means the verifier
+    must reject, and True decides nothing.  All arithmetic is exact.
+    """
+    n = group.order
+
+    def conv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return convolve(group, x, y)[1:].astype(np.int64)
+
+    shift = 1 if kind in ("quasi", "cube-quasi") else 0
+    if kind in ("signature", "quasi"):
+        a = 2 * indicator_columns(n, chunk) - 1  # c = 1 on S, -1 on T
+        a[0] = 0
+        value = (conv(a, a) + shift) * a[1:]
+    else:
+        s = indicator_columns(n, [pair[0] for pair in chunk])
+        t = indicator_columns(n, [pair[1] for pair in chunk])
+        v = 1 - s - t
+        v[0] = 0
+        # c = a + b*omega: 1 on S, omega on T, omega^2 = -1 - omega on V
+        a, b = s - v, t - v
+        bb = conv(b, b)
+        # mu = (c*c + shift) * conj(c), conj(c) = (a - b) - b*omega.  Only the
+        # rational part is compared: c(x^-1) = conj(c(x)) on every enumerated
+        # candidate, so the value at x^-1 is the conjugate of the value at x,
+        # and one rational part for both forces the omega parts to vanish.
+        value = (conv(a, a) - bb + shift) * (a - b)[1:] + (conv(a, b) + conv(b, a) - bb) * b[1:]
+    if shift:
+        return (value == a.sum(axis=0)).all(axis=0)
+    return (value == value[:1]).all(axis=0)
 
 
 def _canonical_key(
@@ -136,25 +193,16 @@ def search(spec: SearchSpec) -> list[SearchHit]:
             f"{limit_order}; pass force=True to override"
         )
 
-    candidates: list
-    verify: Callable
-    if spec.kind in ("signature", "quasi"):
+    pairs = spec.kind.startswith("cube")
+    if not pairs:
         if spec.kind == "signature" and group.order % 2:
             return []  # no signature set exists in an odd-order group
         if spec.kind == "quasi" and group.order % 2 == 0:
             return []  # frame size |G|+1 must be even
-        candidates = list(enumerate_inverse_closed(group))
-        if spec.kind == "quasi" and spec.mu is not None:
-            # |S| - |T| = mu pins |S| = (|G| - 1 + mu) / 2
-            twice = group.order - 1 + spec.mu
-            if twice % 2:
-                return []
-            want = twice // 2
-            candidates = [s for s in candidates if s.size == want]
+        candidates = enumerate_inverse_closed(group)
         verify = (
             verify_signature_set if spec.kind == "signature" else verify_quasi_signature_set
         )
-        tasks = [(s, None) for s in candidates]
     else:
         if (
             spec.kind == "cube-pair"
@@ -162,29 +210,19 @@ def search(spec: SearchSpec) -> list[SearchHit]:
             and nmu_excluded(group.order, spec.mu, group.is_abelian)
         ):
             return []
-        tasks = list(cube_candidates(group))
-        if spec.kind == "cube-quasi" and spec.mu is not None:
-            tasks = [(s, t) for s, t in tasks if s.size - t.size == spec.mu]
+        candidates = cube_candidates(group)
         verify = (
             verify_signature_pair if spec.kind == "cube-pair" else verify_quasi_signature_pair
         )
 
-    def run(chunk: list) -> list[SignatureVerdict]:
-        out = []
-        for s, t in chunk:
-            verdict = verify(group, s) if t is None else verify(group, s, t)
+    verdicts = []
+    stream = iter(candidates)
+    for chunk in iter(lambda: list(islice(stream, _CHUNK)), []):
+        for candidate in compress(chunk, screen(group, spec.kind, chunk)):
+            verdict = verify(group, *candidate) if pairs else verify(group, candidate)
             if isinstance(verdict, SignatureVerdict):
                 if spec.mu is None or verdict.mu == spec.mu:
-                    out.append(verdict)
-        return out
-
-    workers = max(1, spec.workers)
-    if workers == 1 or len(tasks) < 4 * workers:
-        verdicts = run(tasks)
-    else:
-        chunks = [tasks[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = [v for part in pool.map(run, chunks) for v in part]
+                    verdicts.append(verdict)
 
     hits = [
         SearchHit(v, _canonical_key(group, v.subset, v.t_subset)) for v in verdicts

@@ -7,7 +7,7 @@ primitive every verification criterion in this library is built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -135,6 +135,32 @@ def pair_count_table(group: "GroupTable", a: Subset, b: Subset) -> np.ndarray:
         return np.zeros(group.order, dtype=np.int64)
     products = group.mul[np.ix_(a.indices_array(), b.indices_array())]
     return np.bincount(products.ravel(), minlength=group.order).astype(np.int64)
+
+
+def indicator_columns(order: int, subsets: Sequence[Subset]) -> np.ndarray:
+    """Membership of each subset as an (order, len(subsets)) int16 0/1 array:
+    column j is the indicator of subsets[j].  Exact for every order."""
+    width = (order + 7) // 8
+    raw = np.frombuffer(
+        b"".join(s.bits.to_bytes(width, "little") for s in subsets), dtype=np.uint8
+    ).reshape(len(subsets), width)
+    bits = np.unpackbits(raw.T, axis=0, count=order, bitorder="little")
+    return bits.astype(np.int16, order="C")
+
+
+def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Group-algebra products x*y of many coefficient columns at once:
+    out[g, j] = sum_a x[a, j] * y[a^-1 g, j], so 0/1 columns give N_{(A,B)}^g.
+
+    x and y are (order, B) int16 arrays.  Accumulation stays in int16, which
+    is exact while sum_a |x[a, j]| * max|y| < 2**15; entries in {-1, 0, 1}
+    qualify for every order up to MAX_ORDER = 4096.
+    """
+    left = group.mul[group.inv]  # left[a, g] = a^-1 g
+    out = np.zeros(y.shape, dtype=np.int16)
+    for a in range(group.order):
+        out += x[a] * y[left[a]]
+    return out
 
 
 def conjugate_subset(group: "GroupTable", s: Subset, t: int) -> Subset:

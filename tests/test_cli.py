@@ -164,20 +164,41 @@ def test_unknown_label_exit_2(capsys):
     assert "not an element" in err
 
 
-def test_threads_env_overrides_workers(capsys, monkeypatch):
-    monkeypatch.setenv("FRAMEFORGE_THREADS", "3")
-    code, out_env, _ = run_cli(
-        capsys, "search", "--group", "C4xC4", "--kind", "signature", "--workers", "1",
-    )
-    assert code == 0
-    monkeypatch.delenv("FRAMEFORGE_THREADS")
-    _, out_flag, _ = run_cli(
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2}',                                    # missing entries
+        '{"entries": [["0", "1"], ["1", "0"]]}',      # missing n
+        '[1, 2]',                                      # top-level list
+        '{"n": 2, "entries": [["0", "1"], 7]}',       # non-list row
+        '{"n": 2, "entries": [["0", ["1"]], ["1", "0"]]}',  # bad token
+    ],
+)
+def test_frame_from_malformed_json_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "matrix.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "frame", "--from", str(path))
+    assert code == 2 and out == ""
+    assert "error" in err
+
+
+def test_workers_is_parsed_and_validated(capsys):
+    code, out, _ = run_cli(
         capsys, "search", "--group", "C4xC4", "--kind", "signature", "--workers", "2",
     )
-    assert out_env == out_flag  # worker count never changes the output
+    assert code == 0 and len(out.splitlines()) == 72
+    code, _, err = run_cli(capsys, "search", "--group", "C5", "--kind", "quasi", "--workers", "0")
+    assert code == 2 and "--workers" in err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "search", "--group", "C5", "--kind", "quasi", "--workers", "many")
+    assert exc.value.code == 2
 
 
-def test_threads_env_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("FRAMEFORGE_THREADS", "lots")
-    with pytest.raises(SystemExit):
-        run_cli(capsys, "search", "--group", "C5", "--kind", "quasi")
+@pytest.mark.parametrize("command", [
+    ["verify", "--group", "C5", "--set", "1,4"],
+    ["search", "--group", "C5", "--kind", "quasi"],
+])
+def test_ignored_json_flag_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *command, "--json")
+    assert exc.value.code == 2

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from frameforge import (
@@ -136,8 +138,16 @@ def test_search_limit_and_order():
 def test_search_determinism_across_workers(c4xc4):
     base = hit_summary(search(SearchSpec(group=c4xc4, kind="signature")))
     again = hit_summary(search(SearchSpec(group=c4xc4, kind="signature")))
-    threaded = hit_summary(search(SearchSpec(group=c4xc4, kind="signature", workers=3)))
-    assert base == again == threaded
+    assert base == again
+
+
+@pytest.mark.parametrize("kind", ["signature", "cube-pair"])
+def test_search_is_independent_of_chunk_size(monkeypatch, c4xc4, kind):
+    whole = hit_summary(search(SearchSpec(group=c4xc4, kind=kind)))
+    # many chunks and a ragged last one; the package's `search` attribute is
+    # the function, so the module is looked up in sys.modules
+    monkeypatch.setattr(sys.modules["frameforge.search"], "_CHUNK", 7)
+    assert hit_summary(search(SearchSpec(group=c4xc4, kind=kind))) == whole
 
 
 def test_search_bound_enforced():

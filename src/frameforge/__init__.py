@@ -23,7 +23,6 @@ from .subsets import (
     Subset,
     complement_nonidentity,
     conjugate_subset,
-    count_pair,
     inverse_set,
     is_inverse_closed,
     pair_count_table,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -182,6 +183,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    if args.max_m < 0:
+        raise ValueError("--max-m must be non-negative")
     hits = generators.generate(args.algorithm, args.max_m, verify=False)
     if args.emit_matrix is not None:
         match = [h for h in hits if h.m == args.emit_matrix]
@@ -208,6 +211,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_frame(args: argparse.Namespace) -> int:
+    if not 0 < args.tol < math.inf:
+        raise ValueError("--tol must be a finite positive number")
     with open(args.source, "r", encoding="utf-8") as fh:
         matrix = matrix_from_json(fh.read())
     result = frame_from_matrix(matrix, tol=args.tol)

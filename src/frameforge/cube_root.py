@@ -3,8 +3,8 @@
 A pair (S, T) splits G\\{e} into S, T and V = (S u T)^c\\{e}, weighted
 1, omega, omega^2 in the regular-representation sum.  Hermiticity forces
 S = S^-1 and V = T^-1; acceptance is the exact matrix identity
-Q^2 = (n-1)I + mu*Q with rational mu, cross-checked against the equivalent
-per-element counting identities on small groups.
+Q^2 = (n-1)I + mu*Q with rational mu, cross-checked against the same
+identity in group-algebra form (`seidel_identity`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eisenstein import CUBE_ROOTS, EisensteinInt
+from .eisenstein import CUBE_ROOTS
 from .groups import GroupTable
 from .matrices import (
     SeidelMatrixEis,
@@ -22,7 +22,13 @@ from .matrices import (
     regrep_sum_eis,
 )
 from .numbertheory import is_perfect_square
-from .subsets import Subset, complement_nonidentity, inverse_set, pair_count_table
+from .subsets import (  # noqa: F401 - perfbench/tracer.py patches pair_count_table here
+    Subset,
+    complement_nonidentity,
+    inverse_set,
+    pair_count_table,
+    seidel_identity,
+)
 from .verdicts import Rejection, SignatureVerdict
 
 __all__ = [
@@ -34,10 +40,6 @@ __all__ = [
     "unique_square_root",
     "nmu_excluded",
 ]
-
-#: Orders up to which the redundant counting criterion is evaluated.
-COUNTING_CROSS_CHECK_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class CubePartition:
@@ -106,65 +108,20 @@ def _verify_pair(
     if inverse_set(group, t).bits != v.bits:
         return Rejection("v-neq-t-inverse", "V must equal T^-1")
 
-    partition = CubePartition(s, t, v)
-    q = build_cube_matrix(group, partition)
+    q = build_cube_matrix(group, CubePartition(s, t, v))
     matrix = border_standard(q) if quasi else q
     cert = certify_two_eigenvalue(matrix)
     if isinstance(cert, Rejection):
         return cert
-    if quasi and cert.mu != s.size - t.size:
-        raise RuntimeError("internal: bordered certificate disagrees with |S| - |T|")
-
-    if group.order <= COUNTING_CROSS_CHECK_LIMIT:
-        counting_mu = _counting_mu(group, partition, quasi)
-        matrix_mu = cert.mu
-        if counting_mu != matrix_mu:
-            raise RuntimeError("internal: counting and matrix criteria disagree")
-
+    # the group-algebra form; for the bordered case its mu is |S| - |T|
     kind = "cube-quasi" if quasi else "cube-pair"
+    holds, identity_mu = seidel_identity(group, kind, [(s, t)])
+    if not holds[0] or identity_mu[0] != cert.mu:
+        raise RuntimeError("internal: counting and matrix criteria disagree")
     return SignatureVerdict(
         kind=kind, params=cert.params, mu=cert.mu, subset=s, t_subset=t,
         matrix_dim=matrix.n,
     )
-
-
-def _counting_mu(group: GroupTable, p: CubePartition, quasi: bool) -> int | None:
-    """Evaluate the per-element counting identities exactly; returns the
-    unique consistent integer mu, or None when no such mu exists.
-
-    The convolution value sum over {a*b = x} of c(a)c(b) must equal
-    mu*c(x) for pairs and mu*c(x) - 1 for the bordered (quasi) case.
-    """
-    n = group.order
-    parts = (p.s, p.t, p.v)
-    conv_a = np.zeros(n, dtype=np.int64)
-    conv_b = np.zeros(n, dtype=np.int64)
-    for x_set, x_unit in zip(parts, CUBE_ROOTS):
-        for y_set, y_unit in zip(parts, CUBE_ROOTS):
-            u = x_unit * y_unit
-            counts = pair_count_table(group, x_set, y_set)
-            conv_a += u.a * counts
-            conv_b += u.b * counts
-    shift = -1 if quasi else 0
-    mu: int | None = None
-    for subset, unit in zip(parts, CUBE_ROOTS):
-        for x in subset:
-            lhs = EisensteinInt(int(conv_a[x]), int(conv_b[x]))
-            # lhs = mu * unit + shift  =>  mu = (lhs - shift) * conj(unit)
-            cand = (lhs - shift) * unit.conjugate()
-            if not cand.is_rational:
-                return None
-            if mu is None:
-                mu = cand.a
-            elif mu != cand.a:
-                return None
-    if mu is None:
-        # a trivial group leaves mu unconstrained by counts; the bordered
-        # case still pins it through the border column sums
-        return p.s.size - p.t.size if quasi else None
-    if quasi and mu != p.s.size - p.t.size:
-        return None
-    return mu
 
 
 def cube_necessary_conditions(n: int, mu: int, quasi: bool = False) -> tuple[bool, list[str]]:

@@ -21,7 +21,7 @@ import numpy as np
 from .cube_root import nmu_excluded, verify_quasi_signature_pair, verify_signature_pair
 from .groups import GroupTable
 from .signature_sets import verify_quasi_signature_set, verify_signature_set
-from .subsets import Subset, conjugate_subset, convolve, indicator_columns
+from .subsets import Subset, conjugate_subset, seidel_identity
 from .verdicts import SignatureVerdict
 
 __all__ = [
@@ -60,6 +60,8 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError("limit must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -137,40 +139,12 @@ def screen(group: GroupTable, kind: str, chunk: Sequence) -> np.ndarray:
     """Whether each candidate's matrix satisfies Q^2 = (n-1)I + mu*Q.
 
     chunk holds candidates as the enumerators yield them: subsets S for the
-    real kinds, (S, T) pairs for the cube kinds.  With c the coefficient
-    function of Q = sum c(g) R(g), the identity reads c*c = mu*c off the
-    identity, and c*c + 1 = mu*c with mu = sum c for the bordered (quasi)
-    kinds.  Every verifier acceptance implies it: it is the real verifiers'
-    three-count mutual oracle, N_(S,S) - 2N_(S,T) + N_(T,T) = c*c, and the
-    matrix identity the cube verifiers certify.  So False means the verifier
-    must reject, and True decides nothing.  All arithmetic is exact.
+    real kinds, (S, T) pairs for the cube kinds.  Every verifier acceptance
+    implies the identity (`seidel_identity` is the verifiers' own mutual
+    oracle), so False means the verifier must reject, and True decides
+    nothing.
     """
-    n = group.order
-
-    def conv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return convolve(group, x, y)[1:].astype(np.int64)
-
-    shift = 1 if kind in ("quasi", "cube-quasi") else 0
-    if kind in ("signature", "quasi"):
-        a = 2 * indicator_columns(n, chunk) - 1  # c = 1 on S, -1 on T
-        a[0] = 0
-        value = (conv(a, a) + shift) * a[1:]
-    else:
-        s = indicator_columns(n, [pair[0] for pair in chunk])
-        t = indicator_columns(n, [pair[1] for pair in chunk])
-        v = 1 - s - t
-        v[0] = 0
-        # c = a + b*omega: 1 on S, omega on T, omega^2 = -1 - omega on V
-        a, b = s - v, t - v
-        bb = conv(b, b)
-        # mu = (c*c + shift) * conj(c), conj(c) = (a - b) - b*omega.  Only the
-        # rational part is compared: c(x^-1) = conj(c(x)) on every enumerated
-        # candidate, so the value at x^-1 is the conjugate of the value at x,
-        # and one rational part for both forces the omega parts to vanish.
-        value = (conv(a, a) - bb + shift) * (a - b)[1:] + (conv(a, b) + conv(b, a) - bb) * b[1:]
-    if shift:
-        return (value == a.sum(axis=0)).all(axis=0)
-    return (value == value[:1]).all(axis=0)
+    return seidel_identity(group, kind, chunk)[0]
 
 
 def _canonical_key(

@@ -3,10 +3,10 @@
 A subset S of G\\{e} (with T the complementary non-identity elements) is a
 signature set when the +-1 regular-representation sum is a two-eigenvalue
 Seidel matrix; it is a quasi-signature set when the bordered (standard-form)
-matrix is.  Both are decided here by the equivalent counting criteria, with
-the two known equivalent forms checked against each other as a mutual
-oracle; the matrix identity itself is exercised by the test suite and by
-the certificate invariant of every verdict.
+matrix is.  Both are decided here by the single-count criteria, checked
+against the group-algebra form of the matrix identity (`seidel_identity`)
+as a mutual oracle; the matrix identity itself is exercised by the test
+suite and by the certificate invariant of every verdict.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .subsets import (
     complement_nonidentity,
     inverse_set,
     pair_count_table,
+    seidel_identity,
 )
 from .verdicts import Rejection, SignatureVerdict
 
@@ -101,7 +102,7 @@ def verify_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict | Rej
             f"N_(S,T) at {group.labels[h]} is {int(ct_st[h])}, need (n-2+mu)/4",
             witness=group.labels[h],
         )
-    _cross_check_triple_form(group, s, t, ct_st, mu, quasi=False)
+    _cross_check(group, "signature", s, mu)
 
     params = params_from_mu(n, mu)
     if isinstance(params, Infeasible):
@@ -134,7 +135,8 @@ def verify_quasi_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict
         return closure
 
     ct_ss = pair_count_table(group, s, s)
-    ct_tt = pair_count_table(group, t, t)
+    # on T, N_(T,T) = N_(S,S) + |G| - 2 - 2|S|, as 1_T = 1 - delta_e - 1_S
+    ct_tt = ct_ss + (group.order - 2 - 2 * s.size)
     s_idx = s.indices_array()
     t_idx = t.indices_array()
     if s_idx.size and not np.all(4 * ct_ss[s_idx] == n + 3 * mu - 6):
@@ -151,7 +153,7 @@ def verify_quasi_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict
             f"N_(T,T) at {group.labels[h]} is {int(ct_tt[h])}, need (n-3mu-6)/4",
             witness=group.labels[h],
         )
-    _cross_check_triple_form(group, s, t, None, mu, quasi=True, ct_ss=ct_ss, ct_tt=ct_tt)
+    _cross_check(group, "quasi", s, mu)
 
     params = params_from_mu(n, mu)
     if isinstance(params, Infeasible):
@@ -197,34 +199,9 @@ def _closure_check(group: GroupTable, s: Subset, t: Subset) -> Rejection | None:
     return None
 
 
-def _cross_check_triple_form(
-    group: GroupTable,
-    s: Subset,
-    t: Subset,
-    ct_st: np.ndarray | None,
-    mu: int,
-    quasi: bool,
-    ct_ss: np.ndarray | None = None,
-    ct_tt: np.ndarray | None = None,
-) -> None:
-    """The equivalent three-count criterion must agree with the accepted one.
-
-    For signature sets: N_(S,S) - 2 N_(S,T) + N_(T,T) equals mu on S and
-    -mu on T.  For quasi sets the targets shift to mu - 1 and -mu - 1.
-    Disagreement would mean an implementation bug, hence the hard error.
-    """
-    if ct_ss is None:
-        ct_ss = pair_count_table(group, s, s)
-    if ct_tt is None:
-        ct_tt = pair_count_table(group, t, t)
-    if ct_st is None:
-        ct_st = pair_count_table(group, s, t)
-    combined = ct_ss - 2 * ct_st + ct_tt
-    target_s, target_t = (mu - 1, -mu - 1) if quasi else (mu, -mu)
-    s_idx = s.indices_array()
-    t_idx = t.indices_array()
-    ok = (not s_idx.size or np.all(combined[s_idx] == target_s)) and (
-        not t_idx.size or np.all(combined[t_idx] == target_t)
-    )
-    if not ok:
-        raise RuntimeError("internal: the two equivalent counting criteria disagree")
+def _cross_check(group: GroupTable, kind: str, s: Subset, mu: int) -> None:
+    """The matrix identity in group-algebra form must give the accepted mu;
+    disagreement would mean an implementation bug, hence the hard error."""
+    holds, identity_mu = seidel_identity(group, kind, [s])
+    if not holds[0] or identity_mu[0] != mu:
+        raise RuntimeError("internal: the counting criterion and the matrix identity disagree")

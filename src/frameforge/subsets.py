@@ -1,7 +1,9 @@
-"""Subsets of group elements as bit masks, and ordered-pair counting.
+"""Subsets of group elements as bit masks, and the group-algebra product.
 
-The pair statistic N_{(A,B)}^g = #{(a,b) in A x B : a*b = g} is the
-primitive every verification criterion in this library is built on.
+The pair statistic N_{(A,B)}^g = #{(a,b) in A x B : a*b = g} is the product
+1_A * 1_B in the group algebra.  `convolve` evaluates that product, for the
+pair counts and for `seidel_identity`, the two-eigenvalue identity every
+verification criterion in this library comes from.
 """
 
 from __future__ import annotations
@@ -116,25 +118,11 @@ def is_inverse_closed(group: "GroupTable", s: Subset) -> bool:
     return inverse_set(group, s).bits == s.bits
 
 
-def count_pair(group: "GroupTable", a: Subset, b: Subset, target: int) -> int:
-    """N_{(A,B)}^target, computed as |A  intersect  target*B^-1|."""
-    _check_group(group, a)
-    _check_group(group, b)
-    mask = 0
-    mul, inv = group.mul, group.inv
-    for y in b:
-        mask |= 1 << int(mul[target, inv[y]])
-    return (a.bits & mask).bit_count()
-
-
 def pair_count_table(group: "GroupTable", a: Subset, b: Subset) -> np.ndarray:
     """N_{(A,B)}^g for every g at once, as a length-order int vector."""
-    _check_group(group, a)
-    _check_group(group, b)
-    if not a or not b:
-        return np.zeros(group.order, dtype=np.int64)
-    products = group.mul[np.ix_(a.indices_array(), b.indices_array())]
-    return np.bincount(products.ravel(), minlength=group.order).astype(np.int64)
+    _check_group(group, a, b)
+    x, y = indicator_columns(group.order, [a, b]).T
+    return convolve(group, x, y).astype(np.int64)
 
 
 def indicator_columns(order: int, subsets: Sequence[Subset]) -> np.ndarray:
@@ -149,18 +137,64 @@ def indicator_columns(order: int, subsets: Sequence[Subset]) -> np.ndarray:
 
 
 def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Group-algebra products x*y of many coefficient columns at once:
-    out[g, j] = sum_a x[a, j] * y[a^-1 g, j], so 0/1 columns give N_{(A,B)}^g.
+    """The group-algebra product x*y: out[g] = sum_a x[a] * y[a^-1 g], so
+    0/1 vectors give N_{(A,B)}^g.  Every pair count in this library comes from here.
 
-    x and y are (order, B) int16 arrays.  Accumulation stays in int16, which
-    is exact while sum_a |x[a, j]| * max|y| < 2**15; entries in {-1, 0, 1}
-    qualify for every order up to MAX_ORDER = 4096.
+    x and y are int16, of shape (order,) or (order, B) for B columns at once.
+    Only the rows a where x is non-zero are visited, one gathered row of the
+    Cayley table each.  Accumulation stays in int16, which is exact while
+    sum_a |x[a]| * max|y| < 2**15; entries in {-1, 0, 1} qualify for every
+    order up to MAX_ORDER = 4096.
     """
-    left = group.mul[group.inv]  # left[a, g] = a^-1 g
     out = np.zeros(y.shape, dtype=np.int16)
-    for a in range(group.order):
-        out += x[a] * y[left[a]]
+    rows = np.flatnonzero(x.reshape(len(x), -1).any(axis=1))
+    for a, a_inv in zip(rows, group.inv[rows]):
+        out += x[a] * y.take(group.mul[a_inv], axis=0)
     return out
+
+
+def seidel_identity(
+    group: "GroupTable", kind: str, candidates: Sequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each candidate's matrix satisfies Q^2 = (n-1)I + mu*Q, and
+    the mu it gives (meaningful only where the identity holds).
+
+    kind is "signature" or "quasi" with candidates subsets S (weight 1 on S,
+    -1 on the other non-identity elements), or "cube-pair" or "cube-quasi"
+    with disjoint (S, T) pairs (weights 1, omega, omega^2 on S, T and the
+    rest), which must satisfy S = S^-1 and V = T^-1.  With c the coefficient
+    function of Q = sum c(g) R(g), the identity reads c*c = mu*c off the
+    identity, and c*c + 1 = mu*c with mu = sum c for the bordered (quasi)
+    kinds.  All arithmetic is exact int16: every intermediate value is at
+    most 5n <= 20480 < 2**15 in magnitude.
+    """
+    n = group.order
+    shift = 1 if kind in ("quasi", "cube-quasi") else 0
+    if kind in ("signature", "quasi"):
+        u = indicator_columns(n, candidates)
+        c = 2 * u - 1
+        c[0] = 0
+        total = c.sum(axis=0, dtype=np.int16)
+        # c = 2u - 1 + delta_e, so c*c = 2 u*c - sum(c) + c: the loop in
+        # convolve covers the members of S only
+        value = (2 * convolve(group, u, c)[1:] - total + c[1:] + shift) * c[1:]
+    else:
+        s = indicator_columns(n, [pair[0] for pair in candidates])
+        t = indicator_columns(n, [pair[1] for pair in candidates])
+        v = 1 - s - t
+        v[0] = 0
+        # c = a + b*omega: 1 on S, omega on T, omega^2 = -1 - omega on V
+        a, b = s - v, t - v
+        total = a.sum(axis=0, dtype=np.int16)
+        aa, ab, ba, bb = (convolve(group, x, y)[1:] for x, y in ((a, a), (a, b), (b, a), (b, b)))
+        # mu = (c*c + shift) * conj(c), conj(c) = (a - b) - b*omega.  Only the
+        # rational part is compared: c(x^-1) = conj(c(x)), so the value at
+        # x^-1 is the conjugate of the value at x, and one rational part for
+        # both forces the omega parts to vanish.
+        value = (aa - bb + shift) * (a - b)[1:] + (ab + ba - bb) * b[1:]
+    # the first value, or 0 in the trivial group, fixes mu for the unbordered kinds
+    mu = total if shift else value[:1].sum(axis=0, dtype=np.int16)
+    return (value == mu).all(axis=0), mu
 
 
 def conjugate_subset(group: "GroupTable", s: Subset, t: int) -> Subset:
@@ -174,6 +208,6 @@ def conjugate_subset(group: "GroupTable", s: Subset, t: int) -> Subset:
     return Subset(s.order, bits)
 
 
-def _check_group(group: "GroupTable", s: Subset) -> None:
-    if group.order != s.order:
+def _check_group(group: "GroupTable", *subsets: Subset) -> None:
+    if any(s.order != group.order for s in subsets):
         raise ValueError("subset does not belong to this group")

@@ -38,9 +38,9 @@ from frameforge import (
     verify_signature_set,
 )
 from frameforge.cli import main
-from frameforge.cube_root import CubePartition, _counting_mu
+from frameforge.cube_root import CubePartition
 from frameforge.matrices import TwoEigenvalueCertificate
-from frameforge.subsets import complement_nonidentity, inverse_set
+from frameforge.subsets import complement_nonidentity, inverse_set, seidel_identity
 from frameforge.verdicts import Rejection
 
 from conftest import all_cube_assignments, all_nonidentity_subsets, small_groups_to_order_8
@@ -297,11 +297,12 @@ def test_criterion_7_property_suites():
             for quasi in (False, True):
                 matrix = border_standard(core) if quasi else core
                 cert = certify_two_eigenvalue(matrix)
-                counted = _counting_mu(g, partition, quasi=quasi)
+                kind = "cube-quasi" if quasi else "cube-pair"
+                holds, counted = seidel_identity(g, kind, [(s, t)])
                 if isinstance(cert, TwoEigenvalueCertificate):
-                    assert counted == cert.mu
+                    assert holds[0] and counted[0] == cert.mu
                 else:
-                    assert counted is None
+                    assert not holds[0]
 
     print("criterion 7: PASS - symmetry, duality, conjugation, switching, screens, criterion agreement")
 

@@ -202,3 +202,25 @@ def test_ignored_json_flag_is_gone(capsys, command):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, *command, "--json")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["search", "--group", "C4xC4", "--kind", "signature", "--limit", "-1"],
+    ["tables", "--algorithm", "thm59", "--max-m", "-3"],
+    ["frame", "--tol", "-1"],
+    ["frame", "--tol", "0"],
+    ["frame", "--tol", "nan"],
+    ["frame", "--tol", "inf"],
+])
+def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, command):
+    path = tmp_path / "matrix.json"
+    code, out, _ = run_cli(
+        capsys, "tables", "--algorithm", "thm59", "--max-m", "0", "--emit-matrix", "0",
+    )
+    path.write_text(out)
+    assert code == 0 and run_cli(capsys, "frame", "--from", str(path))[0] == 0
+    if command[0] == "frame":
+        command = [*command, "--from", str(path)]
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2 and out == ""
+    assert "error" in err

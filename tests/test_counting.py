@@ -4,7 +4,6 @@ import pytest
 from frameforge import (
     Subset,
     complement_nonidentity,
-    count_pair,
     cyclic,
     direct_product,
     inverse_set,
@@ -21,8 +20,9 @@ def test_count_pair_empty_set():
     g = cyclic(7)
     empty = Subset.empty(7)
     full = Subset.full_nonidentity(7)
+    table = pair_count_table(g, empty, full)
     for target in range(7):
-        assert count_pair(g, empty, full, target) == 0
+        assert table[target] == brute_count_pair(g, empty, full, target) == 0
 
 
 def test_count_pair_z5_example():
@@ -30,16 +30,17 @@ def test_count_pair_z5_example():
     a = Subset.of(5, [1, 4])
     b = Subset.of(5, [2, 3])
     # exhaustive enumeration: products of A x B are {3, 4, 1, 2}, never 0
-    assert count_pair(g, a, b, 0) == brute_count_pair(g, a, b, 0) == 0
+    assert pair_count_table(g, a, b)[0] == brute_count_pair(g, a, b, 0) == 0
     # the pairs (2,3) and (3,2) live in B x B
-    assert count_pair(g, b, b, 0) == brute_count_pair(g, b, b, 0) == 2
+    assert pair_count_table(g, b, b)[0] == brute_count_pair(g, b, b, 0) == 2
 
 
 def test_count_pair_z13_quasi_set_is_constant_on_s():
     g = cyclic(13)
     s = Subset.of(13, [1, 3, 4, 9, 10, 12])
+    table = pair_count_table(g, s, s)
     for x in s:
-        assert count_pair(g, s, s, x) == 2
+        assert table[x] == brute_count_pair(g, s, s, x) == 2
 
 
 def test_is_inverse_closed():
@@ -92,8 +93,9 @@ def test_sum_rule():
     for _ in range(20):
         a = Subset(12, int(rng.integers(0, 1 << 12)))
         b = Subset(12, int(rng.integers(0, 1 << 12)))
-        total = sum(count_pair(g, a, b, t) for t in range(12))
-        assert total == a.size * b.size
+        table = pair_count_table(g, a, b)
+        assert int(table.sum()) == sum(brute_count_pair(g, a, b, t) for t in range(12))
+        assert int(table.sum()) == a.size * b.size
 
 
 @pytest.mark.parametrize(
@@ -107,9 +109,10 @@ def test_intersection_formula_matches_brute_force(group):
     for _ in range(8):
         a = Subset(n, int(rng.integers(0, 1 << min(n, 60))))
         b = Subset(n, int(rng.integers(0, 1 << min(n, 60))))
+        table = pair_count_table(group, a, b)
         targets = rng.integers(0, n, size=4)
         for t in targets:
-            assert count_pair(group, a, b, int(t)) == brute_count_pair(group, a, b, int(t))
+            assert table[t] == brute_count_pair(group, a, b, int(t))
 
 
 def test_table_matches_single_queries():
@@ -120,9 +123,11 @@ def test_table_matches_single_queries():
         b = Subset(8, int(rng.integers(0, 256)))
         table = pair_count_table(g, a, b)
         for t in range(8):
-            assert int(table[t]) == count_pair(g, a, b, t)
+            assert int(table[t]) == brute_count_pair(g, a, b, t)
 
 
 def test_count_pair_rejects_foreign_subsets():
     with pytest.raises(ValueError):
-        count_pair(cyclic(5), Subset.empty(6), Subset.empty(5), 0)
+        pair_count_table(cyclic(5), Subset.empty(6), Subset.empty(5))
+    with pytest.raises(ValueError):
+        pair_count_table(cyclic(5), Subset.empty(5), Subset.empty(6))

@@ -16,13 +16,18 @@ from frameforge import (
     verify_quasi_signature_pair,
     verify_signature_pair,
 )
-from frameforge.cube_root import _counting_mu
 from frameforge.matrices import TwoEigenvalueCertificate, border_standard
-from frameforge.subsets import complement_nonidentity, pair_count_table
+from frameforge.subsets import complement_nonidentity, pair_count_table, seidel_identity
 from frameforge.verdicts import Rejection
 
 from conftest import all_cube_assignments
 from test_matrices import eis_from_tokens
+
+
+def identity_mu(group, kind, s, t):
+    """The mu the group-algebra identity gives for (S, T), or None."""
+    holds, mu = seidel_identity(group, kind, [(s, t)])
+    return int(mu[0]) if holds[0] else None
 
 
 def test_build_all_ones():
@@ -197,14 +202,14 @@ def test_matrix_and_counting_criteria_agree_everywhere():
                 continue
             partition = CubePartition(s, t, v)
             matrix_cert = certify_two_eigenvalue(build_cube_matrix(g, partition))
-            counted = _counting_mu(g, partition, quasi=False)
+            counted = identity_mu(g, "cube-pair", s, t)
             if isinstance(matrix_cert, TwoEigenvalueCertificate):
                 assert counted == matrix_cert.mu
             else:
                 assert counted is None
 
             bord = certify_two_eigenvalue(border_standard(build_cube_matrix(g, partition)))
-            counted_q = _counting_mu(g, partition, quasi=True)
+            counted_q = identity_mu(g, "cube-quasi", s, t)
             if isinstance(bord, TwoEigenvalueCertificate):
                 assert counted_q == bord.mu
             else:

@@ -4,8 +4,12 @@ The screen may only discard candidates: whenever a verifier accepts, the
 screen must keep.  It is also tight: it keeps a candidate exactly when the
 exact two-eigenvalue certificate accepts the candidate's Seidel matrix
 (bordered for the quasi kinds), which squares the matrix itself and does no
-group-algebra counting.
+group-algebra counting.  The screen and the verifiers' mutual oracles share
+`seidel_identity`, so the certificate is also the independent check of the
+verifiers: they accept exactly when it does, with the same mu.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -34,7 +38,7 @@ from frameforge.search import KINDS, screen
 from frameforge.subsets import convolve, indicator_columns
 from frameforge.verdicts import Rejection, SignatureVerdict
 
-from conftest import all_nonidentity_subsets, small_groups_to_order_8
+from conftest import all_nonidentity_subsets, brute_count_pair, small_groups_to_order_8
 
 VERIFIERS = {
     "signature": verify_signature_set,
@@ -44,9 +48,18 @@ VERIFIERS = {
 }
 
 
-def accepts(group, kind, candidate):
+#: Rejections made from n and |S| alone, before any counting; the matrix may
+#: still have two eigenvalues (odd n, or the trivial sets).
+PRE_COUNT_REASONS = {"odd-order", "odd-frame-size", "mu-out-of-range"}
+
+
+def verify(group, kind, candidate):
     args = candidate if kind.startswith("cube") else (candidate,)
-    return isinstance(VERIFIERS[kind](group, *args), SignatureVerdict)
+    return VERIFIERS[kind](group, *args)
+
+
+def accepts(group, kind, candidate):
+    return isinstance(verify(group, kind, candidate), SignatureVerdict)
 
 
 def matrix_of(group, kind, candidate):
@@ -69,10 +82,14 @@ def check_screen(group, kind, chunk):
     kept = screen(group, kind, chunk)
     assert kept.shape == (len(chunk),) and kept.dtype == bool
     for candidate, keep in zip(chunk, kept):
-        if accepts(group, kind, candidate):
-            assert keep, (group.name, kind, candidate)
+        where = (group.name, kind, candidate)
         cert = certify_two_eigenvalue(matrix_of(group, kind, candidate))
-        assert keep == (not isinstance(cert, Rejection)), (group.name, kind, candidate)
+        assert keep == (not isinstance(cert, Rejection)), where
+        verdict = verify(group, kind, candidate)
+        if isinstance(verdict, SignatureVerdict):
+            assert keep and verdict.mu == cert.mu, where
+        else:
+            assert not keep or verdict.reason in PRE_COUNT_REASONS, where
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -149,6 +166,18 @@ def test_screen_above_order_63():
     assert [accepts(group, "cube-pair", p) for p in pairs] == [True, False]
 
 
+def test_cube_kinds_above_order_64():
+    # the cube verifiers' group-algebra oracle now runs at every order
+    group = parse_group("C9xC9")
+    rng = random.Random(81)
+    size = _space(group, "cube-pair")
+    codes = [0] + [rng.randrange(size) for _ in range(5)]  # code 0: S = G \ {e}
+    for kind in ("cube-pair", "cube-quasi"):
+        chunk = [_candidate_from_code(group, kind, code) for code in codes]
+        check_screen(group, kind, chunk)
+        assert accepts(group, kind, chunk[0])
+
+
 def test_convolve_is_pair_counting():
     rng = np.random.default_rng(5)
     for group in (cyclic(7), quaternion8(), direct_product(cyclic(2), cyclic(4))):
@@ -158,4 +187,7 @@ def test_convolve_is_pair_counting():
         y = indicator_columns(group.order, picks[::-1])
         got = convolve(group, x, y)
         for j, (a, b) in enumerate(zip(picks, picks[::-1])):
-            assert np.array_equal(got[:, j], pair_count_table(group, a, b))
+            brute = [brute_count_pair(group, a, b, g) for g in range(group.order)]
+            assert got[:, j].tolist() == brute
+            assert convolve(group, x[:, j], y[:, j]).tolist() == brute
+            assert pair_count_table(group, a, b).tolist() == brute

@@ -29,6 +29,12 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
+def _check_tol(tol: float) -> None:
+    # nan or tol <= 0 would make every "<= tol" comparison reject a true frame
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class FrameVectors:
     """n frame vectors for C^k; row i of `vectors` is the analysis row
@@ -93,6 +99,7 @@ def factor_gram(p: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> FrameVectors
     ones.  Eigenvectors are normalised so their first significant component
     is real and positive, making the output reproducible.
     """
+    _check_tol(tol)
     p = np.asarray(p, dtype=np.complex128)
     n = p.shape[0]
     if p.shape != (n, n):
@@ -126,6 +133,7 @@ def verify_frame(
     frame: FrameVectors, params: FrameParams, tol: float = DEFAULT_TOL
 ) -> FrameCheckReport:
     """Check tightness, uniformity and equiangularity of the frame vectors."""
+    _check_tol(tol)
     v = frame.vectors
     n, k = params.n, params.k
     if v.shape != (n, k):
@@ -148,6 +156,7 @@ def frame_from_matrix(
     q: SeidelMatrix, tol: float = DEFAULT_TOL
 ) -> tuple[FrameVectors, FrameCheckReport, FrameParams] | Rejection:
     """Certify, build the Gram matrix, factor it, and verify, in one step."""
+    _check_tol(tol)
     cert = certify_two_eigenvalue(q)
     if isinstance(cert, Rejection):
         return cert

@@ -62,47 +62,40 @@ def _power_set(p: int, step: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+# algorithm id -> (p mod 8, index of <2> in (Z_p, .), power step)
+_FAMILIES = {ALGORITHM_5MOD8: (5, 1, 2), ALGORITHM_1MOD8: (1, 2, 1)}
+
+
 def conference_sets_5mod8(max_m: int, verify: bool = True) -> list[GeneratorHit]:
     """Hits for p = 8m + 5 prime with 2 a primitive root, m <= max_m."""
-    hits = []
-    for m in range(max_m + 1):
-        p = 8 * m + 5
-        if not is_prime(p) or order_of_two(p) != p - 1:
-            continue
-        hit = GeneratorHit(
-            m=m, p=p, n=p + 1, k=(p + 1) // 2,
-            residues=_power_set(p, 2), algorithm=ALGORITHM_5MOD8,
-        )
-        if verify:
-            _reverify(hit)
-        hits.append(hit)
-    return hits
+    return generate(ALGORITHM_5MOD8, max_m, verify=verify)
 
 
 def conference_sets_1mod8(max_m: int, verify: bool = True) -> list[GeneratorHit]:
     """Hits for p = 8m + 1 prime with <2> of index 2 in (Z_p, .), m <= max_m."""
+    return generate(ALGORITHM_1MOD8, max_m, verify=verify)
+
+
+def generate(algorithm: str, max_m: int, verify: bool = True) -> list[GeneratorHit]:
+    """Hits of one family ("thm59" or "thm511") for m = 0..max_m."""
+    if algorithm not in _FAMILIES:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if max_m < 0:
+        raise ValueError(f"max_m must be non-negative, got {max_m}")
+    residue, index, step = _FAMILIES[algorithm]
     hits = []
     for m in range(max_m + 1):
-        p = 8 * m + 1
-        if not is_prime(p) or order_of_two(p) != (p - 1) // 2:
+        p = 8 * m + residue
+        if not is_prime(p) or order_of_two(p) != (p - 1) // index:
             continue
         hit = GeneratorHit(
             m=m, p=p, n=p + 1, k=(p + 1) // 2,
-            residues=_power_set(p, 1), algorithm=ALGORITHM_1MOD8,
+            residues=_power_set(p, step), algorithm=algorithm,
         )
         if verify:
             _reverify(hit)
         hits.append(hit)
     return hits
-
-
-def generate(algorithm: str, max_m: int, verify: bool = True) -> list[GeneratorHit]:
-    """Dispatch by algorithm id ("thm59" or "thm511")."""
-    if algorithm == ALGORITHM_5MOD8:
-        return conference_sets_5mod8(max_m, verify=verify)
-    if algorithm == ALGORITHM_1MOD8:
-        return conference_sets_1mod8(max_m, verify=verify)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def _reverify(hit: GeneratorHit) -> SignatureVerdict:

@@ -87,6 +87,20 @@ def test_conference_6_frame():
     assert np.allclose(np.abs(gram[off]), 1 / (2 * np.sqrt(5)), atol=1e-9)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_out_of_range_tol_is_an_error(tol):
+    # nan or tol <= 0 used to report this certified matrix as rejected
+    q = conference_6()
+    frame, _, params = frame_from_matrix(q)
+    gram = gram_from_certificate(q, params)
+    with pytest.raises(ValueError, match="tol"):
+        frame_from_matrix(q, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        factor_gram(gram, params.k, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        verify_frame(frame, params, tol=tol)
+
+
 def test_conference_14_frame():
     frame, report, params = frame_from_matrix(SeidelMatrixInt(golden.CONFERENCE_14))
     assert (params.n, params.k) == (14, 7)

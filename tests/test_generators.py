@@ -63,6 +63,18 @@ def test_generate_dispatch():
         generate("other", 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: generate("thm59", -3),
+    lambda: generate("thm511", -1, verify=False),
+    lambda: conference_sets_5mod8(-1),
+    lambda: conference_sets_1mod8(-2),
+])
+def test_negative_bound_is_an_error(call):
+    # an empty table would look like a valid bound with no hits
+    with pytest.raises(ValueError, match="max_m"):
+        call()
+
+
 def test_every_hit_reverifies_full_range():
     # the verify=True path re-runs the quasi-set verifier on every hit
     hits = conference_sets_5mod8(99, verify=True) + conference_sets_1mod8(299, verify=True)

@@ -13,6 +13,7 @@ from frameforge import (
     subgroup_generated,
     units_mod,
 )
+from frameforge.groups import _check_associative
 
 
 def test_cyclic_trivial():
@@ -88,6 +89,24 @@ def test_quaternion_relations(q8):
     assert not q8.is_abelian
 
 
+def test_quaternion_table_matches_hamilton_product(q8):
+    units = {"1": (1, 0, 0, 0), "i": (0, 1, 0, 0), "j": (0, 0, 1, 0), "k": (0, 0, 0, 1)}
+    quat = dict(units)
+    quat.update({"-" + lab: tuple(-c for c in q) for lab, q in units.items()})
+
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+    for x, lx in enumerate(q8.labels):
+        for y, ly in enumerate(q8.labels):
+            assert quat[q8.labels[q8.mul[x, y]]] == hamilton(quat[lx], quat[ly])
+
+
 def test_subgroup_generated_examples(q8, z13_units):
     g6 = cyclic(6)
     assert subgroup_generated(g6, [2]).indices() == (0, 2, 4)
@@ -110,6 +129,20 @@ def test_subgroup_generated_closure_property():
             assert 0 in h
             assert np.isin(g.mul[np.ix_(members, members)], members).all()
             assert np.isin(g.inv[members], members).all()
+            assert set(members.tolist()) == _brute_closure(g, gens.tolist())
+
+
+def _brute_closure(g, gens):
+    """Reference: every product of generators and their inverses, by a set loop."""
+    members, frontier = {0}, [0]
+    steps = [*gens, *(int(g.inv[x]) for x in gens)]
+    while frontier:
+        x = frontier.pop()
+        for y in (int(g.mul[x, s]) for s in steps):
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return members
 
 
 def test_conjugation_abelian_fixes_sets():
@@ -145,6 +178,9 @@ def test_make_group_rejects_broken_tables():
     shifted = np.array([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         make_group("bad", shifted, ["e", "a"])
+    for entry in (2, -1, 2**32):  # not an element index; 2**32 would wrap to 0 in int32
+        with pytest.raises(ValueError, match="element indices"):
+            make_group("bad", np.array([[0, 1], [1, entry]]), ["e", "a"])
 
 
 def test_make_group_rejects_non_associative():
@@ -160,6 +196,98 @@ def test_make_group_rejects_non_associative():
     )
     with pytest.raises(ValueError):
         make_group("loop5", table, list("eabcd"))
+
+
+def _swap_intercalate(mul, r1, r2, c1, c2):
+    """Exchange the two values of the 2x2 Latin subsquare at rows r1, r2 and
+    columns c1, c2; the table stays a Latin square with the same identity."""
+    out = np.array(mul)
+    assert out[r1, c1] == out[r2, c2] and out[r1, c2] == out[r2, c1]
+    for r in (r1, r2):
+        out[r, [c1, c2]] = out[r, [c2, c1]]
+    return out
+
+
+def _relabel(mul, perm):
+    """The table of the same group after renaming x to perm[x] (perm[0] == 0)."""
+    out = np.empty_like(mul)
+    out[np.ix_(perm, perm)] = perm[mul]
+    return out
+
+
+def _random_intercalate(mul, rng):
+    """Rows and columns (none of them the identity) of a random intercalate, or None."""
+    n = mul.shape[0]
+    for _ in range(200):
+        r1, r2, c1 = (int(x) for x in rng.integers(1, n, size=3))
+        c2 = int(np.flatnonzero(mul[r2] == mul[r1, c1])[0])
+        if r1 != r2 and c2 != 0 and mul[r1, c2] == mul[r2, c1]:
+            return r1, r2, c1, c2
+    return None
+
+
+def _brute_associative(mul):
+    """Every triple: (x*y)*z == x*(y*z), i.e. mul[mul[x, y], z] == mul[x, mul[y, z]]."""
+    return bool(np.array_equal(mul[mul], mul[:, mul]))
+
+
+@pytest.mark.parametrize("n,a", [(4096, 1), (512, 200)])
+def test_make_group_rejects_cyclic_table_with_swapped_intercalate(n, a):
+    # Still a Latin square with identity and inverses, but not associative.
+    # At order 4096 a million sampled triples did not find a failing one;
+    # at order 512 the failing rows lie past the first 128 of each row block.
+    h = n // 2
+    mul = _swap_intercalate(cyclic(n).mul, a, a + h, 1, 1 + h)
+    with pytest.raises(ValueError, match="associativity"):
+        make_group(f"C{n}-swapped", mul, [str(k) for k in range(n)])
+
+
+@pytest.mark.parametrize("descriptor", [
+    "C2", "C3", "C4", "C6", "C8", "C9", "C12", "C16", "C30", "C64",
+    "C2xC2", "C2xC4", "C3xC6", "C4xC4", "C2xC16", "C8xC8", "Q8",
+])
+def test_group_checks_agree_with_brute_force(descriptor):
+    def accepted(check, mul):
+        try:
+            check(mul)
+        except ValueError:
+            return False
+        return True
+
+    def light(mul):
+        return accepted(_check_associative, mul)
+
+    def validated(mul):
+        return accepted(lambda m: make_group("t", m, [str(k) for k in range(len(m))]), mul)
+
+    rng = np.random.default_rng(sum(map(ord, descriptor)))
+    base = parse_group(descriptor).mul
+    n = base.shape[0]
+    for _ in range(4):
+        perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+        mul = _relabel(base, perm)
+        assert light(mul) and _brute_associative(mul) and validated(mul)
+        where = _random_intercalate(mul, rng)
+        if where is not None:
+            swapped = _swap_intercalate(mul, *where)
+            assert light(swapped) == _brute_associative(swapped)
+            assert validated(swapped) == _brute_is_group(swapped)
+        if n > 1:  # one entry off the identity row and column, possibly out of range
+            broken = mul.copy()
+            r, c = (int(x) for x in rng.integers(1, n, size=2))
+            broken[r, c] = (broken[r, c] + rng.integers(1, n + 1)) % (n + 1)
+            assert not _brute_is_group(broken) and not validated(broken)
+
+
+def _brute_is_group(mul):
+    """Reference: entries in range, Latin rows and columns, identity 0, associative."""
+    n = mul.shape[0]
+    idx = np.arange(n)
+    if mul.min() < 0 or mul.max() >= n:
+        return False
+    latin = (np.sort(mul, axis=1) == idx).all() and (np.sort(mul, axis=0) == idx[:, None]).all()
+    identity = (mul[0] == idx).all() and (mul[:, 0] == idx).all()
+    return bool(latin and identity and _brute_associative(mul))
 
 
 def test_parse_group_descriptors():

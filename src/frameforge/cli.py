@@ -13,6 +13,8 @@ import json
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import generators
 from .cube_root import (
     CubePartition,
@@ -216,15 +218,12 @@ def _cmd_frame(args: argparse.Namespace) -> int:
         return 1
     frame, report, params = result
     if args.out:
-        lines = []
-        for row in frame.vectors:
-            cells = []
-            for z in row:
-                cells.append(format(z.real + 0.0, ".12g"))  # drop negative zero
-                cells.append(format(z.imag + 0.0, ".12g"))
-            lines.append(",".join(cells))
+        # one re,im pair of cells per component; + 0.0 drops negative zero.
+        # "%.12g" % x is the text of format(x, ".12g"), one template per row.
+        cells = np.ascontiguousarray(frame.vectors, dtype=np.complex128).view(np.float64) + 0.0
+        line = ",".join(["%.12g"] * cells.shape[1]) + "\n"
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("".join(line % tuple(row) for row in cells.tolist()))
     payload = {
         "valid": report.ok,
         "n": params.n,

@@ -81,17 +81,22 @@ OMEGA2 = EisensteinInt(-1, -1)
 CUBE_ROOTS = (ONE, OMEGA, OMEGA2)
 
 
+_CELLS = {"0": ZERO, "1": ONE, "-1": -ONE, "w": OMEGA, "w2": OMEGA2}
+
+#: The matrix-cell tokens, one for each value a Seidel matrix cell can hold.
+CELL_TOKENS = tuple(_CELLS)
+
+
 def unit_from_token(token: str) -> EisensteinInt:
     """Parse a matrix-cell token: "0", "1", "-1", "w" or "w2"."""
-    table = {"0": ZERO, "1": ONE, "-1": -ONE, "w": OMEGA, "w2": OMEGA2}
     try:
-        return table[token]
+        return _CELLS[token]
     except KeyError:
         raise ValueError(f"unknown Eisenstein cell token {token!r}") from None
 
 
 def unit_to_token(z: EisensteinInt) -> str:
-    for token, value in (("0", ZERO), ("1", ONE), ("-1", -ONE), ("w", OMEGA), ("w2", OMEGA2)):
+    for token, value in _CELLS.items():
         if z == value:
             return token
     raise ValueError(f"{z} is not 0 or a unit cube root")

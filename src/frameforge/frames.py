@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import SeidelMatrix, TwoEigenvalueCertificate, certify_two_eigenvalue
+from .matrices import (
+    SeidelMatrix,
+    SeidelMatrixInt,
+    TwoEigenvalueCertificate,
+    certify_two_eigenvalue,
+)
 from .params import FrameParams
 from .verdicts import Rejection
 
@@ -38,11 +43,12 @@ def _check_tol(tol: float) -> None:
 @dataclass(frozen=True)
 class FrameVectors:
     """n frame vectors for C^k; row i of `vectors` is the analysis row
-    <., f_i>, so V*V = I_k and the Gram matrix is V V*."""
+    <., f_i>, so V*V = I_k and the Gram matrix is V V*.  A real Gram
+    matrix gives real vectors, in R^k."""
 
     n: int
     k: int
-    vectors: np.ndarray  # (n, k) complex
+    vectors: np.ndarray  # (n, k): float64 from a real Gram matrix, else complex128
 
 
 @dataclass(frozen=True)
@@ -82,14 +88,16 @@ class FrameCheckReport:
 
 
 def gram_from_certificate(q: SeidelMatrix, params: FrameParams) -> np.ndarray:
-    """P = (k/n) I + c_{n,k} Q as a complex floating-point matrix."""
+    """P = (k/n) I + c_{n,k} Q in floating point: float64 for an integer
+    Seidel matrix, complex128 for an Eisenstein one."""
     if q.n != params.n:
         raise ValueError("certificate parameters do not match the matrix size")
     cert = certify_two_eigenvalue(q)
     if not isinstance(cert, TwoEigenvalueCertificate) or cert.params != params:
         raise ValueError("matrix does not certify the supplied parameters")
-    n, k = params.n, params.k
-    return (k / n) * np.eye(n, dtype=np.complex128) + params.c_value * q.to_complex()
+    p = params.c_value * (q.data if isinstance(q, SeidelMatrixInt) else q.to_complex())
+    np.fill_diagonal(p, params.k / params.n)  # Q has a zero diagonal
+    return p
 
 
 def factor_gram(p: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> FrameVectors | Rejection:
@@ -97,10 +105,12 @@ def factor_gram(p: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> FrameVectors
 
     Rejects unless the spectrum sits within tol of {0, 1} with exactly k
     ones.  Eigenvectors are normalised so their first significant component
-    is real and positive, making the output reproducible.
+    is real and positive, making the output reproducible.  A real P is
+    factored in real arithmetic, so V is real too.
     """
     _check_tol(tol)
-    p = np.asarray(p, dtype=np.complex128)
+    p = np.asarray(p)
+    p = p.astype(np.complex128 if np.iscomplexobj(p) else np.float64, copy=False)
     n = p.shape[0]
     if p.shape != (n, n):
         raise ValueError("Gram matrix must be square")

@@ -87,6 +87,8 @@ def make_group(name: str, mul: np.ndarray, labels: Sequence[str]) -> GroupTable:
     _check_order(n)
     if mul.shape != (n, n):
         raise ValueError("multiplication table shape does not match label count")
+    if not np.issubdtype(mul.dtype, np.integer):  # the int32 cast would truncate 0.5 to 0
+        raise ValueError(f"multiplication table must have an integer dtype, got {mul.dtype}")
     if mul.min() < 0 or mul.max() >= n:  # before the cast, which would wrap
         raise ValueError("multiplication table entries are not element indices")
     mul = np.ascontiguousarray(mul, dtype=np.int32)
@@ -161,10 +163,8 @@ def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     """Componentwise product; element (i, j) lives at index i*|g2| + j."""
     n1, n2 = g1.order, g2.order
     _check_order(n1 * n2)
-    packed = np.arange(n1 * n2)
-    left, right = packed // n2, packed % n2
-    mul = (g1.mul[np.ix_(left, left)].astype(np.int32) * n2
-           + g2.mul[np.ix_(right, right)])
+    n = n1 * n2
+    mul = (g1.mul[:, None, :, None] * np.int32(n2) + g2.mul[None, :, None, :]).reshape(n, n)
     labels = [f"({la},{lb})" for la in g1.labels for lb in g2.labels]
     return make_group(f"{g1.name}x{g2.name}", mul, labels)
 

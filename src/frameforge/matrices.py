@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .eisenstein import CUBE_ROOTS, EisensteinInt, unit_from_token, unit_to_token
+from .eisenstein import (
+    CELL_TOKENS,
+    CUBE_ROOTS,
+    ONE,
+    ZERO,
+    EisensteinInt,
+    unit_from_token,
+    unit_to_token,
+)
 from .groups import GroupTable
 from .params import FrameParams, Infeasible, params_from_mu
 from .verdicts import Rejection
@@ -318,48 +327,59 @@ def is_conference(m: np.ndarray) -> bool:
 
 # -- serialisation ----------------------------------------------------------
 
-_INT_TOKENS = {0: "0", 1: "1", -1: "-1"}
 
-
-def _cell_tokens(q: SeidelMatrix) -> list[list[str]]:
+def _cell_tokens(q: SeidelMatrix) -> np.ndarray:
+    """(n, n) object array of cell tokens, gathered from a 3x3 table indexed
+    by the components (a, b) of each cell a + b*omega; the index -1 reads
+    the last row or column."""
+    grid = np.full((3, 3), None, dtype=object)
+    for z in (ZERO, -ONE, *CUBE_ROOTS):  # every value a cell can hold
+        grid[z.a, z.b] = unit_to_token(z)
     if isinstance(q, SeidelMatrixInt):
-        return [[_INT_TOKENS[int(v)] for v in row] for row in q.data]
-    return [
-        [unit_to_token(q.entry(i, j)) for j in range(q.n)]
-        for i in range(q.n)
-    ]
+        return grid[:, 0][q.data]
+    return grid[q.a, q.b]
 
 
 def matrix_to_csv(q: SeidelMatrix) -> str:
     """One row per line, cells comma-separated, no header."""
-    return "\n".join(",".join(row) for row in _cell_tokens(q)) + "\n"
+    return "\n".join(",".join(row) for row in _cell_tokens(q).tolist()) + "\n"
 
 
 def matrix_to_json(q: SeidelMatrix, mu: int | None = None) -> str:
-    payload: dict = {"n": q.n, "entries": _cell_tokens(q)}
+    payload: dict = {"n": q.n, "entries": _cell_tokens(q).tolist()}
     if mu is not None:
         payload["mu"] = mu
     return json.dumps(payload, sort_keys=True)
 
 
 def matrix_from_json(text: str) -> SeidelMatrix:
-    """Parse matrix_to_json output; every schema fault raises ValueError."""
+    """Parse matrix_to_json output; every schema fault raises ValueError.
+
+    Each cell is looked up once in a token -> code dict, the code being the
+    token's place in CELL_TOKENS; the components a and b are then gathered
+    from the values of the five tokens.  A matrix whose cells all have
+    b = 0 is an integer matrix.
+    """
     payload = json.loads(text)
     if not isinstance(payload, dict) or "entries" not in payload or "n" not in payload:
         raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
     entries, n = payload["entries"], payload["n"]
-    if not isinstance(n, int) or not isinstance(entries, list) or not all(
+    if not isinstance(n, int) or n < 1 or not isinstance(entries, list) or not all(
         isinstance(row, list) for row in entries
     ):
-        raise ValueError("'n' must be an integer and 'entries' a list of rows")
+        raise ValueError("'n' must be a positive integer and 'entries' a list of rows")
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError("entry grid does not match declared size")
+    code = {token: i for i, token in enumerate(CELL_TOKENS)}
     try:
-        cells = [[unit_from_token(tok) for tok in row] for row in entries]
+        cells = np.fromiter(
+            map(code.__getitem__, chain.from_iterable(entries)), dtype=np.int8, count=n * n
+        ).reshape(n, n)
+    except KeyError as exc:  # also an int 1 in place of "1": 1 is not a key
+        raise ValueError(f"unknown Eisenstein cell token {exc.args[0]!r}") from None
     except TypeError:  # an unhashable token such as a list or an object
         raise ValueError("matrix cells must be token strings") from None
-    if all(cell.is_rational for row in cells for cell in row):
-        return SeidelMatrixInt(np.array([[c.a for c in row] for row in cells]))
-    a = np.array([[c.a for c in row] for row in cells])
-    b = np.array([[c.b for c in row] for row in cells])
-    return SeidelMatrixEis(a, b)
+    units = [unit_from_token(token) for token in CELL_TOKENS]
+    b = np.array([z.b for z in units])[cells]
+    a = np.array([z.a for z in units])[cells]
+    return SeidelMatrixEis(a, b) if b.any() else SeidelMatrixInt(a)

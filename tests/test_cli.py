@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from frameforge.cli import main, split_labels
+from frameforge.frames import frame_from_matrix
+from frameforge.matrices import matrix_from_json
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +153,48 @@ def test_frame_pipeline(tmp_path, capsys):
     rows = vectors_path.read_text().strip().splitlines()
     assert len(rows) == 6
     assert len(rows[0].split(",")) == 6  # 3 components as re,im pairs
+
+
+def _per_cell_csv(vectors):
+    """The vector file written one cell at a time, as re,im pairs."""
+    lines = []
+    for row in np.asarray(vectors, dtype=np.complex128):
+        cells = []
+        for z in row:
+            cells.append(format(z.real + 0.0, ".12g"))  # drop negative zero
+            cells.append(format(z.imag + 0.0, ".12g"))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("emit", [
+    ["tables", "--algorithm", "thm59", "--max-m", "3", "--emit-matrix", "3"],
+    ["cube-verify", "--group", "Q8", "--s", "-1", "--t", "i,j,k", "--quasi", "--emit-matrix"],
+], ids=["thm59_m3", "q8_cube"])
+def test_frame_vector_file(tmp_path, capsys, emit):
+    matrix_path = tmp_path / "matrix.json"
+    vectors_path = tmp_path / "vectors.csv"
+    if emit[0] == "tables":
+        code, out, _ = run_cli(capsys, *emit)
+        matrix_path.write_text(out)
+    else:
+        code, out, _ = run_cli(capsys, *emit, str(matrix_path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "frame", "--from", str(matrix_path), "--out", str(vectors_path))
+    assert code == 0
+    report = json.loads(out)
+    text = vectors_path.read_text()
+    rows = [line.split(",") for line in text.splitlines()]
+    assert len(rows) == report["n"]
+    assert all(len(row) == 2 * report["k"] for row in rows)
+    imaginary = {cell for row in rows for cell in row[1::2]}
+    if emit[0] == "tables":  # a real frame: every imaginary cell is 0
+        assert imaginary == {"0"}
+    else:
+        assert imaginary != {"0"}
+    frame, _, _ = frame_from_matrix(matrix_from_json(matrix_path.read_text()))
+    assert text == _per_cell_csv(frame.vectors)
+    assert "-0," not in text and "-0\n" not in text
 
 
 def test_usage_error_exit_2(capsys):

@@ -15,6 +15,7 @@ from frameforge import (
     verify_frame,
 )
 from frameforge.frames import FrameVectors
+from frameforge.generators import generate
 from frameforge.matrices import border_standard
 from frameforge.cube_root import CubePartition, build_cube_matrix
 from frameforge.verdicts import Rejection
@@ -70,11 +71,30 @@ def test_factor_identity_projection():
 
 
 def test_factor_rejects_non_projection():
-    p = np.diag([1.0, 0.5, 0.0]).astype(np.complex128)
-    reject = factor_gram(p, 1)
-    assert isinstance(reject, Rejection)
-    assert reject.reason == "not-a-rank-k-projection"
-    assert "spectrum" in reject.detail
+    for dtype in (np.complex128, np.float64):  # the complex and the real eigensolver
+        p = np.diag([1.0, 0.5, 0.0]).astype(dtype)
+        reject = factor_gram(p, 1)
+        assert isinstance(reject, Rejection)
+        assert reject.reason == "not-a-rank-k-projection"
+        assert "spectrum" in reject.detail
+
+
+def thm59_matrix(m):
+    hit = next(h for h in generate("thm59", m, verify=False) if h.m == m)
+    return quasi_signature_matrix(cyclic(hit.p), Subset.of(hit.p, hit.residues))
+
+
+@pytest.mark.parametrize("build", [conference_6, lambda: thm59_matrix(21)],
+                         ids=["conference_6", "thm59_m21"])
+def test_integer_matrix_is_factored_in_real_arithmetic(build):
+    q = build()
+    cert = certify_two_eigenvalue(q)
+    assert gram_from_certificate(q, cert.params).dtype == np.float64
+    frame, report, params = frame_from_matrix(q)
+    assert report.ok
+    assert frame.vectors.shape == (params.n, params.k)
+    assert frame.vectors.dtype == np.float64
+    assert np.all(np.imag(frame.vectors) == 0)
 
 
 def test_conference_6_frame():
@@ -108,9 +128,14 @@ def test_conference_14_frame():
 
 
 def test_cube_root_frame_is_complex():
-    frame, report, params = frame_from_matrix(cube_root_9())
+    # the bordered Q8 cube-root construction: an Eisenstein matrix stays complex
+    q = cube_root_9()
+    cert = certify_two_eigenvalue(q)
+    assert gram_from_certificate(q, cert.params).dtype == np.complex128
+    frame, report, params = frame_from_matrix(q)
     assert (params.n, params.k) == (9, 6)
     assert report.ok
+    assert frame.vectors.dtype == np.complex128
     assert np.abs(frame.vectors.imag).max() > 0.01
 
 

@@ -53,6 +53,23 @@ def test_direct_product_order(c6xc6):
     assert c6xc6.is_abelian
 
 
+@pytest.mark.parametrize("build", [
+    lambda: (cyclic(4), cyclic(8)),
+    lambda: (cyclic(64), cyclic(64)),
+    lambda: (cyclic(3), quaternion8()),
+], ids=["C4xC8", "C64xC64", "C3xQ8"])
+def test_direct_product_table_matches_index_gather(build):
+    g1, g2 = build()
+    n2 = g2.order
+    packed = np.arange(g1.order * n2)
+    left, right = packed // n2, packed % n2
+    reference = (g1.mul[np.ix_(left, left)].astype(np.int32) * n2
+                 + g2.mul[np.ix_(right, right)])
+    mul = direct_product(g1, g2).mul
+    assert mul.dtype == reference.dtype == np.int32
+    assert mul.tobytes() == reference.tobytes()
+
+
 def test_direct_product_overflow_rejected():
     with pytest.raises(ValueError):
         direct_product(cyclic(128), cyclic(64))
@@ -181,6 +198,10 @@ def test_make_group_rejects_broken_tables():
     for entry in (2, -1, 2**32):  # not an element index; 2**32 would wrap to 0 in int32
         with pytest.raises(ValueError, match="element indices"):
             make_group("bad", np.array([[0, 1], [1, entry]]), ["e", "a"])
+    # the int32 cast would truncate 0.5 to 0 and accept C2
+    for table in (np.array([[0, 1], [1, 0.5]]), np.array([[0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(ValueError, match="integer dtype"):
+            make_group("bad", table, ["e", "a"])
 
 
 def test_make_group_rejects_non_associative():

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from frameforge import (
@@ -25,7 +29,7 @@ from frameforge import (
     to_standard_form,
 )
 from frameforge.cube_root import CubePartition
-from frameforge.eisenstein import OMEGA, OMEGA2, ONE
+from frameforge.eisenstein import OMEGA, OMEGA2, ONE, EisensteinInt, unit_to_token
 from frameforge.matrices import regrep_sum_eis
 from frameforge.verdicts import Rejection
 
@@ -369,3 +373,97 @@ def test_matrix_constructors_reject_bad_entries():
     b = np.zeros((2, 2), dtype=np.int64)
     with pytest.raises(ValueError):
         SeidelMatrixEis(a, b)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "entries": [["0", "1"], ["1", "q"]]}',    # unknown token
+        '{"n": 2, "entries": [["0", "1"], ["1", {}]]}',     # unhashable token
+        '{"n": 2, "entries": [["0", 1], [1, "0"]]}',        # integer 1 in place of "1"
+        '{"n": 2, "entries": [["0", "1"], ["1", null]]}',   # null cell
+        '{"n": 3, "entries": [["0", "1"], ["1", "0"]]}',    # grid smaller than n
+        '{"n": 1, "entries": [["0", "1"], ["1", "0"]]}',    # grid larger than n
+        '{"n": 0, "entries": []}',                          # empty matrix
+        '{"n": 2, "entries": [["1", "1"], ["1", "0"]]}',    # non-zero diagonal
+    ],
+)
+def test_matrix_from_json_schema_faults_are_value_errors(text):
+    with pytest.raises(ValueError):
+        matrix_from_json(text)
+
+
+_TOKEN_CELLS = st.sampled_from(["0", "1", "-1", "w", "w2"])
+_JUNK_CELLS = st.one_of(
+    _TOKEN_CELLS, st.integers(-2, 2), st.floats(allow_nan=True), st.none(), st.booleans(),
+    st.text(max_size=3), st.lists(_TOKEN_CELLS, max_size=2),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _matrix_payloads(draw):
+    """Square or ragged grids of tokens and junk, with a true or a wrong n."""
+    size = draw(st.integers(0, 5))
+    cells = _TOKEN_CELLS if draw(st.booleans()) else _JUNK_CELLS
+    rows = draw(st.lists(
+        st.lists(cells, min_size=size, max_size=size) | st.lists(cells, max_size=6),
+        min_size=size, max_size=size,
+    ))
+    n = draw(st.sampled_from([size, size + 1, size - 1, -size, float(size), str(size), None]))
+    return json.dumps({"n": n, "entries": rows})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_matrix_payloads(), _JSON_VALUES.map(json.dumps)))
+def test_matrix_from_json_parses_or_raises_value_error(text):
+    try:
+        q = matrix_from_json(text)
+    except ValueError:
+        return
+    assert isinstance(q, (SeidelMatrixInt, SeidelMatrixEis))
+    assert q.n == json.loads(text)["n"]
+
+
+def _reference_tokens(q):
+    """The per-cell serialisation: one unit_to_token call per cell."""
+    if isinstance(q, SeidelMatrixInt):
+        return [[unit_to_token(EisensteinInt(int(v), 0)) for v in row] for row in q.data]
+    return [[unit_to_token(q.entry(i, j)) for j in range(q.n)] for i in range(q.n)]
+
+
+def _random_seidel(rng, n, eisenstein):
+    if not eisenstein:
+        data = rng.choice([-1, 1], size=(n, n))
+        np.fill_diagonal(data, 0)
+        return SeidelMatrixInt(data)
+    units = np.array([(1, 0), (0, 1), (-1, -1)])[rng.integers(0, 3, size=(n, n))]
+    a, b = units[..., 0], units[..., 1]
+    np.fill_diagonal(a, 0)
+    np.fill_diagonal(b, 0)
+    return SeidelMatrixEis(a, b)
+
+
+@pytest.mark.parametrize("eisenstein", [False, True], ids=["int", "eisenstein"])
+def test_serialisation_matches_per_cell_reference(eisenstein):
+    rng = np.random.default_rng(7 + eisenstein)
+    for n in [1, 2, 3, 5, 8, 13, 21, 34, 40]:
+        for _ in range(3):
+            q = _random_seidel(rng, n, eisenstein)
+            tokens = _reference_tokens(q)
+            assert matrix_to_csv(q) == "\n".join(",".join(row) for row in tokens) + "\n"
+            for mu in (None, -2):
+                text = matrix_to_json(q, mu=mu)
+                payload = {"n": n, "entries": tokens, **({} if mu is None else {"mu": mu})}
+                assert text == json.dumps(payload, sort_keys=True)
+                # a matrix without an omega cell reads back as an integer matrix
+                back = matrix_from_json(text)
+                if isinstance(q, SeidelMatrixEis) and not q.b.any():
+                    assert back == SeidelMatrixInt(q.a)
+                else:
+                    assert back == q

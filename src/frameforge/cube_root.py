@@ -22,12 +22,12 @@ from .matrices import (
     regrep_sum_eis,
 )
 from .numbertheory import is_perfect_square
+from .signature_sets import accept_verdict
 from .subsets import (  # noqa: F401 - perfbench/tracer.py patches pair_count_table here
     Subset,
     complement_nonidentity,
     inverse_set,
     pair_count_table,
-    seidel_identity,
 )
 from .verdicts import Rejection, SignatureVerdict
 
@@ -109,19 +109,11 @@ def _verify_pair(
         return Rejection("v-neq-t-inverse", "V must equal T^-1")
 
     q = build_cube_matrix(group, CubePartition(s, t, v))
-    matrix = border_standard(q) if quasi else q
-    cert = certify_two_eigenvalue(matrix)
+    cert = certify_two_eigenvalue(border_standard(q) if quasi else q)
     if isinstance(cert, Rejection):
         return cert
-    # the group-algebra form; for the bordered case its mu is |S| - |T|
-    kind = "cube-quasi" if quasi else "cube-pair"
-    holds, identity_mu = seidel_identity(group, kind, [(s, t)])
-    if not holds[0] or identity_mu[0] != cert.mu:
-        raise RuntimeError("internal: counting and matrix criteria disagree")
-    return SignatureVerdict(
-        kind=kind, params=cert.params, mu=cert.mu, subset=s, t_subset=t,
-        matrix_dim=matrix.n,
-    )
+    # checked against the group-algebra form, whose mu is |S| - |T| when bordered
+    return accept_verdict(group, "cube-quasi" if quasi else "cube-pair", cert.mu, s, t)
 
 
 def cube_necessary_conditions(n: int, mu: int, quasi: bool = False) -> tuple[bool, list[str]]:

@@ -105,10 +105,10 @@ def diffset_to_signature(
 ) -> SignatureVerdict | Rejection:
     """Certify D (or D minus the identity) as a signature set.
 
-    Without the identity the requirements are reversibility and
-    k = (n - sqrt n)/2 (equivalently: a reversible Hadamard-family set),
-    giving mu = 2; with the identity the target is k = (n + sqrt n)/2 and
-    the verified set is D\\{e}, giving mu = -2.
+    With sign = +1 when D lacks the identity and -1 when it contains it,
+    the requirements are reversibility and k = (n - sign*sqrt n)/2; the
+    verified set is D\\{e}, with mu = 2*sign.  The sign = +1 sets are the
+    reversible Hadamard-family sets.
     """
     report = verify_difference_set(group, d)
     if isinstance(report, Rejection):
@@ -119,22 +119,19 @@ def diffset_to_signature(
         return Rejection("order-not-square", f"group order {n} is not a perfect square")
     if not report.reversible:
         return Rejection("not-reversible", "D must equal its elementwise inverse")
-    if not d.has_identity:
-        if 2 * report.k != n - root:
-            return Rejection(
-                "size-mismatch", f"|D|={report.k}, need (n - sqrt n)/2 = {(n - root) // 2}"
-            )
-        verdict = verify_signature_set(group, d)
-        if isinstance(verdict, Rejection) or verdict.mu != 2:
-            raise RuntimeError("internal: reversible Hadamard set failed signature check")
-        if not report.hadamard_family:
-            raise RuntimeError("internal: accepted set is not in the Hadamard family")
-        return verdict
-    if 2 * report.k != n + root:
+    sign = -1 if d.has_identity else 1
+    if 2 * report.k != n - sign * root:
         return Rejection(
-            "size-mismatch", f"|D|={report.k}, need (n + sqrt n)/2 = {(n + root) // 2}"
+            "size-mismatch",
+            f"|D|={report.k}, need (n {'-' if sign > 0 else '+'} sqrt n)/2 = "
+            f"{(n - sign * root) // 2}",
         )
+    if n % 2:
+        # only n = 1 gets here: for odd sqrt n > 1 neither size gives an integer lambda
+        return Rejection("odd-order", f"group order {n} is odd")
     verdict = verify_signature_set(group, Subset(d.order, d.bits & ~1))
-    if isinstance(verdict, Rejection) or verdict.mu != -2:
-        raise RuntimeError("internal: reversible complement-family set failed signature check")
+    if isinstance(verdict, Rejection) or verdict.mu != 2 * sign:
+        raise RuntimeError("internal: reversible difference set failed signature check")
+    if sign > 0 and not report.hadamard_family:
+        raise RuntimeError("internal: accepted set is not in the Hadamard family")
     return verdict

@@ -74,18 +74,6 @@ class FrameCheckReport:
     def ok(self) -> bool:
         return self.tight and self.uniform and self.equiangular
 
-    def as_dict(self) -> dict:
-        return {
-            "tightness_dev": self.tightness_dev,
-            "uniformity_dev": self.uniformity_dev,
-            "equiangularity_dev": self.equiangularity_dev,
-            "tol": self.tol,
-            "tight": self.tight,
-            "uniform": self.uniform,
-            "equiangular": self.equiangular,
-            "ok": self.ok,
-        }
-
 
 def gram_from_certificate(q: SeidelMatrix, params: FrameParams) -> np.ndarray:
     """P = (k/n) I + c_{n,k} Q in floating point: float64 for an integer

@@ -30,15 +30,11 @@ from .verdicts import Rejection
 
 _OMEGA_COMPLEX = complex(-0.5, np.sqrt(3.0) / 2.0)
 
-# int64 matmul is exact; above this size route through BLAS float64, which is
-# still exact while every inner product is an integer below 2**53.
-_DIRECT_MATMUL_LIMIT = 200
-
 
 def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    if n <= _DIRECT_MATMUL_LIMIT:
-        return x @ y
+    """x @ y for integer matrices.  BLAS float64 is exact while every inner
+    product is an integer below 2**53; past that bound int64 takes over."""
+    n = x.shape[1]
     bound = n * max(int(np.abs(x).max(initial=0)), 1) * max(int(np.abs(y).max(initial=0)), 1)
     if bound >= 2 ** 53:
         return x @ y
@@ -162,14 +158,7 @@ def regrep_sum_eis(
     group: GroupTable, coeffs_a: Sequence[int], coeffs_b: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eisenstein variant of regrep_sum; returns the (a, b) component pair."""
-    a = np.asarray(coeffs_a, dtype=np.int64)
-    b = np.asarray(coeffs_b, dtype=np.int64)
-    if a.shape != (group.order,) or b.shape != (group.order,):
-        raise ValueError("need one coefficient per group element")
-    if a[0] != 0 or b[0] != 0:
-        raise ValueError("identity coefficient must be 0")
-    idx = group.mul[group.inv, :]
-    return a[idx], b[idx]
+    return regrep_sum(group, coeffs_a), regrep_sum(group, coeffs_b)
 
 
 @dataclass(frozen=True)

@@ -78,37 +78,15 @@ def verify_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict | Rej
         return closure
 
     ct_st = pair_count_table(group, s, t)
-    s_idx = s.indices_array()
-    t_idx = t.indices_array()
-    if s_idx.size:
-        mu = n - 2 - 4 * int(ct_st[s_idx[0]])
-    else:
-        mu = -(n - 2)
+    mu = n - 2 - 4 * int(ct_st[next(iter(s))]) if s else -(n - 2)
     if mu % 2:
         return Rejection("odd-mu", f"candidate mu={mu} is odd")
     if not -(n - 2) <= mu <= n - 2:
         return Rejection("mu-out-of-range", f"mu={mu} outside [-(n-2), n-2]")
-    if s_idx.size and not np.all(4 * ct_st[s_idx] == n - 2 - mu):
-        g = int(s_idx[np.argmax(4 * ct_st[s_idx] != n - 2 - mu)])
-        return Rejection(
-            "count-mismatch-on-s",
-            f"N_(S,T) at {group.labels[g]} is {int(ct_st[g])}, need (n-2-mu)/4",
-            witness=group.labels[g],
-        )
-    if t_idx.size and not np.all(4 * ct_st[t_idx] == n - 2 + mu):
-        h = int(t_idx[np.argmax(4 * ct_st[t_idx] != n - 2 + mu)])
-        return Rejection(
-            "count-mismatch-on-t",
-            f"N_(S,T) at {group.labels[h]} is {int(ct_st[h])}, need (n-2+mu)/4",
-            witness=group.labels[h],
-        )
-    _cross_check(group, "signature", s, mu)
-
-    params = params_from_mu(n, mu)
-    if isinstance(params, Infeasible):
-        return Rejection("infeasible-parameters", f"mu={mu}: {params.reason}")
-    return SignatureVerdict(
-        kind="signature", params=params, mu=mu, subset=s, t_subset=None, matrix_dim=n
+    return (
+        _count_mismatch(group, "s", s, ct_st, n - 2 - mu, "S,T", "(n-2-mu)/4")
+        or _count_mismatch(group, "t", t, ct_st, n - 2 + mu, "S,T", "(n-2+mu)/4")
+        or accept_verdict(group, "signature", mu, s)
     )
 
 
@@ -137,29 +115,10 @@ def verify_quasi_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict
     ct_ss = pair_count_table(group, s, s)
     # on T, N_(T,T) = N_(S,S) + |G| - 2 - 2|S|, as 1_T = 1 - delta_e - 1_S
     ct_tt = ct_ss + (group.order - 2 - 2 * s.size)
-    s_idx = s.indices_array()
-    t_idx = t.indices_array()
-    if s_idx.size and not np.all(4 * ct_ss[s_idx] == n + 3 * mu - 6):
-        g = int(s_idx[np.argmax(4 * ct_ss[s_idx] != n + 3 * mu - 6)])
-        return Rejection(
-            "count-mismatch-on-s",
-            f"N_(S,S) at {group.labels[g]} is {int(ct_ss[g])}, need (n+3mu-6)/4",
-            witness=group.labels[g],
-        )
-    if t_idx.size and not np.all(4 * ct_tt[t_idx] == n - 3 * mu - 6):
-        h = int(t_idx[np.argmax(4 * ct_tt[t_idx] != n - 3 * mu - 6)])
-        return Rejection(
-            "count-mismatch-on-t",
-            f"N_(T,T) at {group.labels[h]} is {int(ct_tt[h])}, need (n-3mu-6)/4",
-            witness=group.labels[h],
-        )
-    _cross_check(group, "quasi", s, mu)
-
-    params = params_from_mu(n, mu)
-    if isinstance(params, Infeasible):
-        return Rejection("infeasible-parameters", f"mu={mu}: {params.reason}")
-    return SignatureVerdict(
-        kind="quasi", params=params, mu=mu, subset=s, t_subset=None, matrix_dim=n
+    return (
+        _count_mismatch(group, "s", s, ct_ss, n + 3 * mu - 6, "S,S", "(n+3mu-6)/4")
+        or _count_mismatch(group, "t", t, ct_tt, n - 3 * mu - 6, "T,T", "(n-3mu-6)/4")
+        or accept_verdict(group, "quasi", mu, s)
     )
 
 
@@ -199,9 +158,42 @@ def _closure_check(group: GroupTable, s: Subset, t: Subset) -> Rejection | None:
     return None
 
 
-def _cross_check(group: GroupTable, kind: str, s: Subset, mu: int) -> None:
-    """The matrix identity in group-algebra form must give the accepted mu;
-    disagreement would mean an implementation bug, hence the hard error."""
-    holds, identity_mu = seidel_identity(group, kind, [s])
+def _count_mismatch(
+    group: GroupTable, name: str, subset: Subset, counts: np.ndarray, need: int,
+    label: str, formula: str,
+) -> Rejection | None:
+    """The first member g of the subset with 4 * counts[g] != need, as a
+    count-mismatch-on-<name> rejection witnessed by g; None when all match."""
+    members = subset.indices_array()
+    off = members[4 * counts[members] != need]
+    if not off.size:
+        return None
+    g = int(off[0])
+    return Rejection(
+        f"count-mismatch-on-{name}",
+        f"N_({label}) at {group.labels[g]} is {int(counts[g])}, need {formula}",
+        witness=group.labels[g],
+    )
+
+
+def accept_verdict(
+    group: GroupTable, kind: str, mu: int, s: Subset, t: Subset | None = None
+) -> SignatureVerdict | Rejection:
+    """The acceptance every verifier ends in, once its own criterion has
+    fixed mu: the matrix identity in group-algebra form (`seidel_identity`)
+    must give the same mu, and mu must give feasible frame parameters.
+
+    kind is a `SignatureVerdict` kind; t is the T of a cube pair.  The
+    matrix has size |G|, plus one for the bordered kinds.  Disagreement of
+    the two criteria would mean an implementation bug, hence the hard error.
+    """
+    holds, identity_mu = seidel_identity(group, kind, [s if t is None else (s, t)])
     if not holds[0] or identity_mu[0] != mu:
         raise RuntimeError("internal: the counting criterion and the matrix identity disagree")
+    n = group.order + (kind in ("quasi", "cube-quasi"))
+    params = params_from_mu(n, mu)
+    if isinstance(params, Infeasible):
+        return Rejection("infeasible-parameters", f"mu={mu}: {params.reason}")
+    return SignatureVerdict(
+        kind=kind, params=params, mu=mu, subset=s, t_subset=t, matrix_dim=n
+    )

@@ -83,10 +83,6 @@ class Subset:
         self._check_owner(other)
         return Subset(self.order, self.bits | other.bits)
 
-    def intersection(self, other: Subset) -> Subset:
-        self._check_owner(other)
-        return Subset(self.order, self.bits & other.bits)
-
     def difference(self, other: Subset) -> Subset:
         self._check_owner(other)
         return Subset(self.order, self.bits & ~other.bits)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from frameforge import parse_group
 from frameforge.cli import main, split_labels
 from frameforge.frames import frame_from_matrix
 from frameforge.matrices import matrix_from_json
@@ -74,6 +75,21 @@ def test_diffset_to_signature(capsys):
     payload = json.loads(out)
     assert payload["hadamard_family"] and payload["reversible"]
     assert payload["signature"]["k"] == 6
+
+
+@pytest.mark.parametrize("descriptor", ["C1", "C1xC1", "Zmult2"])
+@pytest.mark.parametrize("members", ["", "identity"])
+def test_diffset_to_signature_on_order_one_is_a_rejection(capsys, descriptor, members):
+    identity = parse_group(descriptor).labels[0]
+    code, out, _ = run_cli(
+        capsys, "diffset", "--group", descriptor,
+        "--set", identity if members else "", "--to-signature",
+    )
+    assert code == 1
+    (line,) = out.splitlines()
+    payload = json.loads(line)
+    assert payload["valid"] and payload["signature"]["valid"] is False
+    assert payload["signature"]["reason"].startswith("odd-order")
 
 
 def test_cube_verify_quaternion(capsys):

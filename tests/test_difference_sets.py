@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import golden
 from frameforge import (
@@ -11,6 +12,7 @@ from frameforge import (
     inverse_set,
     is_hadamard,
     pair_count_table,
+    parse_group,
     quaternion8,
     signature_matrix,
     verify_difference_set,
@@ -140,6 +142,15 @@ def test_diffset_to_signature_rejects_non_square_order():
     g = cyclic(11)
     reject = diffset_to_signature(g, Subset.of(11, [1, 3, 4, 5, 9]))
     assert reject.reason == "order-not-square"
+
+
+@pytest.mark.parametrize("descriptor", ["C1", "C1xC1", "Zmult2"])
+def test_diffset_to_signature_order_one_is_odd_order(descriptor):
+    # sqrt 1 = 1 is odd, yet both sizes 0 and 1 pass the size check
+    g = parse_group(descriptor)
+    for d in (Subset.empty(1), Subset.of(1, [0])):
+        reject = diffset_to_signature(g, d)
+        assert isinstance(reject, Rejection) and reject.reason == "odd-order"
 
 
 def test_reversible_sum_counts_equal_difference_counts(c4xc4):

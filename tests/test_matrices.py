@@ -313,13 +313,29 @@ def test_rejected_symmetric_candidate_has_more_eigenvalues():
     assert distinct > 2
 
 
-def test_exact_matmul_large_path_matches_direct():
+@pytest.mark.parametrize("n", [9, 54, 300])
+def test_exact_matmul_large_path_matches_direct(n):
     from frameforge.matrices import _exact_matmul
 
     rng = np.random.default_rng(61)
-    m = rng.choice([-1, 1], size=(300, 300)).astype(np.int64)
+    m = rng.choice([-1, 1], size=(n, n)).astype(np.int64)
     np.fill_diagonal(m, 0)
     assert np.array_equal(_exact_matmul(m, m), m @ m)
+
+
+def test_exact_matmul_falls_back_to_int64_past_the_float_bound():
+    # entries up to 2**30 put n * max|x| * max|y| past 2**53, where float64
+    # loses low bits; the product must still be exact
+    from frameforge.matrices import _exact_matmul
+
+    rng = np.random.default_rng(62)
+    x = rng.integers(-(2 ** 30), 2 ** 30, size=(4, 4), dtype=np.int64)
+    y = rng.integers(-(2 ** 30), 2 ** 30, size=(4, 4), dtype=np.int64)
+    x[0, 0], y[0, 0] = 2 ** 30, -(2 ** 30)
+    exact = (x.astype(object) @ y.astype(object)).astype(np.int64)
+    rounded = np.rint(x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+    assert not np.array_equal(rounded, exact)
+    assert np.array_equal(_exact_matmul(x, y), exact)
 
 
 def test_certify_midsize_conference_matrix():

@@ -7,7 +7,10 @@ omega**2 = -1 - omega and 1 + omega + omega**2 = 0.  Storing the pair
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 OMEGA_COMPLEX = complex(-0.5, 3 ** 0.5 / 2)
 
@@ -35,9 +38,7 @@ class EisensteinInt:
 
     def __mul__(self, other: EisensteinInt | int) -> EisensteinInt:
         other = _coerce(other)
-        # (a1 + b1 w)(a2 + b2 w) with w^2 = -1 - w
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return EisensteinInt(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
+        return EisensteinInt(*eis_product(self.a, self.b, other.a, other.b, operator.mul))
 
     __rmul__ = __mul__
 
@@ -62,6 +63,17 @@ class EisensteinInt:
         if self.a == 0:
             return f"{self.b}w"
         return f"{self.a}{self.b:+}w"
+
+
+def eis_product(a1, b1, a2, b2, op):
+    """(a1 + b1 w)(a2 + b2 w) = (a1 a2 - b1 b2) + (a1 b2 + b1 a2 - b1 b2) w
+    by w^2 = -1 - w, as the pair (a, b), with products under the bilinear op
+    (`*` on numbers or arrays, a matrix product, a group-algebra product).
+    When both omega parts are the scalar 0 only a1 op a2 is formed."""
+    if not (np.ndim(b1) or np.ndim(b2) or b1 or b2):
+        return op(a1, a2), b1
+    bb = op(b1, b2)
+    return op(a1, a2) - bb, op(a1, b2) + op(b1, a2) - bb
 
 
 def _coerce(x: EisensteinInt | int) -> EisensteinInt:

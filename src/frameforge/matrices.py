@@ -18,17 +18,17 @@ import numpy as np
 from .eisenstein import (
     CELL_TOKENS,
     CUBE_ROOTS,
+    OMEGA_COMPLEX,
     ONE,
     ZERO,
     EisensteinInt,
+    eis_product,
     unit_from_token,
     unit_to_token,
 )
 from .groups import GroupTable
 from .params import FrameParams, Infeasible, params_from_mu
 from .verdicts import Rejection
-
-_OMEGA_COMPLEX = complex(-0.5, np.sqrt(3.0) / 2.0)
 
 
 def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -38,104 +38,107 @@ def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     bound = n * max(int(np.abs(x).max(initial=0)), 1) * max(int(np.abs(y).max(initial=0)), 1)
     if bound >= 2 ** 53:
         return x @ y
-    return np.rint(x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+    xf = x.astype(np.float64)
+    yf = xf if y is x else y.astype(np.float64)  # a square converts once
+    return np.rint(xf @ yf).astype(np.int64)
 
 
-class SeidelMatrixInt:
-    """Square integer matrix with zero diagonal and +-1 off the diagonal.
+def _integer_array(x) -> np.ndarray:
+    """x as a C-contiguous int64 array.  A non-integer dtype raises
+    ValueError: the cast would truncate 1.7 to 1 and 0.9 to 0."""
+    x = np.asarray(x)
+    if x.size and not np.issubdtype(x.dtype, np.integer):
+        raise ValueError(f"entries must have an integer dtype, got {x.dtype}")
+    return np.asarray(x, dtype=np.int64, order="C")
 
-    Symmetry is required for certification but not at construction, so that
-    diagnostic paths can build and inspect ill-formed candidates.
+
+def _cell(a: np.ndarray, b: np.ndarray, i: int, j: int) -> EisensteinInt:
+    """The entry (i, j) of a + b*omega, where b may be a scalar."""
+    return EisensteinInt(int(a[i, j]), int(np.broadcast_to(b, a.shape)[i, j]))
+
+
+class SeidelMatrix:
+    """Square matrix a + b*omega over the Eisenstein integers, with zero
+    diagonal and one of the kind's UNITS off the diagonal.
+
+    SeidelMatrixInt is the case b = 0, with units +-1; it keeps b as the
+    scalar 0, so no zero n x n array is stored or multiplied.  Its
+    SeidelMatrixEis counterpart allows the three unit cube roots.
+    Self-adjointness is required for certification but not at construction,
+    so that diagnostic paths can build and inspect ill-formed candidates.
     """
 
-    def __init__(self, data: np.ndarray):
-        data = np.ascontiguousarray(data, dtype=np.int64)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise ValueError("matrix must be square")
-        if np.any(np.diagonal(data) != 0):
-            raise ValueError("diagonal entries must be 0")
-        off = ~np.eye(data.shape[0], dtype=bool)
-        if not np.isin(data[off], (-1, 1)).all():
-            raise ValueError("off-diagonal entries must be +1 or -1")
-        self.data = data
-        self.data.setflags(write=False)
+    UNITS: tuple[EisensteinInt, ...] = ()
+    UNITS_TEXT = ""
 
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.data, self.data.T))
-
-    def square(self) -> np.ndarray:
-        return _exact_matmul(self.data, self.data)
-
-    def to_complex(self) -> np.ndarray:
-        return self.data.astype(np.complex128)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SeidelMatrixInt) and np.array_equal(self.data, other.data)
-
-    def __repr__(self) -> str:
-        return f"SeidelMatrixInt(n={self.n})"
-
-
-class SeidelMatrixEis:
-    """Square matrix of Eisenstein integers a + b*omega, zero diagonal,
-    unit cube roots off the diagonal; Hermitian when certified."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        a = np.ascontiguousarray(a, dtype=np.int64)
-        b = np.ascontiguousarray(b, dtype=np.int64)
-        if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("component matrices must be square and congruent")
-        if np.any(np.diagonal(a) != 0) or np.any(np.diagonal(b) != 0):
-            raise ValueError("diagonal entries must be 0")
-        off = ~np.eye(a.shape[0], dtype=bool)
-        # unit cube roots: (1,0), (0,1), (-1,-1)
-        ok = ((a == 1) & (b == 0)) | ((a == 0) & (b == 1)) | ((a == -1) & (b == -1))
-        if not ok[off].all():
-            raise ValueError("off-diagonal entries must be unit cube roots")
-        self.a, self.b = a, b
+    def __init__(self, a: np.ndarray, b: np.ndarray | int = 0):
+        self.a, self.b = self.check(a, b)
         self.a.setflags(write=False)
         self.b.setflags(write=False)
+
+    @classmethod
+    def check(cls, a, b=0) -> tuple[np.ndarray, np.ndarray]:
+        """The components as int64 arrays; ValueError unless they have an
+        integer dtype and make a square matrix of this kind."""
+        a, b = _integer_array(a), _integer_array(b)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape not in ((), a.shape):
+            raise ValueError("matrix components must be square and congruent")
+        if a.diagonal().any() or np.broadcast_to(b, a.shape).diagonal().any():
+            raise ValueError("diagonal entries must be 0")
+        unit = np.logical_or.reduce([(a == z.a) & (b == z.b) for z in cls.UNITS])
+        np.fill_diagonal(unit, True)
+        if not unit.all():
+            raise ValueError(f"off-diagonal entries must be {cls.UNITS_TEXT}")
+        return a, b if any(z.b for z in cls.UNITS) else np.zeros((), dtype=np.int64)
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
 
+    def entry(self, i: int, j: int) -> EisensteinInt:
+        return _cell(self.a, self.b, i, j)
+
     def is_hermitian(self) -> bool:
-        # conj(a + b w) = (a - b) - b w
+        # conj(a + b w) = (a - b) - b w, so Q* = Q when b^T = -b and a^T = a - b
         return bool(
-            np.array_equal(self.a, (self.a - self.b).T) and np.array_equal(self.b, (-self.b).T)
+            np.array_equal(self.b.T, -self.b) and np.array_equal(self.a.T, self.a - self.b)
         )
 
     def square(self) -> tuple[np.ndarray, np.ndarray]:
-        # (A1 + B1 w)(A2 + B2 w) = A1A2 - B1B2 + (A1B2 + B1A2 - B1B2) w
-        aa = _exact_matmul(self.a, self.a)
-        bb = _exact_matmul(self.b, self.b)
-        ab = _exact_matmul(self.a, self.b)
-        ba = _exact_matmul(self.b, self.a)
-        return aa - bb, ab + ba - bb
-
-    def entry(self, i: int, j: int) -> EisensteinInt:
-        return EisensteinInt(int(self.a[i, j]), int(self.b[i, j]))
+        """Q^2 as its components (a, b); one product when b is the scalar 0."""
+        return eis_product(self.a, self.b, self.a, self.b, _exact_matmul)
 
     def to_complex(self) -> np.ndarray:
-        return self.a.astype(np.complex128) + self.b.astype(np.complex128) * _OMEGA_COMPLEX
+        return self.a + self.b * OMEGA_COMPLEX
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, SeidelMatrixEis)
+            type(other) is type(self)
             and np.array_equal(self.a, other.a)
             and np.array_equal(self.b, other.b)
         )
 
     def __repr__(self) -> str:
-        return f"SeidelMatrixEis(n={self.n})"
+        return f"{type(self).__name__}(n={self.n})"
 
 
-SeidelMatrix = SeidelMatrixInt | SeidelMatrixEis
+class SeidelMatrixInt(SeidelMatrix):
+    """Integer Seidel matrix: +-1 off the diagonal."""
+
+    UNITS = (ONE, -ONE)
+    UNITS_TEXT = "+1 or -1"
+    data = property(lambda self: self.a)
+
+    def square(self) -> np.ndarray:
+        """Q^2, the a part of the component square (its b part is 0)."""
+        return super().square()[0]
+
+
+class SeidelMatrixEis(SeidelMatrix):
+    """Eisenstein Seidel matrix: unit cube roots off the diagonal."""
+
+    UNITS = CUBE_ROOTS
+    UNITS_TEXT = "unit cube roots"
 
 
 def regrep_sum(group: GroupTable, coeffs: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -146,7 +149,7 @@ def regrep_sum(group: GroupTable, coeffs: Sequence[int] | np.ndarray) -> np.ndar
     group-subset constructions print in their standard form.  The identity
     coefficient must be 0 so the diagonal vanishes.
     """
-    c = np.asarray(coeffs, dtype=np.int64)
+    c = _integer_array(coeffs)
     if c.shape != (group.order,):
         raise ValueError("need one coefficient per group element")
     if c[0] != 0:
@@ -176,44 +179,27 @@ class TwoEigenvalueCertificate:
 def certify_two_eigenvalue(q: SeidelMatrix) -> TwoEigenvalueCertificate | Rejection:
     """Check the exact two-eigenvalue identity and derive the frame parameters.
 
-    mu is read off entry (0, 1) and then verified at every position.  For
-    Eisenstein matrices mu must additionally be rational (zero omega part).
+    mu is read off entry (0, 1) and then verified at every position; it
+    must be rational (zero omega part).
     """
     n = q.n
     if n < 2:
         return Rejection("matrix-too-small", f"n={n} admits no frame")
-    if isinstance(q, SeidelMatrixInt):
-        if not q.is_symmetric():
-            return Rejection("not-self-adjoint")
-        sq = q.square()
-        mu = int(sq[0, 1]) * int(q.data[0, 1])  # divide by the unit +-1
-        expected = mu * q.data
-        np.fill_diagonal(expected, n - 1)
-        if not np.array_equal(sq, expected):
-            i, j = np.argwhere(sq != expected)[0]
-            return Rejection(
-                "not-two-eigenvalue",
-                f"entry ({i},{j}): got {sq[i, j]}, need {expected[i, j]} for mu={mu}",
-            )
-    else:
-        if not q.is_hermitian():
-            return Rejection("not-self-adjoint")
-        sqa, sqb = q.square()
-        mu_e = EisensteinInt(int(sqa[0, 1]), int(sqb[0, 1])) * q.entry(0, 1).conjugate()
-        if not mu_e.is_rational:
-            return Rejection("mu-not-real", f"entry (0,1) gives mu = {mu_e}")
-        mu = mu_e.a
-        exp_a = mu * q.a
-        exp_b = mu * q.b
-        np.fill_diagonal(exp_a, n - 1)
-        if not (np.array_equal(sqa, exp_a) and np.array_equal(sqb, exp_b)):
-            bad = (sqa != exp_a) | (sqb != exp_b)
-            i, j = np.argwhere(bad)[0]
-            got = EisensteinInt(int(sqa[i, j]), int(sqb[i, j]))
-            need = EisensteinInt(int(exp_a[i, j]), int(exp_b[i, j]))
-            return Rejection(
-                "not-two-eigenvalue", f"entry ({i},{j}): got {got}, need {need} for mu={mu}"
-            )
+    if not q.is_hermitian():
+        return Rejection("not-self-adjoint")
+    sq_a, sq_b = SeidelMatrix.square(q)  # the component square of either kind
+    mu_e = _cell(sq_a, sq_b, 0, 1) * q.entry(0, 1).conjugate()  # divide by the unit
+    if not mu_e.is_rational:
+        return Rejection("mu-not-real", f"entry (0,1) gives mu = {mu_e}")
+    mu = mu_e.a
+    exp_a, exp_b = mu * q.a, mu * q.b
+    np.fill_diagonal(exp_a, n - 1)
+    if not (np.array_equal(sq_a, exp_a) and np.array_equal(sq_b, exp_b)):
+        i, j = np.argwhere((sq_a != exp_a) | (sq_b != exp_b))[0]
+        got, need = _cell(sq_a, sq_b, i, j), _cell(exp_a, exp_b, i, j)
+        return Rejection(
+            "not-two-eigenvalue", f"entry ({i},{j}): got {got}, need {need} for mu={mu}"
+        )
     params = params_from_mu(n, mu)
     if isinstance(params, Infeasible):
         # cannot happen for a genuine Seidel matrix; surface it loudly
@@ -223,18 +209,9 @@ def certify_two_eigenvalue(q: SeidelMatrix) -> TwoEigenvalueCertificate | Reject
 
 def border_standard(q: SeidelMatrix) -> SeidelMatrix:
     """Prepend an all-ones first row and column (0 in the corner)."""
-    n = q.n
-    if isinstance(q, SeidelMatrixInt):
-        out = np.ones((n + 1, n + 1), dtype=np.int64)
-        out[0, 0] = 0
-        out[1:, 1:] = q.data
-        return SeidelMatrixInt(out)
-    a = np.ones((n + 1, n + 1), dtype=np.int64)
-    b = np.zeros((n + 1, n + 1), dtype=np.int64)
+    a = np.pad(q.a, ((1, 0), (1, 0)), constant_values=1)
     a[0, 0] = 0
-    a[1:, 1:] = q.a
-    b[1:, 1:] = q.b
-    return SeidelMatrixEis(a, b)
+    return type(q)(a, np.pad(np.broadcast_to(q.b, q.a.shape), ((1, 0), (1, 0))))
 
 
 def switch(
@@ -245,72 +222,52 @@ def switch(
     """Conjugate by a permutation and a unimodular diagonal.
 
     result[i, j] = d[i] * q[perm[i], perm[j]] * conj(d[j]); this preserves
-    the Seidel invariants and any two-eigenvalue certificate.
+    the Seidel invariants and any two-eigenvalue certificate.  Each d[i] is
+    an int, a numpy integer or an EisensteinInt, and must be one of q's units.
     """
     n = q.n
-    perm = np.arange(n) if permutation is None else np.asarray(permutation, dtype=np.int64)
+    perm = np.arange(n) if permutation is None else _integer_array(permutation)
     if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("permutation must rearrange 0..n-1")
     if len(diagonal) != n:
         raise ValueError("diagonal length must match matrix size")
-    if isinstance(q, SeidelMatrixInt):
-        d = np.asarray(diagonal, dtype=np.int64)
-        if not np.isin(d, (-1, 1)).all():
-            raise ValueError("diagonal entries must be +1 or -1")
-        data = q.data[np.ix_(perm, perm)] * np.outer(d, d)
-        return SeidelMatrixInt(data)
-    units = [_as_unit(x) for x in diagonal]
-    a = np.empty((n, n), dtype=np.int64)
-    b = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            z = units[i] * q.entry(int(perm[i]), int(perm[j])) * units[j].conjugate()
-            a[i, j], b[i, j] = z.a, z.b
-    return SeidelMatrixEis(a, b)
-
-
-def _as_unit(x: EisensteinInt | int) -> EisensteinInt:
-    z = EisensteinInt(x, 0) if isinstance(x, int) else x
-    if z not in CUBE_ROOTS:
-        raise ValueError(f"diagonal entry {z} is not a unit cube root")
-    return z
+    units = [EisensteinInt(int(x), 0) if isinstance(x, (int, np.integer)) else x for x in diagonal]
+    if not all(z in q.UNITS for z in units):
+        raise ValueError(f"diagonal entries must be {q.UNITS_TEXT}")
+    da, db = np.array([(z.a, z.b) for z in units], dtype=np.int64).reshape(n, 2).T
+    cells = np.ix_(perm, perm)
+    a, b = eis_product(
+        da[:, None], db[:, None], q.a[cells], np.broadcast_to(q.b, q.a.shape)[cells], np.multiply
+    )
+    return type(q)(*eis_product(a, b, da - db, -db, np.multiply))  # conj(d) = (da - db) - db w
 
 
 def to_standard_form(q: SeidelMatrix) -> SeidelMatrix:
     """Switch so that the first row and column are all 1 off the diagonal."""
     if q.n < 2:
         return q
-    if isinstance(q, SeidelMatrixInt):
-        d = q.data[0].copy()
-        d[0] = 1
-        return switch(q, d)
-    units = [q.entry(0, j) for j in range(q.n)]
-    units[0] = EisensteinInt(1, 0)
-    return switch(q, units)
+    return switch(q, [ONE] + [q.entry(0, j) for j in range(1, q.n)])
 
 
 def is_hadamard(m: np.ndarray) -> bool:
     """All entries +-1 and M^T M = nI, exactly."""
-    m = np.asarray(m, dtype=np.int64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    try:
+        m = _integer_array(m)
+    except ValueError:
+        return False
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isin(m, (-1, 1)).all():
         return False
     n = m.shape[0]
-    if not np.isin(m, (-1, 1)).all():
-        return False
     return bool(np.array_equal(_exact_matmul(m.T, m), n * np.eye(n, dtype=np.int64)))
 
 
 def is_conference(m: np.ndarray) -> bool:
     """Zero diagonal, +-1 off-diagonal, M^T M = (n-1)I, exactly."""
-    m = np.asarray(m, dtype=np.int64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    try:
+        m, _ = SeidelMatrixInt.check(m)
+    except ValueError:
         return False
     n = m.shape[0]
-    if np.any(np.diagonal(m) != 0):
-        return False
-    off = ~np.eye(n, dtype=bool)
-    if not np.isin(m[off], (-1, 1)).all():
-        return False
     return bool(np.array_equal(_exact_matmul(m.T, m), (n - 1) * np.eye(n, dtype=np.int64)))
 
 
@@ -324,8 +281,6 @@ def _cell_tokens(q: SeidelMatrix) -> np.ndarray:
     grid = np.full((3, 3), None, dtype=object)
     for z in (ZERO, -ONE, *CUBE_ROOTS):  # every value a cell can hold
         grid[z.a, z.b] = unit_to_token(z)
-    if isinstance(q, SeidelMatrixInt):
-        return grid[:, 0][q.data]
     return grid[q.a, q.b]
 
 

@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .eisenstein import eis_product
+
 if TYPE_CHECKING:
     from .groups import GroupTable
 
@@ -182,12 +184,12 @@ def seidel_identity(
         # c = a + b*omega: 1 on S, omega on T, omega^2 = -1 - omega on V
         a, b = s - v, t - v
         total = a.sum(axis=0, dtype=np.int16)
-        aa, ab, ba, bb = (convolve(group, x, y)[1:] for x, y in ((a, a), (a, b), (b, a), (b, b)))
+        sq_a, sq_b = eis_product(a, b, a, b, lambda x, y: convolve(group, x, y)[1:])
         # mu = (c*c + shift) * conj(c), conj(c) = (a - b) - b*omega.  Only the
         # rational part is compared: c(x^-1) = conj(c(x)), so the value at
         # x^-1 is the conjugate of the value at x, and one rational part for
         # both forces the omega parts to vanish.
-        value = (aa - bb + shift) * (a - b)[1:] + (ab + ba - bb) * b[1:]
+        value = (sq_a + shift) * (a - b)[1:] + sq_b * b[1:]
     # the first value, or 0 in the trivial group, fixes mu for the unbordered kinds
     mu = total if shift else value[:1].sum(axis=0, dtype=np.int16)
     return (value == mu).all(axis=0), mu

@@ -1,3 +1,6 @@
+import operator
+
+import numpy as np
 import pytest
 
 from frameforge.eisenstein import (
@@ -7,6 +10,7 @@ from frameforge.eisenstein import (
     ONE,
     ZERO,
     EisensteinInt,
+    eis_product,
     unit_from_token,
     unit_to_token,
 )
@@ -61,3 +65,40 @@ def test_str_forms():
     assert str(EisensteinInt(3, 0)) == "3"
     assert str(OMEGA) == "1w"
     assert str(EisensteinInt(2, -1)) == "2-1w"
+
+
+def test_eis_product_matches_scalar_multiplication():
+    values = [EisensteinInt(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    for x in values:
+        for y in values:
+            assert EisensteinInt(*eis_product(x.a, x.b, y.a, y.b, operator.mul)) == x * y
+            assert x * y == EisensteinInt(x.a * y.a - x.b * y.b, x.a * y.b + x.b * y.a - x.b * y.b)
+
+
+def test_eis_product_under_matmul_matches_a_per_entry_reference():
+    rng = np.random.default_rng(17)
+    for n, m, k in ((1, 1, 1), (3, 4, 2), (6, 6, 6)):
+        a1, b1 = rng.integers(-5, 6, size=(2, n, m))
+        a2, b2 = rng.integers(-5, 6, size=(2, m, k))
+        a, b = eis_product(a1, b1, a2, b2, np.matmul)
+        for i in range(n):
+            for j in range(k):
+                z = sum(
+                    (EisensteinInt(int(a1[i, t]), int(b1[i, t]))
+                     * EisensteinInt(int(a2[t, j]), int(b2[t, j])) for t in range(m)),
+                    ZERO,
+                )
+                assert (a[i, j], b[i, j]) == (z.a, z.b)
+
+
+def test_eis_product_with_scalar_zero_omega_parts_forms_one_product():
+    calls = []
+
+    def op(x, y):
+        calls.append((x, y))
+        return x @ y
+
+    a = np.arange(9).reshape(3, 3)
+    zero = np.zeros((), dtype=np.int64)
+    prod_a, prod_b = eis_product(a, zero, a, zero, op)
+    assert len(calls) == 1 and np.array_equal(prod_a, a @ a) and prod_b == 0

@@ -183,6 +183,71 @@ def test_switch_rejects_bad_diagonal():
         switch(qe, [EisensteinInt(1, 1)] * 3)
 
 
+def test_switch_accepts_numpy_and_eisenstein_units_of_the_matrix_kind():
+    qe = eis_from_tokens(golden.CUBE_ROOT_9_TOKENS)
+    assert switch(qe, list(np.ones(9, dtype=np.int64))) == qe
+    assert switch(qe, [np.int32(1)] * 9) == qe
+    q = SeidelMatrixInt(golden.CONFERENCE_6)
+    signs = [1, -1, -1, 1, 1, -1]
+    expected = switch(q, signs)
+    assert switch(q, np.array(signs)) == expected
+    assert switch(q, [np.int8(x) for x in signs]) == expected
+    assert switch(q, [EisensteinInt(x, 0) for x in signs]) == expected
+
+
+@pytest.mark.parametrize(
+    "kind, entry",
+    [
+        ("int", OMEGA),
+        ("int", EisensteinInt(2, 0)),
+        ("int", np.int64(2)),
+        ("int", 1.0),
+        ("int", "1"),
+        ("int", None),
+        ("eis", EisensteinInt(1, 1)),
+        ("eis", -1),
+        ("eis", np.float64(1.0)),
+        ("eis", [1]),
+    ],
+)
+def test_switch_refuses_non_units_with_value_error(kind, entry):
+    if kind == "int":
+        q = SeidelMatrixInt(golden.CONFERENCE_6)
+    else:
+        q = eis_from_tokens(golden.CUBE_ROOT_9_TOKENS)
+    with pytest.raises(ValueError):
+        switch(q, [ONE] * (q.n - 1) + [entry])
+
+
+NON_INTEGER_CASES = {
+    "is_hadamard": (lambda: is_hadamard([[1.5, 1], [1, -1]]), False),
+    "is_hadamard-float-dtype": (lambda: is_hadamard(np.array([[1.0, 1], [1, -1]])), False),
+    "is_conference": (lambda: is_conference([[0, 1.9], [1, 0]]), False),
+    "is_conference-float-dtype": (lambda: is_conference(golden.CONFERENCE_6 * 1.0), False),
+    "SeidelMatrixInt": (lambda: SeidelMatrixInt([[0, 1.7], [1.2, 0]]), ValueError),
+    "SeidelMatrixEis": (
+        lambda: SeidelMatrixEis([[0, 1], [1, 0]], [[0, 0.0], [0.0, 0]]), ValueError
+    ),
+    "regrep_sum": (lambda: regrep_sum(cyclic(3), [0, 1.0, -1]), ValueError),
+    "regrep_sum_eis": (lambda: regrep_sum_eis(cyclic(3), [0, 0.9, -1], [0, 0, 1]), ValueError),
+    "switch": (lambda: switch(SeidelMatrixInt(golden.CONFERENCE_6), [1.7] * 6), ValueError),
+    "switch-permutation": (
+        lambda: switch(SeidelMatrixInt(golden.CONFERENCE_6), [1] * 6, [0.0, 1, 2, 3, 4, 5]),
+        ValueError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_CASES))
+def test_non_integer_input_is_refused_not_truncated(name):
+    call, outcome = NON_INTEGER_CASES[name]
+    if outcome is ValueError:
+        with pytest.raises(ValueError):
+            call()
+    else:
+        assert call() is False
+
+
 def test_to_standard_form_fixed_point():
     q = SeidelMatrixInt(golden.CONFERENCE_14)
     assert to_standard_form(q) == q

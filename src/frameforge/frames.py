@@ -75,14 +75,26 @@ class FrameCheckReport:
         return self.tight and self.uniform and self.equiangular
 
 
-def gram_from_certificate(q: SeidelMatrix, params: FrameParams) -> np.ndarray:
+def gram_from_certificate(
+    q: SeidelMatrix, params: FrameParams | TwoEigenvalueCertificate
+) -> np.ndarray:
     """P = (k/n) I + c_{n,k} Q in floating point: float64 for an integer
-    Seidel matrix, complex128 for an Eisenstein one."""
-    if q.n != params.n:
+    Seidel matrix, complex128 for an Eisenstein one.
+
+    params is either the frame parameters, which q must certify, or the
+    certificate `certify_two_eigenvalue` issued for q itself, which needs no
+    second certification.
+    """
+    if isinstance(params, TwoEigenvalueCertificate):
+        if params.q is not q:
+            raise ValueError("the certificate was issued for a different matrix")
+        params = params.params
+    elif q.n != params.n:
         raise ValueError("certificate parameters do not match the matrix size")
-    cert = certify_two_eigenvalue(q)
-    if not isinstance(cert, TwoEigenvalueCertificate) or cert.params != params:
-        raise ValueError("matrix does not certify the supplied parameters")
+    else:
+        cert = certify_two_eigenvalue(q)
+        if not isinstance(cert, TwoEigenvalueCertificate) or cert.params != params:
+            raise ValueError("matrix does not certify the supplied parameters")
     p = params.c_value * (q.data if isinstance(q, SeidelMatrixInt) else q.to_complex())
     np.fill_diagonal(p, params.k / params.n)  # Q has a zero diagonal
     return p
@@ -158,7 +170,7 @@ def frame_from_matrix(
     cert = certify_two_eigenvalue(q)
     if isinstance(cert, Rejection):
         return cert
-    gram = gram_from_certificate(q, cert.params)
+    gram = gram_from_certificate(q, cert)
     frame = factor_gram(gram, cert.params.k, tol=tol)
     if isinstance(frame, Rejection):
         return frame

@@ -1,11 +1,15 @@
-"""Finite groups as explicit Cayley tables with 0-based element indices.
+"""Finite groups with 0-based element indices, given by Cayley tables.
 
 The identity always sits at index 0, so the non-identity elements form the
-contiguous range 1..n-1 and subset masks can ignore bit 0.  Constructor
-outputs are validated exactly at every order: entries in range, a two-sided
-identity and inverses, and associativity by Light's test on a generating set
-(O(n^2 log n)).  These make the table a group, so every row and column is a
-permutation (a Latin square) without a separate check.
+contiguous range 1..n-1 and subset masks can ignore bit 0.  Every table is
+validated exactly, at every order, by `make_group`: entries in range, a
+two-sided identity and inverses, and associativity by Light's test on a
+generating set (O(n^2 log n)).  These make the table a group, so every row
+and column is a permutation (a Latin square) without a separate check.
+
+Cyclic groups store no table: their group-algebra products need only the
+left translates y -> y[a^-1 g], which are slices of y repeated twice, and
+their `mul` is built and validated by `make_group` when first read.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .numbertheory import is_prime
 from .subsets import Subset
@@ -61,6 +66,14 @@ class GroupTable:
 
     def subset(self, labels: Iterable[str]) -> Subset:
         return Subset.from_labels(self, labels)
+
+    def left_translates(self, y: np.ndarray) -> Callable[[int | np.ndarray], np.ndarray]:
+        """The map a -> T_a(y), where T_a(y)[g] = y[a^-1 g] along the first
+        axis of y.  For one element a the translate has y's shape; an index
+        array a stacks one translate per entry on a new first axis.  Each
+        translate gathers the table row of a^-1."""
+        mul, inv = self.mul, self.inv
+        return lambda a: y.take(mul[inv[a]], axis=0)
 
     def element_order(self, x: int) -> int:
         k, y = 1, x
@@ -148,15 +161,44 @@ def _reached(mul: np.ndarray, gens: Sequence[int]) -> np.ndarray:
     return reached
 
 
+class CyclicGroup(GroupTable):
+    """(Z_n, +) without a stored table; element i is residue i.
+
+    A left translate is the slice y2[n-a : 2n-a] of y2 = (y, y): a view,
+    with no index array.  `mul` is built and validated by `make_group` the
+    first time it is read.
+    """
+
+    is_abelian = True
+
+    def __init__(self, n: int):
+        inv = -np.arange(n, dtype=np.int32) % n
+        inv.setflags(write=False)
+        object.__setattr__(self, "name", f"C{n}")
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "labels", tuple(str(k) for k in range(n)))
+
+    @cached_property
+    def mul(self) -> np.ndarray:
+        i = np.arange(self.order, dtype=np.int32)
+        mul = i[:, None] + i
+        mul %= self.order
+        return make_group(self.name, mul, self.labels).mul
+
+    def left_translates(self, y: np.ndarray) -> Callable[[int | np.ndarray], np.ndarray]:
+        n = self.order
+        y2 = np.concatenate([y, y])
+        # windows[k] = y2[k : k+n], so T_a(y) = windows[n - a]
+        windows = as_strided(y2, (n + 1, *y.shape), (y2.strides[0], *y2.strides), writeable=False)
+        return lambda a: windows[n - a]
+
+
 def cyclic(n: int) -> GroupTable:
     """The cyclic group (Z_n, +); element i is labelled by its residue."""
     if n < 1:
         raise ValueError("cyclic group order must be at least 1")
     _check_order(n)
-    i = np.arange(n, dtype=np.int32)
-    mul = i[:, None] + i
-    mul %= n
-    return make_group(f"C{n}", mul, [str(k) for k in range(n)])
+    return CyclicGroup(n)
 
 
 def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:

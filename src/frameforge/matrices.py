@@ -9,7 +9,7 @@ point never decides acceptance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
@@ -154,7 +154,7 @@ def regrep_sum(group: GroupTable, coeffs: Sequence[int] | np.ndarray) -> np.ndar
         raise ValueError("need one coefficient per group element")
     if c[0] != 0:
         raise ValueError("identity coefficient must be 0")
-    return c[group.mul[group.inv, :]]
+    return group.left_translates(c)(np.arange(group.order))
 
 
 def regrep_sum_eis(
@@ -166,10 +166,12 @@ def regrep_sum_eis(
 
 @dataclass(frozen=True)
 class TwoEigenvalueCertificate:
-    """Witness that Q^2 = (n-1)I + mu*Q holds entrywise in exact arithmetic."""
+    """Witness that Q^2 = (n-1)I + mu*Q holds entrywise in exact arithmetic,
+    for the matrix q it was issued for."""
 
     mu: int
     params: FrameParams
+    q: SeidelMatrix | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -204,14 +206,15 @@ def certify_two_eigenvalue(q: SeidelMatrix) -> TwoEigenvalueCertificate | Reject
     if isinstance(params, Infeasible):
         # cannot happen for a genuine Seidel matrix; surface it loudly
         return Rejection("infeasible-parameters", f"mu={mu}: {params.reason}")
-    return TwoEigenvalueCertificate(mu=mu, params=params)
+    return TwoEigenvalueCertificate(mu=mu, params=params, q=q)
 
 
 def border_standard(q: SeidelMatrix) -> SeidelMatrix:
-    """Prepend an all-ones first row and column (0 in the corner)."""
+    """Prepend an all-ones first row and column (0 in the corner); a scalar
+    omega part, the 0 of an integer matrix, stays a scalar."""
     a = np.pad(q.a, ((1, 0), (1, 0)), constant_values=1)
     a[0, 0] = 0
-    return type(q)(a, np.pad(np.broadcast_to(q.b, q.a.shape), ((1, 0), (1, 0))))
+    return type(q)(a, np.pad(q.b, ((1, 0), (1, 0))) if q.b.ndim else q.b)
 
 
 def switch(

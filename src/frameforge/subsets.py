@@ -72,7 +72,12 @@ class Subset:
         return tuple(self)
 
     def indices_array(self) -> np.ndarray:
-        return np.fromiter(self, dtype=np.int64, count=self.size)
+        return np.flatnonzero(self.mask())
+
+    def mask(self) -> np.ndarray:
+        """Membership as a length-order 0/1 uint8 vector."""
+        raw = np.frombuffer(self.bits.to_bytes((self.order + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=self.order, bitorder="little")
 
     def labels(self, group: "GroupTable") -> tuple[str, ...]:
         return tuple(group.labels[i] for i in self)
@@ -104,12 +109,11 @@ def complement_nonidentity(s: Subset) -> Subset:
 
 
 def inverse_set(group: "GroupTable", s: Subset) -> Subset:
-    """{x^-1 : x in s}."""
+    """{x^-1 : x in s}: y is a member when y^-1 is in s, so one gather of
+    the mask through inv gives the inverse set's mask."""
     _check_group(group, s)
-    bits = 0
-    for x in s:
-        bits |= 1 << int(group.inv[x])
-    return Subset(s.order, bits)
+    packed = np.packbits(s.mask()[group.inv], bitorder="little").tobytes()
+    return Subset(s.order, int.from_bytes(packed, "little"))
 
 
 def is_inverse_closed(group: "GroupTable", s: Subset) -> bool:
@@ -139,15 +143,16 @@ def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
     0/1 vectors give N_{(A,B)}^g.  Every pair count in this library comes from here.
 
     x and y are int16, of shape (order,) or (order, B) for B columns at once.
-    Only the rows a where x is non-zero are visited, one gathered row of the
-    Cayley table each.  Accumulation stays in int16, which is exact while
-    sum_a |x[a]| * max|y| < 2**15; entries in {-1, 0, 1} qualify for every
-    order up to MAX_ORDER = 4096.
+    Only the rows a where x is non-zero are visited, one left translate
+    y[a^-1 g] each (`GroupTable.left_translates`: a gathered table row, or a
+    slice in a cyclic group).  Accumulation stays in int16, which is exact
+    while sum_a |x[a]| * max|y| < 2**15; entries in {-1, 0, 1} qualify for
+    every order up to MAX_ORDER = 4096.
     """
     out = np.zeros(y.shape, dtype=np.int16)
-    rows = np.flatnonzero(x.reshape(len(x), -1).any(axis=1))
-    for a, a_inv in zip(rows, group.inv[rows]):
-        out += x[a] * y.take(group.mul[a_inv], axis=0)
+    translate = group.left_translates(y)
+    for a in np.flatnonzero(x.reshape(len(x), -1).any(axis=1)):
+        out += x[a] * translate(a)
     return out
 
 

@@ -63,6 +63,17 @@ def test_inverse_set_examples():
     assert inverse_set(g12, s) == s
 
 
+@pytest.mark.parametrize("group", [cyclic(1), cyclic(9), cyclic(2377), quaternion8(),
+                                   units_mod(31), direct_product(cyclic(4), cyclic(6))],
+                         ids=lambda g: g.name)
+def test_inverse_set_matches_elementwise_inversion(group):
+    rng = np.random.default_rng(group.order)
+    for _ in range(20):
+        s = Subset.of(group.order, np.flatnonzero(rng.random(group.order) < 0.5).tolist())
+        expected = Subset.of(group.order, (int(group.inv[x]) for x in s))
+        assert inverse_set(group, s) == expected
+
+
 def test_symmetry_of_cross_counts_exhaustive_small_orders():
     # N_(S,T)^g = N_(T,S)^g for every partition of the non-identity elements
     for g in small_groups_to_order_8():

@@ -63,6 +63,26 @@ def test_gram_mismatched_params_rejected():
         gram_from_certificate(q, other)
 
 
+def test_gram_refuses_the_certificate_of_another_matrix():
+    cert = certify_two_eigenvalue(conference_6())
+    with pytest.raises(ValueError):
+        gram_from_certificate(conference_6(), cert)
+
+
+def test_frame_from_matrix_certifies_once(monkeypatch):
+    import frameforge.frames
+
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return certify_two_eigenvalue(q)
+
+    monkeypatch.setattr(frameforge.frames, "certify_two_eigenvalue", counted)
+    assert not isinstance(frame_from_matrix(conference_6()), Rejection)
+    assert len(calls) == 1
+
+
 def test_factor_identity_projection():
     frame = factor_gram(np.eye(1, dtype=np.complex128), 1)
     assert isinstance(frame, FrameVectors)

@@ -89,6 +89,7 @@ def test_border_reproduces_conference_6():
     g = cyclic(5)
     m = border_standard(signature_matrix(g, Subset.of(5, [1, 4])))
     assert np.array_equal(m.data, golden.CONFERENCE_6)
+    assert m.b.shape == ()  # the omega part of an integer matrix stays the scalar 0
 
 
 def test_border_reproduces_conference_14():

@@ -9,7 +9,6 @@ certifies a (9, 6) equiangular frame with cube-root-of-unity angles.
 import numpy as np
 
 from frameforge import (
-    CubePartition,
     border_standard,
     build_cube_matrix,
     certify_two_eigenvalue,
@@ -33,7 +32,7 @@ print("as a plain pair:", verify_signature_pair(g, s, t))
 verdict = verify_quasi_signature_pair(g, s, t)
 print(f"as a quasi pair: mu={verdict.mu}, frame ({verdict.params.n}, {verdict.params.k})")
 
-core = build_cube_matrix(g, CubePartition.from_pair(g, s, t))
+core = build_cube_matrix(g, s, t)
 bordered = border_standard(core)
 print("\nbordered matrix (0/1/w/w2 cells):")
 print(matrix_to_csv(bordered))

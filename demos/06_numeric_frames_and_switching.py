@@ -32,7 +32,7 @@ print(f"eigenvalues: {params.lambda1:+.6f} (x{params.n - params.k}), "
 print(f"common angle c = {params.c_value:.12f}")
 
 # Gram matrix and its factorisation into an 18 x 9 isometry.
-gram = gram_from_certificate(q, params)
+gram = gram_from_certificate(cert)
 frame = factor_gram(gram, params.k)
 print(f"\nfactored into {frame.n} vectors in C^{frame.k}")
 

@@ -47,7 +47,6 @@ from .matrices import (
     matrix_to_csv,
     matrix_to_json,
     regrep_sum,
-    regrep_sum_eis,
     switch,
     to_standard_form,
 )
@@ -67,7 +66,6 @@ from .difference_sets import (
     verify_difference_set,
 )
 from .cube_root import (
-    CubePartition,
     build_cube_matrix,
     cube_necessary_conditions,
     nmu_excluded,

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import generators
 from .cube_root import (
-    CubePartition,
     build_cube_matrix,
     verify_quasi_signature_pair,
     verify_signature_pair,
@@ -148,7 +147,7 @@ def _cmd_cube_verify(args: argparse.Namespace) -> int:
     verdict = verify(group, s, t)
     print(_dump(_verdict_payload(group, verdict, s, t)))
     if isinstance(verdict, SignatureVerdict) and args.emit_matrix:
-        matrix = build_cube_matrix(group, CubePartition.from_pair(group, s, t))
+        matrix = build_cube_matrix(group, s, t)
         if args.quasi:
             matrix = border_standard(matrix)
         _write_matrix(matrix, verdict.mu, args.emit_matrix)

@@ -9,17 +9,12 @@ identity in group-algebra form (`seidel_identity`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .eisenstein import CUBE_ROOTS
 from .groups import GroupTable
 from .matrices import (
     SeidelMatrixEis,
     border_standard,
     certify_two_eigenvalue,
-    regrep_sum_eis,
+    regrep_sum,
 )
 from .numbertheory import is_perfect_square
 from .signature_sets import accept_verdict
@@ -28,11 +23,11 @@ from .subsets import (  # noqa: F401 - perfbench/tracer.py patches pair_count_ta
     complement_nonidentity,
     inverse_set,
     pair_count_table,
+    seidel_coefficients,
 )
 from .verdicts import Rejection, SignatureVerdict
 
 __all__ = [
-    "CubePartition",
     "build_cube_matrix",
     "verify_signature_pair",
     "verify_quasi_signature_pair",
@@ -41,40 +36,18 @@ __all__ = [
     "nmu_excluded",
 ]
 
-@dataclass(frozen=True)
-class CubePartition:
-    """Disjoint S, T, V covering the non-identity elements of one group."""
 
-    s: Subset
-    t: Subset
-    v: Subset
-
-    @classmethod
-    def from_pair(cls, group: GroupTable, s: Subset, t: Subset) -> "CubePartition":
-        if s.order != group.order or t.order != group.order:
-            raise ValueError("subsets do not belong to this group")
-        if s.has_identity or t.has_identity:
-            raise ValueError("partition sets must not contain the identity")
-        if not s.isdisjoint(t):
-            raise ValueError("S and T overlap")
-        return cls(s, t, complement_nonidentity(s.union(t)))
-
-
-def build_cube_matrix(group: GroupTable, partition: CubePartition) -> SeidelMatrixEis:
-    """Weights 1 on S, omega on T, omega^2 on V; Hermitian exactly when
-    S = S^-1 and V = T^-1."""
-    n = group.order
-    covered = partition.s.union(partition.t).union(partition.v)
-    if covered.bits != (1 << n) - 2 or covered.size != (
-        partition.s.size + partition.t.size + partition.v.size
-    ):
-        raise ValueError("S, T, V must partition the non-identity elements")
-    a = np.zeros(n, dtype=np.int64)
-    b = np.zeros(n, dtype=np.int64)
-    for subset, unit in zip((partition.s, partition.t, partition.v), CUBE_ROOTS):
-        for x in subset:
-            a[x], b[x] = unit.a, unit.b
-    return SeidelMatrixEis(*regrep_sum_eis(group, a, b))
+def build_cube_matrix(group: GroupTable, s: Subset, t: Subset) -> SeidelMatrixEis:
+    """Weights 1 on S, omega on T, omega^2 on V = (S u T)^c minus e;
+    Hermitian exactly when S = S^-1 and V = T^-1."""
+    if s.order != group.order or t.order != group.order:
+        raise ValueError("subsets do not belong to this group")
+    if s.has_identity or t.has_identity:
+        raise ValueError("partition sets must not contain the identity")
+    if not s.isdisjoint(t):
+        raise ValueError("S and T overlap")
+    a, b = seidel_coefficients(group.order, "cube-pair", [(s, t)])
+    return SeidelMatrixEis(regrep_sum(group, a[:, 0]), regrep_sum(group, b[:, 0]))
 
 
 def verify_signature_pair(
@@ -108,7 +81,7 @@ def _verify_pair(
     if inverse_set(group, t).bits != v.bits:
         return Rejection("v-neq-t-inverse", "V must equal T^-1")
 
-    q = build_cube_matrix(group, CubePartition(s, t, v))
+    q = build_cube_matrix(group, s, t)
     cert = certify_two_eigenvalue(border_standard(q) if quasi else q)
     if isinstance(cert, Rejection):
         return cert

@@ -75,26 +75,11 @@ class FrameCheckReport:
         return self.tight and self.uniform and self.equiangular
 
 
-def gram_from_certificate(
-    q: SeidelMatrix, params: FrameParams | TwoEigenvalueCertificate
-) -> np.ndarray:
-    """P = (k/n) I + c_{n,k} Q in floating point: float64 for an integer
-    Seidel matrix, complex128 for an Eisenstein one.
-
-    params is either the frame parameters, which q must certify, or the
-    certificate `certify_two_eigenvalue` issued for q itself, which needs no
-    second certification.
-    """
-    if isinstance(params, TwoEigenvalueCertificate):
-        if params.q is not q:
-            raise ValueError("the certificate was issued for a different matrix")
-        params = params.params
-    elif q.n != params.n:
-        raise ValueError("certificate parameters do not match the matrix size")
-    else:
-        cert = certify_two_eigenvalue(q)
-        if not isinstance(cert, TwoEigenvalueCertificate) or cert.params != params:
-            raise ValueError("matrix does not certify the supplied parameters")
+def gram_from_certificate(cert: TwoEigenvalueCertificate) -> np.ndarray:
+    """P = (k/n) I + c_{n,k} Q for the matrix Q the certificate was issued
+    for, in floating point: float64 for an integer Seidel matrix,
+    complex128 for an Eisenstein one."""
+    q, params = cert.q, cert.params
     p = params.c_value * (q.data if isinstance(q, SeidelMatrixInt) else q.to_complex())
     np.fill_diagonal(p, params.k / params.n)  # Q has a zero diagonal
     return p
@@ -170,7 +155,7 @@ def frame_from_matrix(
     cert = certify_two_eigenvalue(q)
     if isinstance(cert, Rejection):
         return cert
-    gram = gram_from_certificate(q, cert)
+    gram = gram_from_certificate(cert)
     frame = factor_gram(gram, cert.params.k, tol=tol)
     if isinstance(frame, Rejection):
         return frame

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import cyclic
+from .groups import MAX_ORDER, cyclic
 from .numbertheory import is_prime, multiplicative_order
 from .signature_sets import verify_quasi_signature_set
 from .subsets import Subset
@@ -77,12 +77,15 @@ def conference_sets_1mod8(max_m: int, verify: bool = True) -> list[GeneratorHit]
 
 
 def generate(algorithm: str, max_m: int, verify: bool = True) -> list[GeneratorHit]:
-    """Hits of one family ("thm59" or "thm511") for m = 0..max_m."""
+    """Hits of one family ("thm59" or "thm511") for m = 0..max_m; every p
+    must be a group order within MAX_ORDER, so max_m <= 511."""
     if algorithm not in _FAMILIES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if max_m < 0:
         raise ValueError(f"max_m must be non-negative, got {max_m}")
     residue, index, step = _FAMILIES[algorithm]
+    if 8 * max_m + residue > MAX_ORDER:
+        raise ValueError(f"max_m={max_m} gives p = {8 * max_m + residue} > MAX_ORDER = {MAX_ORDER}")
     hits = []
     for m in range(max_m + 1):
         p = 8 * m + residue

@@ -72,7 +72,11 @@ class SeidelMatrix:
     UNITS_TEXT = ""
 
     def __init__(self, a: np.ndarray, b: np.ndarray | int = 0):
-        self.a, self.b = self.check(a, b)
+        # a component sharing the caller's array is copied before it is frozen
+        self.a, self.b = (
+            x.copy() if np.may_share_memory(x, arg) else x
+            for x, arg in zip(self.check(a, b), (a, b))
+        )
         self.a.setflags(write=False)
         self.b.setflags(write=False)
 
@@ -157,13 +161,6 @@ def regrep_sum(group: GroupTable, coeffs: Sequence[int] | np.ndarray) -> np.ndar
     return group.left_translates(c)(np.arange(group.order))
 
 
-def regrep_sum_eis(
-    group: GroupTable, coeffs_a: Sequence[int], coeffs_b: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eisenstein variant of regrep_sum; returns the (a, b) component pair."""
-    return regrep_sum(group, coeffs_a), regrep_sum(group, coeffs_b)
-
-
 @dataclass(frozen=True)
 class TwoEigenvalueCertificate:
     """Witness that Q^2 = (n-1)I + mu*Q holds entrywise in exact arithmetic,
@@ -171,7 +168,7 @@ class TwoEigenvalueCertificate:
 
     mu: int
     params: FrameParams
-    q: SeidelMatrix | None = field(default=None, compare=False, repr=False)
+    q: SeidelMatrix = field(compare=False, repr=False)
 
     @property
     def ok(self) -> bool:

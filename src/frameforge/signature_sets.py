@@ -21,6 +21,7 @@ from .subsets import (
     complement_nonidentity,
     inverse_set,
     pair_count_table,
+    seidel_coefficients,
     seidel_identity,
 )
 from .verdicts import Rejection, SignatureVerdict
@@ -46,11 +47,10 @@ def complement_set(group: GroupTable, s: Subset) -> Subset:
 
 def signature_matrix(group: GroupTable, s: Subset) -> SeidelMatrixInt:
     """The +-1 matrix with +1 on S and -1 on the complementary T."""
-    coeffs = np.full(group.order, -1, dtype=np.int64)
-    coeffs[0] = 0
-    for x in s:
-        coeffs[x] = 1
-    return SeidelMatrixInt(regrep_sum(group, coeffs))
+    if s.order != group.order:
+        raise ValueError("subset does not belong to this group")
+    a, _ = seidel_coefficients(group.order, "signature", [s])
+    return SeidelMatrixInt(regrep_sum(group, a[:, 0]))
 
 
 def quasi_signature_matrix(group: GroupTable, s: Subset) -> SeidelMatrixInt:

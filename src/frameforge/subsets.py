@@ -156,45 +156,54 @@ def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def seidel_coefficients(
+    order: int, kind: str, candidates: Sequence
+) -> tuple[np.ndarray, np.ndarray | int]:
+    """The coefficients c = a + b*omega of Q = sum c(g) R(g): one int16
+    column per candidate, 0 at the identity unless the candidate holds it.
+
+    Real kinds ("signature", "quasi"; subsets S): c = 1 on S and -1 on the
+    rest of G\\{e}, and b is the scalar 0.  Cube kinds (disjoint (S, T)
+    pairs): c = 1, omega, omega^2 = -1 - omega on S, T, V = (S u T)^c\\{e}.
+    """
+    if kind in ("signature", "quasi"):
+        a = 2 * indicator_columns(order, candidates) - 1
+        a[0] += 1
+        return a, 0
+    s = indicator_columns(order, [pair[0] for pair in candidates])
+    t = indicator_columns(order, [pair[1] for pair in candidates])
+    v = 1 - s - t
+    v[0] = 0
+    return s - v, t - v
+
+
 def seidel_identity(
     group: "GroupTable", kind: str, candidates: Sequence
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whether each candidate's matrix satisfies Q^2 = (n-1)I + mu*Q, and
     the mu it gives (meaningful only where the identity holds).
 
-    kind is "signature" or "quasi" with candidates subsets S (weight 1 on S,
-    -1 on the other non-identity elements), or "cube-pair" or "cube-quasi"
-    with disjoint (S, T) pairs (weights 1, omega, omega^2 on S, T and the
-    rest), which must satisfy S = S^-1 and V = T^-1.  With c the coefficient
-    function of Q = sum c(g) R(g), the identity reads c*c = mu*c off the
-    identity, and c*c + 1 = mu*c with mu = sum c for the bordered (quasi)
-    kinds.  All arithmetic is exact int16: every intermediate value is at
-    most 5n <= 20480 < 2**15 in magnitude.
+    kind and candidates are those of `seidel_coefficients`; the cube pairs
+    must satisfy S = S^-1 and V = T^-1.  With c the coefficient function of
+    Q = sum c(g) R(g), the identity reads c*c = mu*c off the identity, and
+    c*c + 1 = mu*c with mu = sum c for the bordered (quasi) kinds.  All
+    arithmetic is exact int16: every intermediate value is at most
+    5n <= 20480 < 2**15 in magnitude.
     """
-    n = group.order
     shift = 1 if kind in ("quasi", "cube-quasi") else 0
-    if kind in ("signature", "quasi"):
-        u = indicator_columns(n, candidates)
-        c = 2 * u - 1
-        c[0] = 0
-        total = c.sum(axis=0, dtype=np.int16)
-        # c = 2u - 1 + delta_e, so c*c = 2 u*c - sum(c) + c: the loop in
-        # convolve covers the members of S only
-        value = (2 * convolve(group, u, c)[1:] - total + c[1:] + shift) * c[1:]
-    else:
-        s = indicator_columns(n, [pair[0] for pair in candidates])
-        t = indicator_columns(n, [pair[1] for pair in candidates])
-        v = 1 - s - t
-        v[0] = 0
-        # c = a + b*omega: 1 on S, omega on T, omega^2 = -1 - omega on V
-        a, b = s - v, t - v
-        total = a.sum(axis=0, dtype=np.int16)
+    a, b = seidel_coefficients(group.order, kind, candidates)
+    total = a.sum(axis=0, dtype=np.int16)
+    if np.ndim(b):
         sq_a, sq_b = eis_product(a, b, a, b, lambda x, y: convolve(group, x, y)[1:])
         # mu = (c*c + shift) * conj(c), conj(c) = (a - b) - b*omega.  Only the
         # rational part is compared: c(x^-1) = conj(c(x)), so the value at
         # x^-1 is the conjugate of the value at x, and one rational part for
         # both forces the omega parts to vanish.
         value = (sq_a + shift) * (a - b)[1:] + sq_b * b[1:]
+    else:
+        # c = 2u - 1 + delta_e with u = (c + 1) >> 1 the indicator of S, so
+        # c*c = 2 u*c - sum(c) + c: the loop in convolve covers S only
+        value = (2 * convolve(group, (a + 1) >> 1, a)[1:] - total + a[1:] + shift) * a[1:]
     # the first value, or 0 in the trivial group, fixes mu for the unbordered kinds
     mu = total if shift else value[:1].sum(axis=0, dtype=np.int16)
     return (value == mu).all(axis=0), mu

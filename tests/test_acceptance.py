@@ -38,7 +38,6 @@ from frameforge import (
     verify_signature_set,
 )
 from frameforge.cli import main
-from frameforge.cube_root import CubePartition
 from frameforge.matrices import TwoEigenvalueCertificate
 from frameforge.subsets import complement_nonidentity, inverse_set, seidel_identity
 from frameforge.verdicts import Rejection
@@ -100,9 +99,7 @@ def test_criterion_3_printed_matrix_goldens():
     assert np.array_equal(q14.square(), 13 * np.eye(14, dtype=np.int64))
 
     g = quaternion8()
-    core = build_cube_matrix(
-        g, CubePartition.from_pair(g, g.subset(["-1"]), g.subset(["i", "j", "k"]))
-    )
+    core = build_cube_matrix(g, g.subset(["-1"]), g.subset(["i", "j", "k"]))
     q9 = border_standard(core)
     assert q9 == eis_from_tokens(golden.CUBE_ROOT_9_TOKENS)
     sqa, sqb = q9.square()
@@ -292,8 +289,7 @@ def test_criterion_7_property_suites():
             v = complement_nonidentity(s.union(t))
             if inverse_set(g, s) != s or inverse_set(g, t) != v:
                 continue
-            partition = CubePartition(s, t, v)
-            core = build_cube_matrix(g, partition)
+            core = build_cube_matrix(g, s, t)
             for quasi in (False, True):
                 matrix = border_standard(core) if quasi else core
                 cert = certify_two_eigenvalue(matrix)

@@ -265,6 +265,15 @@ def test_ignored_json_flag_is_gone(capsys, command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("algorithm", ["thm59", "thm511"])
+def test_tables_max_m_stops_at_the_group_order_limit(capsys, algorithm):
+    # p = 8m + 5 or 8m + 1 must stay within MAX_ORDER = 4096, so m <= 511
+    code, out, _ = run_cli(capsys, "tables", "--algorithm", algorithm, "--max-m", "511", "--json")
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, "tables", "--algorithm", algorithm, "--max-m", "512", "--json")
+    assert code == 2 and out == "" and "4096" in err
+
+
 @pytest.mark.parametrize("command", [
     ["search", "--group", "C4xC4", "--kind", "signature", "--limit", "-1"],
     ["tables", "--algorithm", "thm59", "--max-m", "-3"],

@@ -3,7 +3,6 @@ import pytest
 
 import golden
 from frameforge import (
-    CubePartition,
     Subset,
     build_cube_matrix,
     certify_two_eigenvalue,
@@ -32,28 +31,26 @@ def identity_mu(group, kind, s, t):
 
 def test_build_all_ones():
     g = cyclic(3)
-    p = CubePartition.from_pair(g, Subset.of(3, [1, 2]), Subset.empty(3))
-    m = build_cube_matrix(g, p)
+    m = build_cube_matrix(g, Subset.of(3, [1, 2]), Subset.empty(3))
     assert np.array_equal(m.a, np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
     assert not m.b.any()
 
 
 def test_build_omega_circulant():
     g = cyclic(3)
-    p = CubePartition.from_pair(g, Subset.empty(3), Subset.of(3, [1]))
-    assert build_cube_matrix(g, p) == eis_from_tokens(golden.OMEGA_CIRCULANT_3_TOKENS)
+    m = build_cube_matrix(g, Subset.empty(3), Subset.of(3, [1]))
+    assert m == eis_from_tokens(golden.OMEGA_CIRCULANT_3_TOKENS)
 
 
 def test_build_quaternion_core(q8):
-    p = CubePartition.from_pair(q8, q8.subset(["-1"]), q8.subset(["i", "j", "k"]))
-    core = build_cube_matrix(q8, p)
+    core = build_cube_matrix(q8, q8.subset(["-1"]), q8.subset(["i", "j", "k"]))
     assert border_standard(core) == eis_from_tokens(golden.CUBE_ROOT_9_TOKENS)
 
 
 def test_partition_rejects_overlap():
     g = cyclic(5)
     with pytest.raises(ValueError):
-        CubePartition.from_pair(g, Subset.of(5, [1, 4]), Subset.of(5, [4]))
+        build_cube_matrix(g, Subset.of(5, [1, 4]), Subset.of(5, [4]))
 
 
 def test_pair_z3_all_ones():
@@ -200,15 +197,14 @@ def test_matrix_and_counting_criteria_agree_everywhere():
             v = complement_nonidentity(s.union(t))
             if inverse_set(g, s) != s or inverse_set(g, t) != v:
                 continue
-            partition = CubePartition(s, t, v)
-            matrix_cert = certify_two_eigenvalue(build_cube_matrix(g, partition))
+            matrix_cert = certify_two_eigenvalue(build_cube_matrix(g, s, t))
             counted = identity_mu(g, "cube-pair", s, t)
             if isinstance(matrix_cert, TwoEigenvalueCertificate):
                 assert counted == matrix_cert.mu
             else:
                 assert counted is None
 
-            bord = certify_two_eigenvalue(border_standard(build_cube_matrix(g, partition)))
+            bord = certify_two_eigenvalue(border_standard(build_cube_matrix(g, s, t)))
             counted_q = identity_mu(g, "cube-quasi", s, t)
             if isinstance(bord, TwoEigenvalueCertificate):
                 assert counted_q == bord.mu

@@ -32,10 +32,11 @@ from frameforge import (
     verify_signature_pair,
     verify_signature_set,
 )
-from frameforge.cube_root import CubePartition, build_cube_matrix
+from frameforge.cube_root import build_cube_matrix
+from frameforge.eisenstein import CUBE_ROOTS, ONE
 from frameforge.matrices import border_standard, certify_two_eigenvalue
 from frameforge.search import KINDS, screen
-from frameforge.subsets import convolve, indicator_columns
+from frameforge.subsets import convolve, indicator_columns, seidel_coefficients
 from frameforge.verdicts import Rejection, SignatureVerdict
 
 from conftest import all_nonidentity_subsets, brute_count_pair, small_groups_to_order_8
@@ -68,7 +69,7 @@ def matrix_of(group, kind, candidate):
     if kind == "quasi":
         return quasi_signature_matrix(group, candidate)
     s, t = candidate
-    q = build_cube_matrix(group, CubePartition.from_pair(group, s, t))
+    q = build_cube_matrix(group, s, t)
     return border_standard(q) if kind == "cube-quasi" else q
 
 
@@ -164,6 +165,25 @@ def test_screen_above_order_63():
     pairs = [(full, empty), (Subset.of(73, [1, 72]), Subset.of(73, range(2, 37)))]
     assert list(screen(group, "cube-pair", pairs)) == [True, False]
     assert [accepts(group, "cube-pair", p) for p in pairs] == [True, False]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_coefficient_map_follows_its_definition(kind):
+    # c = 1 / -1 on S / T for the real kinds; 1, omega, omega^2 on S, T, V
+    # for the cube kinds; 0 at the identity
+    group = quaternion8()
+    chunk = candidates(group, kind)
+    a, b = seidel_coefficients(group.order, kind, chunk)
+    assert a.dtype == np.int16 and a.shape == (group.order, len(chunk))
+    b = np.broadcast_to(b, a.shape)
+    for j, candidate in enumerate(chunk):
+        parts = candidate if kind.startswith("cube") else (candidate,)
+        units = CUBE_ROOTS if kind.startswith("cube") else (ONE, -ONE)
+        want = [(0, 0)] * group.order
+        for x in range(1, group.order):
+            unit = next((u for s, u in zip(parts, units) if x in s), units[-1])
+            want[x] = (unit.a, unit.b)
+        assert list(zip(a[:, j].tolist(), b[:, j].tolist())) == want
 
 
 def test_cube_kinds_above_order_64():

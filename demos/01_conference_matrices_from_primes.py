@@ -16,9 +16,8 @@ import numpy as np
 from frameforge import (
     Subset,
     certify_two_eigenvalue,
-    conference_sets_1mod8,
-    conference_sets_5mod8,
     cyclic,
+    generate,
     is_conference,
     quasi_signature_matrix,
 )
@@ -26,15 +25,15 @@ from frameforge import (
 # Scan small m for both families.  Each hit is re-verified internally by the
 # exact counting criterion before it is returned.
 print("p = 8m+5 family (m <= 12):")
-for hit in conference_sets_5mod8(12):
+for hit in generate("thm59", 12):
     print(f"  m={hit.m:<3} p={hit.p:<5} frame ({hit.n}, {hit.k})  set={hit.residues}")
 
 print("\np = 8m+1 family (m <= 12):")
-for hit in conference_sets_1mod8(12):
+for hit in generate("thm511", 12):
     print(f"  m={hit.m:<3} p={hit.p:<5} frame ({hit.n}, {hit.k})  set={hit.residues}")
 
 # Take the smallest hit, p = 5, and look at the actual matrix.
-hit = conference_sets_5mod8(0)[0]
+hit = generate("thm59", 0)[0]
 group = cyclic(hit.p)
 matrix = quasi_signature_matrix(group, Subset.of(hit.p, hit.residues))
 print(f"\nBordered matrix for p={hit.p} (the (6,3) frame):")

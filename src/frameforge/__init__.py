@@ -24,7 +24,6 @@ from .subsets import (
     complement_nonidentity,
     conjugate_subset,
     inverse_set,
-    is_inverse_closed,
     pair_count_table,
 )
 from .params import (
@@ -74,14 +73,7 @@ from .cube_root import (
     verify_signature_pair,
 )
 from .search import SearchHit, SearchSpec, cube_candidates, enumerate_inverse_closed, search
-from .generators import (
-    GeneratorHit,
-    conference_sets_1mod8,
-    conference_sets_5mod8,
-    generate,
-    order_of_two,
-    table_rows,
-)
+from .generators import GeneratorHit, generate
 from .frames import (
     FrameCheckReport,
     FrameVectors,

@@ -30,7 +30,7 @@ from .matrices import (
     matrix_to_csv,
     matrix_to_json,
 )
-from .search import SearchSpec, search
+from .search import KINDS, SearchSpec, search
 from .signature_sets import (
     quasi_signature_matrix,
     signature_matrix,
@@ -183,7 +183,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    hits = generators.generate(args.algorithm, args.max_m, verify=False)
+    try:
+        hits = generators.generate(args.algorithm, args.max_m, verify=args.emit_matrix is None)
+    except RuntimeError as exc:  # a listed row failed its certificate
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.emit_matrix is not None:
         match = [h for h in hits if h.m == args.emit_matrix]
         if not match:
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustively search a small group")
     p.add_argument("--group", required=True)
-    p.add_argument("--kind", required=True, choices=["signature", "quasi", "cube-pair", "cube-quasi"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--mu", type=int)
     p.add_argument("--dedupe", action="store_true")
     p.add_argument("--limit", type=int)

@@ -23,12 +23,8 @@ from .verdicts import SignatureVerdict
 
 __all__ = [
     "GeneratorHit",
-    "order_of_two",
-    "conference_sets_5mod8",
-    "conference_sets_1mod8",
     "ALGORITHM_IDS",
     "generate",
-    "table_rows",
 ]
 
 ALGORITHM_5MOD8 = "thm59"
@@ -46,11 +42,6 @@ class GeneratorHit:
     algorithm: str
 
 
-def order_of_two(p: int) -> int:
-    """Multiplicative order of 2 mod p (p an odd prime)."""
-    return multiplicative_order(2, p)
-
-
 def _power_set(p: int, step: int) -> tuple[int, ...]:
     """Sorted residues {2^(step*r) mod p : 1 <= r <= (p-1)/2}."""
     base = pow(2, step, p)
@@ -66,16 +57,6 @@ def _power_set(p: int, step: int) -> tuple[int, ...]:
 _FAMILIES = {ALGORITHM_5MOD8: (5, 1, 2), ALGORITHM_1MOD8: (1, 2, 1)}
 
 
-def conference_sets_5mod8(max_m: int, verify: bool = True) -> list[GeneratorHit]:
-    """Hits for p = 8m + 5 prime with 2 a primitive root, m <= max_m."""
-    return generate(ALGORITHM_5MOD8, max_m, verify=verify)
-
-
-def conference_sets_1mod8(max_m: int, verify: bool = True) -> list[GeneratorHit]:
-    """Hits for p = 8m + 1 prime with <2> of index 2 in (Z_p, .), m <= max_m."""
-    return generate(ALGORITHM_1MOD8, max_m, verify=verify)
-
-
 def generate(algorithm: str, max_m: int, verify: bool = True) -> list[GeneratorHit]:
     """Hits of one family ("thm59" or "thm511") for m = 0..max_m; every p
     must be a group order within MAX_ORDER, so max_m <= 511."""
@@ -89,7 +70,7 @@ def generate(algorithm: str, max_m: int, verify: bool = True) -> list[GeneratorH
     hits = []
     for m in range(max_m + 1):
         p = 8 * m + residue
-        if not is_prime(p) or order_of_two(p) != (p - 1) // index:
+        if not is_prime(p) or multiplicative_order(2, p) != (p - 1) // index:
             continue
         hit = GeneratorHit(
             m=m, p=p, n=p + 1, k=(p + 1) // 2,
@@ -109,8 +90,3 @@ def _reverify(hit: GeneratorHit) -> SignatureVerdict:
     ):
         raise RuntimeError(f"internal: generated set for p={hit.p} failed re-verification")
     return verdict
-
-
-def table_rows(hits: list[GeneratorHit]) -> list[tuple[int, int, int]]:
-    """(m, n, k) triples in ascending m order."""
-    return [(h.m, h.n, h.k) for h in hits]

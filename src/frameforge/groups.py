@@ -44,11 +44,7 @@ class GroupTable:
 
     @property
     def order(self) -> int:
-        return len(self.labels)
-
-    @property
-    def identity(self) -> int:
-        return 0
+        return len(self.inv)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -65,7 +61,7 @@ class GroupTable:
             raise ValueError(f"{label!r} is not an element of {self.name}") from None
 
     def subset(self, labels: Iterable[str]) -> Subset:
-        return Subset.from_labels(self, labels)
+        return Subset.of(self.order, (self.index(lab) for lab in labels))
 
     def left_translates(self, y: np.ndarray) -> Callable[[int | np.ndarray], np.ndarray]:
         """The map a -> T_a(y), where T_a(y)[g] = y[a^-1 g] along the first
@@ -165,8 +161,8 @@ class CyclicGroup(GroupTable):
     """(Z_n, +) without a stored table; element i is residue i.
 
     A left translate is the slice y2[n-a : 2n-a] of y2 = (y, y): a view,
-    with no index array.  `mul` is built and validated by `make_group` the
-    first time it is read.
+    with no index array.  `labels` is built, and `mul` built and validated
+    by `make_group`, the first time it is read.
     """
 
     is_abelian = True
@@ -176,7 +172,10 @@ class CyclicGroup(GroupTable):
         inv.setflags(write=False)
         object.__setattr__(self, "name", f"C{n}")
         object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "labels", tuple(str(k) for k in range(n)))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(str(k) for k in range(self.order))
 
     @cached_property
     def mul(self) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, islice
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "KINDS",
     "enumerate_inverse_closed",
     "cube_candidates",
-    "screen",
     "search",
 ]
 
@@ -71,16 +70,12 @@ class SearchHit:
 
 
 def _orbits(group: GroupTable) -> tuple[list[int], list[tuple[int, int]]]:
-    """Involutions, and the two-element inverse orbits {x, x^-1} with x < x^-1."""
-    involutions = []
-    paired = []
-    for x in range(1, group.order):
-        ix = int(group.inv[x])
-        if ix == x:
-            involutions.append(x)
-        elif x < ix:
-            paired.append((x, ix))
-    return involutions, paired
+    """Involutions, and the two-element inverse orbits {x, x^-1} with x < x^-1,
+    both in ascending x."""
+    x = np.arange(1, group.order)
+    ix = group.inv[1:]
+    low = x < ix
+    return x[ix == x].tolist(), list(zip(x[low].tolist(), ix[low].tolist()))
 
 
 def _half_tables(choices: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
@@ -135,18 +130,6 @@ def cube_candidates(group: GroupTable) -> Iterator[tuple[Subset, Subset]]:
             yield Subset(order, bits & s_mask), Subset(order, bits >> order)
 
 
-def screen(group: GroupTable, kind: str, chunk: Sequence) -> np.ndarray:
-    """Whether each candidate's matrix satisfies Q^2 = (n-1)I + mu*Q.
-
-    chunk holds candidates as the enumerators yield them: subsets S for the
-    real kinds, (S, T) pairs for the cube kinds.  Every verifier acceptance
-    implies the identity (`seidel_identity` is the verifiers' own mutual
-    oracle), so False means the verifier must reject, and True decides
-    nothing.
-    """
-    return seidel_identity(group, kind, chunk)[0]
-
-
 def _canonical_key(
     group: GroupTable, s: Subset, t: Subset | None
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -192,7 +175,7 @@ def search(spec: SearchSpec) -> list[SearchHit]:
     verdicts = []
     stream = iter(candidates)
     for chunk in iter(lambda: list(islice(stream, _CHUNK)), []):
-        for candidate in compress(chunk, screen(group, spec.kind, chunk)):
+        for candidate in compress(chunk, seidel_identity(group, spec.kind, chunk)[0]):
             verdict = verify(group, *candidate) if pairs else verify(group, candidate)
             if isinstance(verdict, SignatureVerdict):
                 if spec.mu is None or verdict.mu == spec.mu:

@@ -47,10 +47,6 @@ class Subset:
     def full_nonidentity(cls, order: int) -> Subset:
         return cls(order, (1 << order) - 2)
 
-    @classmethod
-    def from_labels(cls, group: "GroupTable", labels: Iterable[str]) -> Subset:
-        return cls.of(group.order, (group.index(lab) for lab in labels))
-
     @property
     def size(self) -> int:
         return self.bits.bit_count()
@@ -67,9 +63,6 @@ class Subset:
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
 
     def indices_array(self) -> np.ndarray:
         return np.flatnonzero(self.mask())
@@ -114,10 +107,6 @@ def inverse_set(group: "GroupTable", s: Subset) -> Subset:
     _check_group(group, s)
     packed = np.packbits(s.mask()[group.inv], bitorder="little").tobytes()
     return Subset(s.order, int.from_bytes(packed, "little"))
-
-
-def is_inverse_closed(group: "GroupTable", s: Subset) -> bool:
-    return inverse_set(group, s).bits == s.bits
 
 
 def pair_count_table(group: "GroupTable", a: Subset, b: Subset) -> np.ndarray:

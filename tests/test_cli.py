@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from frameforge import parse_group
+from frameforge import generators, parse_group
 from frameforge.cli import main, split_labels
 from frameforge.frames import frame_from_matrix
 from frameforge.matrices import matrix_from_json
+from frameforge.verdicts import Rejection
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,17 @@ def test_tables_emit_matrix(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 6 and payload["mu"] == 0
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_tables_certifies_every_listed_row(capsys, monkeypatch, extra):
+    monkeypatch.setattr(
+        generators, "verify_quasi_signature_set",
+        lambda group, s: Rejection("count-mismatch-on-s"),
+    )
+    code, out, err = run_cli(capsys, "tables", "--algorithm", "thm59", "--max-m", "4", *extra)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_frame_pipeline(tmp_path, capsys):

@@ -4,61 +4,62 @@ import golden
 from frameforge import (
     Subset,
     certify_two_eigenvalue,
-    conference_sets_1mod8,
-    conference_sets_5mod8,
     cyclic,
     generate,
     is_conference,
-    order_of_two,
     quasi_signature_matrix,
-    table_rows,
     verify_quasi_signature_set,
 )
+from frameforge.numbertheory import multiplicative_order
 
 
 def test_order_of_two():
-    assert order_of_two(5) == 4
-    assert order_of_two(13) == 12
-    assert order_of_two(17) == 8
-    assert order_of_two(7) == 3
-    assert order_of_two(73) == 9
+    assert multiplicative_order(2, 5) == 4
+    assert multiplicative_order(2, 13) == 12
+    assert multiplicative_order(2, 17) == 8
+    assert multiplicative_order(2, 7) == 3
+    assert multiplicative_order(2, 73) == 9
 
 
 def test_5mod8_first_hits():
-    hits = conference_sets_5mod8(1)
-    assert table_rows(hits) == [(0, 6, 3), (1, 14, 7)]
+    hits = generate("thm59", 1)
+    assert [(h.m, h.n, h.k) for h in hits] == [(0, 6, 3), (1, 14, 7)]
     assert hits[0].residues == (1, 4)
     assert hits[1].residues == (1, 3, 4, 9, 10, 12)
 
 
 def test_5mod8_skips_composite():
-    hits = conference_sets_5mod8(2)
+    hits = generate("thm59", 2)
     assert [h.m for h in hits] == [0, 1]  # m=2 gives 21 = 3*7
 
 
 def test_1mod8_first_hits():
-    hits = conference_sets_1mod8(5)
-    assert table_rows(hits) == [(2, 18, 9), (5, 42, 21)]
+    hits = generate("thm511", 5)
+    assert [(h.m, h.n, h.k) for h in hits] == [(2, 18, 9), (5, 42, 21)]
     assert hits[0].residues == (1, 2, 4, 8, 9, 13, 15, 16)
 
 
 def test_1mod8_skips_wrong_order():
     # 73 = 8*9 + 1 is prime but 2 has order 9, not 36
-    hits = conference_sets_1mod8(9)
+    hits = generate("thm511", 9)
     assert all(h.m != 9 for h in hits)
 
 
 def test_full_table_5mod8():
-    assert table_rows(conference_sets_5mod8(99, verify=False)) == golden.TABLE_5MOD8
+    hits = generate("thm59", 99, verify=False)
+    assert [(h.m, h.n, h.k) for h in hits] == golden.TABLE_5MOD8
 
 
 def test_full_table_1mod8():
-    assert table_rows(conference_sets_1mod8(299, verify=False)) == golden.TABLE_1MOD8
+    hits = generate("thm511", 299, verify=False)
+    assert [(h.m, h.n, h.k) for h in hits] == golden.TABLE_1MOD8
 
 
 def test_generate_dispatch():
-    assert table_rows(generate("thm59", 1, verify=False)) == [(0, 6, 3), (1, 14, 7)]
-    assert table_rows(generate("thm511", 2, verify=False)) == [(2, 18, 9)]
+    hits = generate("thm59", 1, verify=False)
+    assert [(h.m, h.n, h.k) for h in hits] == [(0, 6, 3), (1, 14, 7)]
+    hits = generate("thm511", 2, verify=False)
+    assert [(h.m, h.n, h.k) for h in hits] == [(2, 18, 9)]
     with pytest.raises(ValueError):
         generate("other", 3)
 
@@ -66,8 +67,8 @@ def test_generate_dispatch():
 @pytest.mark.parametrize("call", [
     lambda: generate("thm59", -3),
     lambda: generate("thm511", -1, verify=False),
-    lambda: conference_sets_5mod8(-1),
-    lambda: conference_sets_1mod8(-2),
+    lambda: generate("thm59", -1),
+    lambda: generate("thm511", -2),
 ])
 def test_negative_bound_is_an_error(call):
     # an empty table would look like a valid bound with no hits
@@ -77,7 +78,7 @@ def test_negative_bound_is_an_error(call):
 
 def test_every_hit_reverifies_full_range():
     # the verify=True path re-runs the quasi-set verifier on every hit
-    hits = conference_sets_5mod8(99, verify=True) + conference_sets_1mod8(299, verify=True)
+    hits = generate("thm59", 99, verify=True) + generate("thm511", 299, verify=True)
     assert len(hits) == len(golden.TABLE_5MOD8) + len(golden.TABLE_1MOD8)
     for hit in hits[:4]:
         verdict = verify_quasi_signature_set(cyclic(hit.p), Subset.of(hit.p, hit.residues))
@@ -96,14 +97,14 @@ def test_bordered_matrices_are_conference(m, p):
 
 
 def test_midsize_matrix_is_conference():
-    hit = [h for h in conference_sets_1mod8(12, verify=False) if h.p == 97][0]
+    hit = [h for h in generate("thm511", 12, verify=False) if h.p == 97][0]
     matrix = quasi_signature_matrix(cyclic(97), Subset.of(97, hit.residues))
     assert is_conference(matrix.data)
 
 
 def test_largest_table_hit_certifies_exactly():
     # the (2378, 1189) row: full entrywise certificate at the top of the range
-    hit = conference_sets_1mod8(297, verify=False)[-1]
+    hit = generate("thm511", 297, verify=False)[-1]
     assert (hit.p, hit.n, hit.k) == (2377, 2378, 1189)
     matrix = quasi_signature_matrix(cyclic(hit.p), Subset.of(hit.p, hit.residues))
     cert = certify_two_eigenvalue(matrix)

@@ -424,9 +424,9 @@ def test_exact_matmul_falls_back_to_int64_past_the_float_bound():
 
 def test_certify_midsize_conference_matrix():
     # order 314 exercises the BLAS-backed exact product route
-    from frameforge import conference_sets_1mod8, quasi_signature_matrix
+    from frameforge import generate, quasi_signature_matrix
 
-    hit = [h for h in conference_sets_1mod8(39, verify=False) if h.p == 313]
+    hit = [h for h in generate("thm511", 39, verify=False) if h.p == 313]
     assert hit
     q = quasi_signature_matrix(cyclic(313), Subset.of(313, hit[0].residues))
     cert = certify_two_eigenvalue(q)

@@ -35,8 +35,8 @@ from frameforge import (
 from frameforge.cube_root import build_cube_matrix
 from frameforge.eisenstein import CUBE_ROOTS, ONE
 from frameforge.matrices import border_standard, certify_two_eigenvalue
-from frameforge.search import KINDS, screen
-from frameforge.subsets import convolve, indicator_columns, seidel_coefficients
+from frameforge.search import KINDS
+from frameforge.subsets import convolve, indicator_columns, seidel_coefficients, seidel_identity
 from frameforge.verdicts import Rejection, SignatureVerdict
 
 from conftest import all_nonidentity_subsets, brute_count_pair, small_groups_to_order_8
@@ -80,7 +80,7 @@ def candidates(group, kind):
 
 
 def check_screen(group, kind, chunk):
-    kept = screen(group, kind, chunk)
+    kept = seidel_identity(group, kind, chunk)[0]
     assert kept.shape == (len(chunk),) and kept.dtype == bool
     for candidate, keep in zip(chunk, kept):
         where = (group.name, kind, candidate)
@@ -157,13 +157,13 @@ def test_screen_above_order_63():
     chunk = [paley, nonresidues, near_miss]
     assert np.array_equal(indicator_columns(73, chunk).T.nonzero()[1],
                           np.concatenate([s.indices_array() for s in chunk]))
-    assert list(screen(group, "quasi", chunk)) == [True, True, False]
+    assert list(seidel_identity(group, "quasi", chunk)[0]) == [True, True, False]
     assert [accepts(group, "quasi", s) for s in chunk] == [True, True, False]
 
     full = Subset.full_nonidentity(73)
     empty = Subset.empty(73)
     pairs = [(full, empty), (Subset.of(73, [1, 72]), Subset.of(73, range(2, 37)))]
-    assert list(screen(group, "cube-pair", pairs)) == [True, False]
+    assert list(seidel_identity(group, "cube-pair", pairs)[0]) == [True, False]
     assert [accepts(group, "cube-pair", p) for p in pairs] == [True, False]
 
 

@@ -28,7 +28,6 @@ from .subsets import (
 )
 from .params import (
     FrameParams,
-    Infeasible,
     c_value,
     feasible_mu_values,
     mu_from_k,

@@ -17,7 +17,7 @@ from .matrices import (
     regrep_sum,
 )
 from .numbertheory import is_perfect_square
-from .signature_sets import accept_verdict
+from .signature_sets import accept_verdict, screen_closure, screen_members
 from .subsets import (  # noqa: F401 - perfbench/tracer.py patches pair_count_table here
     Subset,
     complement_nonidentity,
@@ -40,12 +40,8 @@ __all__ = [
 def build_cube_matrix(group: GroupTable, s: Subset, t: Subset) -> SeidelMatrixEis:
     """Weights 1 on S, omega on T, omega^2 on V = (S u T)^c minus e;
     Hermitian exactly when S = S^-1 and V = T^-1."""
-    if s.order != group.order or t.order != group.order:
-        raise ValueError("subsets do not belong to this group")
-    if s.has_identity or t.has_identity:
-        raise ValueError("partition sets must not contain the identity")
-    if not s.isdisjoint(t):
-        raise ValueError("S and T overlap")
+    if fault := screen_members(group, s, t):
+        raise ValueError(fault.detail)
     a, b = seidel_coefficients(group.order, "cube-pair", [(s, t)])
     return SeidelMatrixEis(regrep_sum(group, a[:, 0]), regrep_sum(group, b[:, 0]))
 
@@ -68,17 +64,11 @@ def verify_quasi_signature_pair(
 def _verify_pair(
     group: GroupTable, s: Subset, t: Subset, quasi: bool
 ) -> SignatureVerdict | Rejection:
-    if s.order != group.order or t.order != group.order:
-        return Rejection("wrong-group", "subsets do not belong to this group")
-    if s.has_identity or t.has_identity:
-        return Rejection("identity-in-set", "the identity cannot be a member")
-    if not s.isdisjoint(t):
-        return Rejection("overlapping-sets", "S and T must be disjoint")
-    v = complement_nonidentity(s.union(t))
-    if inverse_set(group, s).bits != s.bits:
-        w = group.labels[next(iter(inverse_set(group, s).difference(s)))]
-        return Rejection("s-not-inverse-closed", "S must be closed under inverses", witness=w)
-    if inverse_set(group, t).bits != v.bits:
+    if fault := screen_members(group, s, t):
+        return fault
+    if fault := screen_closure(group, s, "S must be closed under inverses"):
+        return fault
+    if inverse_set(group, t).bits != complement_nonidentity(s.union(t)).bits:
         return Rejection("v-neq-t-inverse", "V must equal T^-1")
 
     q = build_cube_matrix(group, s, t)

@@ -19,7 +19,7 @@ from .groups import MAX_ORDER, cyclic
 from .numbertheory import is_prime, multiplicative_order
 from .signature_sets import verify_quasi_signature_set
 from .subsets import Subset
-from .verdicts import SignatureVerdict
+from .verdicts import Rejection, SignatureVerdict
 
 __all__ = [
     "GeneratorHit",
@@ -85,8 +85,10 @@ def generate(algorithm: str, max_m: int, verify: bool = True) -> list[GeneratorH
 def _reverify(hit: GeneratorHit) -> SignatureVerdict:
     group = cyclic(hit.p)
     verdict = verify_quasi_signature_set(group, Subset.of(hit.p, hit.residues))
-    if not isinstance(verdict, SignatureVerdict) or (
-        verdict.params.n != hit.n or verdict.params.k != hit.k or verdict.mu != 0
-    ):
-        raise RuntimeError(f"internal: generated set for p={hit.p} failed re-verification")
-    return verdict
+    if isinstance(verdict, Rejection):
+        fault = str(verdict)
+    elif (verdict.params.n, verdict.params.k, verdict.mu) != (hit.n, hit.k, 0):
+        fault = f"gave (n, k, mu) = ({verdict.params.n}, {verdict.params.k}, {verdict.mu})"
+    else:
+        return verdict
+    raise RuntimeError(f"internal: generated set for p={hit.p} failed re-verification: {fault}")

@@ -27,7 +27,7 @@ from .eisenstein import (
     unit_to_token,
 )
 from .groups import GroupTable
-from .params import FrameParams, Infeasible, params_from_mu
+from .params import FrameParams, params_from_mu
 from .verdicts import Rejection
 
 
@@ -200,9 +200,8 @@ def certify_two_eigenvalue(q: SeidelMatrix) -> TwoEigenvalueCertificate | Reject
             "not-two-eigenvalue", f"entry ({i},{j}): got {got}, need {need} for mu={mu}"
         )
     params = params_from_mu(n, mu)
-    if isinstance(params, Infeasible):
-        # cannot happen for a genuine Seidel matrix; surface it loudly
-        return Rejection("infeasible-parameters", f"mu={mu}: {params.reason}")
+    if isinstance(params, Rejection):  # cannot happen for a genuine Seidel matrix
+        return params
     return TwoEigenvalueCertificate(mu=mu, params=params, q=q)
 
 
@@ -308,7 +307,8 @@ def matrix_from_json(text: str) -> SeidelMatrix:
     if not isinstance(payload, dict) or "entries" not in payload or "n" not in payload:
         raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
     entries, n = payload["entries"], payload["n"]
-    if not isinstance(n, int) or n < 1 or not isinstance(entries, list) or not all(
+    # a JSON true is an int too, so bool is refused by exact type
+    if type(n) is not int or n < 1 or not isinstance(entries, list) or not all(
         isinstance(row, list) for row in entries
     ):
         raise ValueError("'n' must be a positive integer and 'entries' a list of rows")

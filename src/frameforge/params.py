@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numbertheory import is_prime
+from .verdicts import Rejection
 
 __all__ = [
     "FrameParams",
-    "Infeasible",
     "MuResult",
     "params_from_mu",
     "mu_from_k",
@@ -38,19 +38,6 @@ class FrameParams:
     c_value: float     # common |<f_i, f_j>| of the Parseval frame
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    """Why no (n,k)-frame parameters exist for this (n, mu)."""
-
-    n: int
-    mu: int
-    reason: str  # odd-n-with-mu-zero | non-square-discriminant | non-integral-k | k-out-of-range
-
-    @property
-    def ok(self) -> bool:
-        return False
-
-
 def c_value(n: int, k: int) -> float:
     """The equiangularity constant sqrt(k(n-k) / (n^2 (n-1)))."""
     if not 1 <= k <= n - 1:
@@ -58,28 +45,30 @@ def c_value(n: int, k: int) -> float:
     return math.sqrt(k * (n - k) / (n * n * (n - 1)))
 
 
-def params_from_mu(n: int, mu: int) -> FrameParams | Infeasible:
+def params_from_mu(n: int, mu: int) -> FrameParams | Rejection:
     """Solve for k (and the eigenvalues) given the matrix trace parameter mu.
 
     mu = 0 needs n even (k = n/2); otherwise the discriminant mu^2 + 4(n-1)
     must be a perfect square s^2 with k = n(s - mu)/(2s) a positive integer
-    below n.  All screening is exact.
+    below n.  All screening is exact.  A failure is an infeasible-parameters
+    rejection whose detail names the condition: odd-n-with-mu-zero,
+    non-square-discriminant, non-integral-k or k-out-of-range.
     """
     if n < 2:
         raise ValueError("frame size n must be at least 2")
     d = mu * mu + 4 * (n - 1)
     if mu == 0:
         if n % 2:
-            return Infeasible(n, mu, "odd-n-with-mu-zero")
+            return Rejection("infeasible-parameters", f"mu={mu}: odd-n-with-mu-zero")
         return _build(n, n // 2, mu, d, math.sqrt(d))
     s = math.isqrt(d)
     if s * s != d:
-        return Infeasible(n, mu, "non-square-discriminant")
+        return Rejection("infeasible-parameters", f"mu={mu}: non-square-discriminant")
     if (n * (s - mu)) % (2 * s):
-        return Infeasible(n, mu, "non-integral-k")
+        return Rejection("infeasible-parameters", f"mu={mu}: non-integral-k")
     k = n * (s - mu) // (2 * s)
     if not 1 <= k <= n - 1:
-        return Infeasible(n, mu, "k-out-of-range")
+        return Rejection("infeasible-parameters", f"mu={mu}: k-out-of-range")
     return _build(n, k, mu, d, float(s))
 
 
@@ -138,7 +127,7 @@ def feasible_mu_values(n: int, context: str = "signature") -> list[int]:
             continue
         if context == "quasi" and not (6 - n <= 3 * mu <= n - 6):
             continue
-        if isinstance(params_from_mu(n, mu), Infeasible):
+        if isinstance(params_from_mu(n, mu), Rejection):
             continue
         out.append(mu)
     half = n // 2

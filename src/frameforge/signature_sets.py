@@ -15,7 +15,7 @@ import numpy as np
 
 from .groups import GroupTable
 from .matrices import SeidelMatrixInt, border_standard, regrep_sum
-from .params import Infeasible, params_from_mu
+from .params import params_from_mu
 from .subsets import (
     Subset,
     complement_nonidentity,
@@ -38,17 +38,15 @@ __all__ = [
 
 def complement_set(group: GroupTable, s: Subset) -> Subset:
     """T = S^c minus the identity."""
-    if s.has_identity:
-        raise ValueError("subset must not contain the identity")
-    if s.order != group.order:
-        raise ValueError("subset does not belong to this group")
+    if fault := screen_members(group, s):
+        raise ValueError(fault.detail)
     return complement_nonidentity(s)
 
 
 def signature_matrix(group: GroupTable, s: Subset) -> SeidelMatrixInt:
     """The +-1 matrix with +1 on S and -1 on the complementary T."""
-    if s.order != group.order:
-        raise ValueError("subset does not belong to this group")
+    if fault := screen_members(group, s):
+        raise ValueError(fault.detail)
     a, _ = seidel_coefficients(group.order, "signature", [s])
     return SeidelMatrixInt(regrep_sum(group, a[:, 0]))
 
@@ -66,16 +64,14 @@ def verify_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict | Rej
     Odd group order is rejected outright (no signature set exists there).
     """
     n = group.order
-    bad = _common_screens(group, s)
-    if bad is not None:
-        return bad
+    if fault := screen_members(group, s):
+        return fault
     if n % 2:
         # covers the degenerate one-element group as well
         return Rejection("odd-order", f"group order {n} is odd")
     t = complement_nonidentity(s)
-    closure = _closure_check(group, s)
-    if closure is not None:
-        return closure
+    if fault := screen_closure(group, s, "S is not closed under inverses"):
+        return fault
 
     ct_st = pair_count_table(group, s, t)
     mu = n - 2 - 4 * int(ct_st[next(iter(s))]) if s else -(n - 2)
@@ -84,8 +80,8 @@ def verify_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict | Rej
     if not -(n - 2) <= mu <= n - 2:
         return Rejection("mu-out-of-range", f"mu={mu} outside [-(n-2), n-2]")
     return (
-        _count_mismatch(group, "s", s, ct_st, n - 2 - mu, "S,T", "(n-2-mu)/4")
-        or _count_mismatch(group, "t", t, ct_st, n - 2 + mu, "S,T", "(n-2+mu)/4")
+        _count_mismatch(group, "count-mismatch-on-s", s, ct_st, n - 2 - mu, "S,T", "(n-2-mu)/4")
+        or _count_mismatch(group, "count-mismatch-on-t", t, ct_st, n - 2 + mu, "S,T", "(n-2+mu)/4")
         or accept_verdict(group, "signature", mu, s)
     )
 
@@ -98,9 +94,8 @@ def verify_quasi_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict
     within the admissible band 2 - n/3 <= mu <= n/3 - 2 (which excludes the
     trivial all-or-nothing subsets).
     """
-    bad = _common_screens(group, s)
-    if bad is not None:
-        return bad
+    if fault := screen_members(group, s):
+        return fault
     n = group.order + 1
     if n % 2:
         return Rejection("odd-frame-size", f"|G|+1 = {n} is odd")
@@ -108,16 +103,17 @@ def verify_quasi_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict
     mu = s.size - t.size
     if not 6 - n <= 3 * mu <= n - 6:
         return Rejection("mu-out-of-range", f"mu={mu} outside [2-n/3, n/3-2]")
-    closure = _closure_check(group, s)
-    if closure is not None:
-        return closure
+    if fault := screen_closure(group, s, "S is not closed under inverses"):
+        return fault
 
     ct_ss = pair_count_table(group, s, s)
     # on T, N_(T,T) = N_(S,S) + |G| - 2 - 2|S|, as 1_T = 1 - delta_e - 1_S
     ct_tt = ct_ss + (group.order - 2 - 2 * s.size)
     return (
-        _count_mismatch(group, "s", s, ct_ss, n + 3 * mu - 6, "S,S", "(n+3mu-6)/4")
-        or _count_mismatch(group, "t", t, ct_tt, n - 3 * mu - 6, "T,T", "(n-3mu-6)/4")
+        _count_mismatch(group, "count-mismatch-on-s", s, ct_ss, n + 3 * mu - 6, "S,S",
+                        "(n+3mu-6)/4")
+        or _count_mismatch(group, "count-mismatch-on-t", t, ct_tt, n - 3 * mu - 6, "T,T",
+                           "(n-3mu-6)/4")
         or accept_verdict(group, "quasi", mu, s)
     )
 
@@ -138,42 +134,49 @@ def index2_subgroup_set(group: GroupTable, h: Subset) -> SignatureVerdict | Reje
     return verdict
 
 
-def _common_screens(group: GroupTable, s: Subset) -> Rejection | None:
-    if s.order != group.order:
-        return Rejection("wrong-group", "subset does not belong to this group")
-    if s.has_identity:
-        return Rejection("identity-in-set", "the identity cannot be a member")
-    return None
-
-
-def _closure_check(group: GroupTable, s: Subset) -> Rejection | None:
-    """S must be closed under inverses.  Its complement T in G\\{e} then is
-    too, as inversion is a bijection that fixes e."""
-    mismatch = inverse_set(group, s).difference(s)
-    if mismatch:
-        return Rejection(
-            "s-not-inverse-closed", "S is not closed under inverses",
-            witness=group.labels[next(iter(mismatch))],
-        )
-    return None
-
-
 def _count_mismatch(
-    group: GroupTable, name: str, subset: Subset, counts: np.ndarray, need: int,
+    group: GroupTable, reason: str, subset: Subset, counts: np.ndarray, need: int,
     label: str, formula: str,
 ) -> Rejection | None:
     """The first member g of the subset with 4 * counts[g] != need, as a
-    count-mismatch-on-<name> rejection witnessed by g; None when all match."""
+    rejection with this reason witnessed by g; None when all match."""
     members = subset.indices_array()
     off = members[4 * counts[members] != need]
     if not off.size:
         return None
     g = int(off[0])
     return Rejection(
-        f"count-mismatch-on-{name}",
+        reason,
         f"N_({label}) at {group.labels[g]} is {int(counts[g])}, need {formula}",
         witness=group.labels[g],
     )
+
+
+def screen_members(group: GroupTable, s: Subset, t: Subset | None = None) -> Rejection | None:
+    """The member check every verifier starts with, and whose detail every
+    matrix builder raises as a ValueError: S, and T when given, must be
+    subsets of this group without the identity, and S and T must be
+    disjoint.  The first fault found, or None."""
+    sets = (s,) if t is None else (s, t)
+    if any(x.order != group.order for x in sets):
+        return Rejection("wrong-group", "subset does not belong to this group")
+    if any(x.has_identity for x in sets):
+        return Rejection("identity-in-set", "the identity cannot be a member")
+    if t is not None and not s.isdisjoint(t):
+        return Rejection("overlapping-sets", "S and T must be disjoint")
+    return None
+
+
+def screen_closure(group: GroupTable, s: Subset, detail: str) -> Rejection | None:
+    """S must be closed under inverses; the witness is the first element of
+    S^-1 minus S.  A complement of S in G\\{e} then is closed too, as
+    inversion is a bijection that fixes e."""
+    mismatch = inverse_set(group, s).difference(s)
+    if mismatch:
+        return Rejection(
+            "s-not-inverse-closed", detail, witness=group.labels[next(iter(mismatch))]
+        )
+    return None
 
 
 def accept_verdict(
@@ -192,8 +195,8 @@ def accept_verdict(
         raise RuntimeError("internal: the counting criterion and the matrix identity disagree")
     n = group.order + (kind in ("quasi", "cube-quasi"))
     params = params_from_mu(n, mu)
-    if isinstance(params, Infeasible):
-        return Rejection("infeasible-parameters", f"mu={mu}: {params.reason}")
+    if isinstance(params, Rejection):
+        return params
     return SignatureVerdict(
         kind=kind, params=params, mu=mu, subset=s, t_subset=t, matrix_dim=n
     )

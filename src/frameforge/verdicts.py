@@ -1,11 +1,13 @@
-"""Result types shared by the set/pair verifiers."""
+"""Result types shared by the verifiers, the certificate and params_from_mu."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .params import FrameParams
-from .subsets import Subset
+if TYPE_CHECKING:  # params builds Rejections, so it cannot be imported here
+    from .params import FrameParams
+    from .subsets import Subset
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,7 @@ def test_tables_certifies_every_listed_row(capsys, monkeypatch, extra):
     code, out, err = run_cli(capsys, "tables", "--algorithm", "thm59", "--max-m", "4", *extra)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "count-mismatch-on-s" in err
 
 
 def test_frame_pipeline(tmp_path, capsys):

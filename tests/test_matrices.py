@@ -476,21 +476,25 @@ def test_matrix_constructors_reject_bad_entries():
         SeidelMatrixEis(a, b)
 
 
+_SCHEMA_FAULTS = [  # (payload, the message it must raise, when one is pinned)
+    ('{"n": 2, "entries": [["0", "1"], ["1", "q"]]}', None),    # unknown token
+    ('{"n": 2, "entries": [["0", "1"], ["1", {}]]}', None),     # unhashable token
+    ('{"n": 2, "entries": [["0", 1], [1, "0"]]}', None),        # integer 1 in place of "1"
+    ('{"n": 2, "entries": [["0", "1"], ["1", null]]}', None),   # null cell
+    ('{"n": 3, "entries": [["0", "1"], ["1", "0"]]}', None),    # grid smaller than n
+    ('{"n": 1, "entries": [["0", "1"], ["1", "0"]]}', None),    # grid larger than n
+    ('{"n": 0, "entries": []}', None),                          # empty matrix
+    ('{"n": 2, "entries": [["1", "1"], ["1", "0"]]}', None),    # non-zero diagonal
+    # a JSON true is a Python int; it must not pass as the size 1
+    ('{"n": true, "entries": [["0"]]}', "positive integer"),
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        '{"n": 2, "entries": [["0", "1"], ["1", "q"]]}',    # unknown token
-        '{"n": 2, "entries": [["0", "1"], ["1", {}]]}',     # unhashable token
-        '{"n": 2, "entries": [["0", 1], [1, "0"]]}',        # integer 1 in place of "1"
-        '{"n": 2, "entries": [["0", "1"], ["1", null]]}',   # null cell
-        '{"n": 3, "entries": [["0", "1"], ["1", "0"]]}',    # grid smaller than n
-        '{"n": 1, "entries": [["0", "1"], ["1", "0"]]}',    # grid larger than n
-        '{"n": 0, "entries": []}',                          # empty matrix
-        '{"n": 2, "entries": [["1", "1"], ["1", "0"]]}',    # non-zero diagonal
-    ],
+    "text, match", _SCHEMA_FAULTS, ids=[text for text, _ in _SCHEMA_FAULTS]
 )
-def test_matrix_from_json_schema_faults_are_value_errors(text):
-    with pytest.raises(ValueError):
+def test_matrix_from_json_schema_faults_are_value_errors(text, match):
+    with pytest.raises(ValueError, match=match):
         matrix_from_json(text)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from frameforge import (
     FrameParams,
-    Infeasible,
+    Rejection,
     c_value,
     feasible_mu_values,
     mu_from_k,
@@ -32,10 +32,10 @@ def test_params_trivial_line(n):
 
 
 def test_params_infeasible_reasons():
-    assert params_from_mu(7, 0).reason == "odd-n-with-mu-zero"
-    assert params_from_mu(8, 2).reason == "non-square-discriminant"
+    assert params_from_mu(7, 0).detail == "mu=0: odd-n-with-mu-zero"
+    assert params_from_mu(8, 2).detail == "mu=2: non-square-discriminant"
     # n=7, mu=1: discriminant 25 is square but k = 7*4/10 is not integral
-    assert params_from_mu(7, 1).reason == "non-integral-k"
+    assert params_from_mu(7, 1).detail == "mu=1: non-integral-k"
 
 
 def test_params_rejects_tiny_n():
@@ -67,7 +67,7 @@ def test_round_trip_mu_k():
     for n in range(2, 200):
         for mu in range(-(n - 2), n - 1):
             p = params_from_mu(n, mu)
-            if isinstance(p, Infeasible):
+            if isinstance(p, Rejection):
                 continue
             back = mu_from_k(n, p.k)
             assert back.exact == mu, (n, mu, p.k)

@@ -2,6 +2,7 @@ import pytest
 
 from frameforge import (
     Subset,
+    build_cube_matrix,
     certify_two_eigenvalue,
     complement_set,
     conjugate_subset,
@@ -12,7 +13,9 @@ from frameforge import (
     quaternion8,
     signature_matrix,
     subgroup_generated,
+    verify_quasi_signature_pair,
     verify_quasi_signature_set,
+    verify_signature_pair,
     verify_signature_set,
 )
 from frameforge.verdicts import Rejection
@@ -223,3 +226,35 @@ def test_signature_rejections_match_matrix_rejections():
         assert verdict.ok == (not isinstance(cert, Rejection))
         if verdict.ok:
             assert verdict.mu == cert.mu
+
+
+# one input fault each, as (S, T) in C5; the sets see only S
+_INPUT_FAULTS = {
+    "wrong-group": (Subset.of(3, [1]), Subset.of(5, [2])),
+    "identity-in-set": (Subset.of(5, [0, 1, 4]), Subset.of(5, [2])),
+    "overlapping-sets": (Subset.of(5, [1, 4]), Subset.of(5, [1, 2])),
+}
+_SET_BUILDERS = [
+    (complement_set, verify_signature_set),
+    (signature_matrix, verify_signature_set),
+    (quasi_signature_matrix, verify_quasi_signature_set),
+]
+_PAIR_BUILDERS = [
+    (build_cube_matrix, verify_signature_pair),
+    (build_cube_matrix, verify_quasi_signature_pair),
+]
+
+
+@pytest.mark.parametrize(
+    "builder, verifier, reason",
+    [(b, v, r) for b, v in _SET_BUILDERS for r in ("wrong-group", "identity-in-set")]
+    + [(b, v, r) for b, v in _PAIR_BUILDERS for r in _INPUT_FAULTS],
+)
+def test_builders_raise_the_verifiers_screen_detail(builder, verifier, reason):
+    s, t = _INPUT_FAULTS[reason]
+    args = (cyclic(5), s, t) if builder is build_cube_matrix else (cyclic(5), s)
+    rejection = verifier(*args)
+    assert rejection.reason == reason
+    with pytest.raises(ValueError) as raised:
+        builder(*args)
+    assert str(raised.value) == rejection.detail

@@ -1,9 +1,10 @@
 """Exhaustive enumeration of signature sets, quasi-signature sets and
 cube-root (quasi-)pairs in small groups.
 
-Candidates are generated over inverse-closure orbits and streamed in fixed
-chunks through an exact batched screen on the group algebra; only the
-survivors reach the verifiers, which decide acceptance.  The screen tests
+Candidates are numbered by mixed-radix codes over inverse-closure orbits.
+Fixed chunks of codes become coefficient columns by array gathers and pass
+an exact batched screen on the group algebra; only the survivors become
+`Subset`s and reach the verifiers, which decide acceptance.  The screen tests
 an identity that every accepted candidate satisfies, so it only discards
 candidates the verifiers would reject, and the hit set equals that of a
 naive scan of all subset assignments.  Results come back in a deterministic
@@ -12,16 +13,15 @@ order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress, islice
-from typing import Iterator
 
 import numpy as np
 
 from .cube_root import nmu_excluded, verify_quasi_signature_pair, verify_signature_pair
 from .groups import GroupTable
 from .signature_sets import verify_quasi_signature_set, verify_signature_set
-from .subsets import Subset, conjugate_subset, seidel_identity
+from .subsets import Subset, conjugate_subset, seidel_coefficients, seidel_identity
 from .verdicts import SignatureVerdict
 
 __all__ = [
@@ -69,72 +69,88 @@ class SearchHit:
     canonical_key: tuple[tuple[str, ...], tuple[str, ...]]
 
 
-def _orbits(group: GroupTable) -> tuple[list[int], list[tuple[int, int]]]:
-    """Involutions, and the two-element inverse orbits {x, x^-1} with x < x^-1,
-    both in ascending x."""
-    x = np.arange(1, group.order)
-    ix = group.inv[1:]
-    low = x < ix
-    return x[ix == x].tolist(), list(zip(x[low].tolist(), ix[low].tolist()))
+class Candidates(Sequence):
+    """The candidates of one search kind, numbered by mixed-radix codes.
 
-
-def _half_tables(choices: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
-    """Bit unions over the low and the high half of the orbits.
-
-    Orbit i offers choices[i]; entry c of a half's table is the union of the
-    choices picked by the mixed-radix digits of c, least significant orbit
-    first.  Walking the high table outside the low one therefore visits
-    every full code in ascending order.
+    Real kinds: one base-2 digit per inverse orbit (involutions, then the
+    pairs {x, x^-1} with x < x^-1, each in ascending x); digit 1 puts the
+    orbit in S.  Cube kinds: the involutions always lie in S, and one base-3
+    digit per pair puts it in S (0), or x (1) or x^-1 (2) into T, its partner
+    landing in V; all else fails S = S^-1 or V = T^-1.  The first orbit's
+    digit is the least significant, and iteration follows the codes upwards.
+    `columns(lo, hi)` gives the `seidel_coefficients` of codes lo..hi-1
+    without building a `Subset`.  Codes are int64: a larger space is refused.
     """
-    half = len(choices) // 2
-    tables = []
-    for part in (choices[:half], choices[half:]):
-        table = [0]
-        for options in part:
-            table = [bits | opt for opt in options for bits in table]
-        tables.append(table)
-    return tables[0], tables[1]
+
+    def __init__(self, group: GroupTable, cube: bool) -> None:
+        e, inv = np.arange(1, group.order), group.inv[1:]
+        involutions = e[inv == e].tolist()
+        orbits = list(zip(e[e < inv].tolist(), inv[e < inv].tolist()))
+        if not cube:
+            orbits[:0] = [(x, x) for x in involutions]
+        n, self._cube, self._radix = group.order, cube, 3 if cube else 2
+        # the bits that each digit of an orbit sets: S in the low n bits, T above
+        self._fixed = sum(1 << x for x in involutions) if cube else 0
+        self._options = [
+            (bits, 1 << (n + x), 1 << (n + y)) if cube else (0, bits)
+            for x, y in orbits
+            for bits in [(1 << x) | (1 << y)]
+        ]
+        self._size = self._radix ** len(orbits)
+        if self._size > np.iinfo(np.int64).max:
+            raise ValueError(f"{group.name} has {self._radix}^{len(orbits)} candidates, "
+                             "more than int64 codes can number")
+        # q_i = code // radix^i in the narrowest unsigned type that holds the
+        # codes, and digit i = q_i - radix * q_(i+1).  The top digit is 0 for
+        # every code; the identity and the cube kinds' involutions read it.
+        self._weights = (self._radix ** np.arange(len(orbits) + 1, dtype=np.uint64)).astype(
+            np.min_scalar_type(self._size))[:, None]
+        self._orbit = np.full(n, len(orbits))
+        for i, orbit in enumerate(orbits):
+            self._orbit[list(orbit)] = i
+        # An element's coefficient depends on its orbit's digit alone, so the
+        # candidates with all digits d give column d of the (element, digit) table.
+        repunit = (self._size - 1) // (self._radix - 1)
+        columns = seidel_coefficients(n, "cube-pair" if cube else "signature",
+                                      [self[d * repunit] for d in range(self._radix)])
+        self._table = [c.ravel() if np.ndim(c) else c for c in columns]
+        self._rows = self._radix * np.arange(n, dtype=np.int16)[:, None]
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, code: int) -> Subset | tuple[Subset, Subset]:
+        if not 0 <= code < self._size:
+            raise IndexError(f"candidate code {code} out of range")
+        bits, n = self._fixed, len(self._orbit)
+        for options in self._options:
+            code, digit = divmod(code, self._radix)
+            bits |= options[digit]
+        if self._cube:
+            return Subset(n, bits & ((1 << n) - 1)), Subset(n, bits >> n)
+        return Subset(n, bits)
+
+    def columns(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | int]:
+        """Each element gathers its orbit's digit, then its coefficient under it."""
+        q = np.arange(lo, hi, dtype=self._weights.dtype) // self._weights
+        q[:-1] -= self._radix * q[1:]
+        index = self._rows + q.astype(np.int16)[self._orbit]
+        return tuple(np.take(c, index) if np.ndim(c) else c for c in self._table)
 
 
-def enumerate_inverse_closed(group: GroupTable) -> Iterator[Subset]:
-    """All inverse-closed subsets of the non-identity elements.
-
-    One bit per inverse orbit, ascending, so the order is deterministic.
-    """
-    involutions, paired = _orbits(group)
-    orbit_bits = [1 << x for x in involutions] + [(1 << x) | (1 << y) for x, y in paired]
-    low, high = _half_tables([(0, bits) for bits in orbit_bits])
-    order = group.order
-    for hi in high:
-        for lo in low:
-            yield Subset(order, hi | lo)
+def enumerate_inverse_closed(group: GroupTable) -> Candidates:
+    """All inverse-closed subsets of the non-identity elements, in code order."""
+    return Candidates(group, cube=False)
 
 
-def cube_candidates(group: GroupTable) -> Iterator[tuple[Subset, Subset]]:
-    """(S, T) candidates for cube kinds: involutions always in S, and each
-    remaining inverse orbit is either in S or oriented into T one of two
-    ways (its partner landing in V).  Everything skipped here fails the
-    closure conditions S = S^-1, V = T^-1."""
-    involutions, paired = _orbits(group)
-    order = group.order
-    # S bits in the low `order` bits of a table entry, T bits above them;
-    # the involutions form one orbit with a single choice
-    low, high = _half_tables(
-        [(sum(1 << x for x in involutions),)]
-        + [((1 << x) | (1 << y), 1 << (order + x), 1 << (order + y)) for x, y in paired]
-    )
-    s_mask = (1 << order) - 1
-    for hi in high:
-        for lo in low:
-            bits = hi | lo
-            yield Subset(order, bits & s_mask), Subset(order, bits >> order)
+def cube_candidates(group: GroupTable) -> Candidates:
+    """(S, T) candidates for the cube kinds, in code order."""
+    return Candidates(group, cube=True)
 
 
-def _canonical_key(
-    group: GroupTable, s: Subset, t: Subset | None
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    t_labels = tuple(sorted(t.labels(group))) if t is not None else ()
-    return tuple(sorted(s.labels(group))), t_labels
+def _canonical_key(group: GroupTable, s: Subset, t: Subset | None) -> tuple[tuple[str, ...], ...]:
+    """The sorted labels of S and of T (empty when there is no T)."""
+    return tuple(tuple(sorted(x.labels(group))) if x is not None else () for x in (s, t))
 
 
 def search(spec: SearchSpec) -> list[SearchHit]:
@@ -151,59 +167,46 @@ def search(spec: SearchSpec) -> list[SearchHit]:
         )
 
     pairs = spec.kind.startswith("cube")
-    if not pairs:
-        if spec.kind == "signature" and group.order % 2:
-            return []  # no signature set exists in an odd-order group
-        if spec.kind == "quasi" and group.order % 2 == 0:
-            return []  # frame size |G|+1 must be even
-        candidates = enumerate_inverse_closed(group)
-        verify = (
-            verify_signature_set if spec.kind == "signature" else verify_quasi_signature_set
-        )
-    else:
-        if (
-            spec.kind == "cube-pair"
-            and spec.mu is not None
-            and nmu_excluded(group.order, spec.mu, group.is_abelian)
-        ):
+    if not pairs and (group.order + (spec.kind == "quasi")) % 2:
+        return []  # the frame size, |G| or |G|+1 for the quasi kind, must be even
+    if spec.kind == "cube-pair" and spec.mu is not None:
+        if nmu_excluded(group.order, spec.mu, group.is_abelian):
             return []
-        candidates = cube_candidates(group)
-        verify = (
-            verify_signature_pair if spec.kind == "cube-pair" else verify_quasi_signature_pair
-        )
+    verify = {"signature": verify_signature_set, "quasi": verify_quasi_signature_set,
+              "cube-pair": verify_signature_pair,
+              "cube-quasi": verify_quasi_signature_pair}[spec.kind]
 
+    # `space` turns codes into the screen's columns.  The enumerator, called
+    # by its public name so that a wrapper of it sees the scan, gives the
+    # candidate count and builds each survivor; neither builds anything else.
+    space = Candidates(group, pairs)  # refuses a space past int64 codes
+    candidates = (cube_candidates if pairs else enumerate_inverse_closed)(group)
     verdicts = []
-    stream = iter(candidates)
-    for chunk in iter(lambda: list(islice(stream, _CHUNK)), []):
-        for candidate in compress(chunk, seidel_identity(group, spec.kind, chunk)[0]):
+    for lo in range(0, len(candidates), _CHUNK):
+        a, b = space.columns(lo, min(lo + _CHUNK, len(candidates)))
+        for code in np.flatnonzero(seidel_identity(group, spec.kind, a, b)[0]).tolist():
+            candidate = candidates[lo + code]
             verdict = verify(group, *candidate) if pairs else verify(group, candidate)
-            if isinstance(verdict, SignatureVerdict):
-                if spec.mu is None or verdict.mu == spec.mu:
-                    verdicts.append(verdict)
+            if isinstance(verdict, SignatureVerdict) and spec.mu in (None, verdict.mu):
+                verdicts.append(verdict)
 
-    hits = [
-        SearchHit(v, _canonical_key(group, v.subset, v.t_subset)) for v in verdicts
-    ]
-    hits.sort(key=lambda h: h.canonical_key)
+    hits = sorted((SearchHit(v, _canonical_key(group, v.subset, v.t_subset)) for v in verdicts),
+                  key=lambda h: h.canonical_key)
     if spec.dedupe_conjugates:
         hits = _dedupe_by_conjugation(group, hits)
-    if spec.limit is not None:
-        hits = hits[: spec.limit]
-    return hits
+    return hits[: spec.limit]  # a limit of None keeps every hit
 
 
 def _dedupe_by_conjugation(group: GroupTable, hits: list[SearchHit]) -> list[SearchHit]:
     """Keep one representative per conjugation orbit (the minimal key)."""
-    kept = []
-    seen: set = set()
+    kept, seen = [], set()
     for hit in hits:
-        v = hit.verdict
-        orbit = set()
-        for t in range(group.order):
-            cs = conjugate_subset(group, v.subset, t)
-            ct = conjugate_subset(group, v.t_subset, t) if v.t_subset is not None else None
-            orbit.add(_canonical_key(group, cs, ct))
-        key = min(orbit)
+        s, t = hit.verdict.subset, hit.verdict.t_subset
+        key = min(
+            _canonical_key(group, conjugate_subset(group, s, g),
+                           None if t is None else conjugate_subset(group, t, g))
+            for g in range(group.order)
+        )
         if key not in seen:
             seen.add(key)
             kept.append(hit)

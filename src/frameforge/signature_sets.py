@@ -190,7 +190,8 @@ def accept_verdict(
     matrix has size |G|, plus one for the bordered kinds.  Disagreement of
     the two criteria would mean an implementation bug, hence the hard error.
     """
-    holds, identity_mu = seidel_identity(group, kind, [s if t is None else (s, t)])
+    columns = seidel_coefficients(group.order, kind, [s if t is None else (s, t)])
+    holds, identity_mu = seidel_identity(group, kind, *columns)
     if not holds[0] or identity_mu[0] != mu:
         raise RuntimeError("internal: the counting criterion and the matrix identity disagree")
     n = group.order + (kind in ("quasi", "cube-quasi"))

@@ -118,13 +118,8 @@ def pair_count_table(group: "GroupTable", a: Subset, b: Subset) -> np.ndarray:
 
 def indicator_columns(order: int, subsets: Sequence[Subset]) -> np.ndarray:
     """Membership of each subset as an (order, len(subsets)) int16 0/1 array:
-    column j is the indicator of subsets[j].  Exact for every order."""
-    width = (order + 7) // 8
-    raw = np.frombuffer(
-        b"".join(s.bits.to_bytes(width, "little") for s in subsets), dtype=np.uint8
-    ).reshape(len(subsets), width)
-    bits = np.unpackbits(raw.T, axis=0, count=order, bitorder="little")
-    return bits.astype(np.int16, order="C")
+    column j is the indicator of subsets[j]."""
+    return np.array([s.mask() for s in subsets], dtype=np.int16).reshape(-1, order).T.copy()
 
 
 def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -167,20 +162,21 @@ def seidel_coefficients(
 
 
 def seidel_identity(
-    group: "GroupTable", kind: str, candidates: Sequence
+    group: "GroupTable", kind: str, a: np.ndarray, b: np.ndarray | int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whether each candidate's matrix satisfies Q^2 = (n-1)I + mu*Q, and
     the mu it gives (meaningful only where the identity holds).
 
-    kind and candidates are those of `seidel_coefficients`; the cube pairs
-    must satisfy S = S^-1 and V = T^-1.  With c the coefficient function of
+    a and b are the candidates' coefficient columns c = a + b*omega, as
+    `seidel_coefficients(group.order, kind, candidates)` returns them or
+    `search.Candidates.columns` builds them from codes; the cube pairs must
+    satisfy S = S^-1 and V = T^-1.  With c the coefficient function of
     Q = sum c(g) R(g), the identity reads c*c = mu*c off the identity, and
     c*c + 1 = mu*c with mu = sum c for the bordered (quasi) kinds.  All
     arithmetic is exact int16: every intermediate value is at most
     5n <= 20480 < 2**15 in magnitude.
     """
     shift = 1 if kind in ("quasi", "cube-quasi") else 0
-    a, b = seidel_coefficients(group.order, kind, candidates)
     total = a.sum(axis=0, dtype=np.int16)
     if np.ndim(b):
         sq_a, sq_b = eis_product(a, b, a, b, lambda x, y: convolve(group, x, y)[1:])

@@ -12,6 +12,7 @@ from frameforge import (
     quaternion8,
     units_mod,
 )
+from frameforge.numbertheory import is_prime
 
 
 def brute_count_pair(group: GroupTable, a: Subset, b: Subset, target: int) -> int:
@@ -39,6 +40,15 @@ def all_cube_assignments(group: GroupTable):
             elif digit == 1:
                 t_bits |= 1 << x
         yield Subset(n, s_bits), Subset(n, t_bits)
+
+
+def supported_descriptors(max_order: int) -> list[str]:
+    """Every descriptor `parse_group` accepts up to this order: C<n>,
+    C<a>xC<b> with 2 <= a <= b, Zmult<p> and Q8."""
+    out = [f"C{n}" for n in range(1, max_order + 1)]
+    out += [f"C{a}xC{b}" for a in range(2, max_order) for b in range(a, max_order // a + 1)]
+    out += [f"Zmult{p}" for p in range(2, max_order + 2) if is_prime(p)]
+    return out + ["Q8"] * (max_order >= 8)
 
 
 def small_groups_to_order_8() -> list[GroupTable]:

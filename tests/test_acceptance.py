@@ -39,7 +39,12 @@ from frameforge import (
 )
 from frameforge.cli import main
 from frameforge.matrices import TwoEigenvalueCertificate
-from frameforge.subsets import complement_nonidentity, inverse_set, seidel_identity
+from frameforge.subsets import (
+    complement_nonidentity,
+    inverse_set,
+    seidel_coefficients,
+    seidel_identity,
+)
 from frameforge.verdicts import Rejection
 
 from conftest import all_cube_assignments, all_nonidentity_subsets, small_groups_to_order_8
@@ -294,7 +299,8 @@ def test_criterion_7_property_suites():
                 matrix = border_standard(core) if quasi else core
                 cert = certify_two_eigenvalue(matrix)
                 kind = "cube-quasi" if quasi else "cube-pair"
-                holds, counted = seidel_identity(g, kind, [(s, t)])
+                columns = seidel_coefficients(g.order, kind, [(s, t)])
+                holds, counted = seidel_identity(g, kind, *columns)
                 if isinstance(cert, TwoEigenvalueCertificate):
                     assert holds[0] and counted[0] == cert.mu
                 else:

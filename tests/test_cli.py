@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +125,20 @@ def test_search_empty_exits_1(capsys):
     )
     assert code == 1
     assert out.strip() == ""
+
+
+@pytest.mark.parametrize("group, kind", [("C127", "quasi"), ("C81", "cube-pair")])
+def test_search_past_int64_codes_is_a_usage_error(capsys, monkeypatch, group, kind):
+    # 2^63 or 3^40 candidates: refused before the scan starts, which
+    # unrefused would never end
+    def no_scan(group):
+        raise AssertionError("the candidate scan started")
+
+    for name in ("enumerate_inverse_closed", "cube_candidates"):
+        monkeypatch.setattr(sys.modules["frameforge.search"], name, no_scan)
+    code, out, err = run_cli(capsys, "search", "--group", group, "--kind", kind, "--force")
+    assert code == 2 and out == ""
+    assert "int64" in err
 
 
 def test_tables_text(capsys):

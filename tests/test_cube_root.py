@@ -16,7 +16,12 @@ from frameforge import (
     verify_signature_pair,
 )
 from frameforge.matrices import TwoEigenvalueCertificate, border_standard
-from frameforge.subsets import complement_nonidentity, pair_count_table, seidel_identity
+from frameforge.subsets import (
+    complement_nonidentity,
+    pair_count_table,
+    seidel_coefficients,
+    seidel_identity,
+)
 from frameforge.verdicts import Rejection
 
 from conftest import all_cube_assignments
@@ -25,7 +30,7 @@ from test_matrices import eis_from_tokens
 
 def identity_mu(group, kind, s, t):
     """The mu the group-algebra identity gives for (S, T), or None."""
-    holds, mu = seidel_identity(group, kind, [(s, t)])
+    holds, mu = seidel_identity(group, kind, *seidel_coefficients(group.order, kind, [(s, t)]))
     return int(mu[0]) if holds[0] else None
 
 

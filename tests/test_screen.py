@@ -39,7 +39,12 @@ from frameforge.search import KINDS
 from frameforge.subsets import convolve, indicator_columns, seidel_coefficients, seidel_identity
 from frameforge.verdicts import Rejection, SignatureVerdict
 
-from conftest import all_nonidentity_subsets, brute_count_pair, small_groups_to_order_8
+from conftest import (
+    all_nonidentity_subsets,
+    brute_count_pair,
+    small_groups_to_order_8,
+    supported_descriptors,
+)
 
 VERIFIERS = {
     "signature": verify_signature_set,
@@ -79,8 +84,12 @@ def candidates(group, kind):
     return list(enumerate_inverse_closed(group))
 
 
+def screen(group, kind, chunk):
+    return seidel_identity(group, kind, *seidel_coefficients(group.order, kind, chunk))[0]
+
+
 def check_screen(group, kind, chunk):
-    kept = seidel_identity(group, kind, chunk)[0]
+    kept = screen(group, kind, chunk)
     assert kept.shape == (len(chunk),) and kept.dtype == bool
     for candidate, keep in zip(chunk, kept):
         where = (group.name, kind, candidate)
@@ -147,6 +156,63 @@ def test_candidate_codes_follow_enumeration_order():
         assert [_candidate_from_code(group, kind, c) for c in range(len(listed))] == listed
 
 
+ENUMERATORS = {
+    "signature": enumerate_inverse_closed,
+    "quasi": enumerate_inverse_closed,
+    "cube-pair": cube_candidates,
+    "cube-quasi": cube_candidates,
+}
+
+
+def check_code_columns(group, kind, lo, hi):
+    """The columns gathered from codes lo..hi-1 are those of the candidates
+    the enumerator builds for the same codes."""
+    candidates = ENUMERATORS[kind](group)
+    a, b = candidates.columns(lo, hi)
+    want_a, want_b = seidel_coefficients(group.order, kind, [candidates[i] for i in range(lo, hi)])
+    assert a.dtype == want_a.dtype and a.shape == want_a.shape, (group.name, kind, lo)
+    assert np.array_equal(a, want_a), (group.name, kind, lo)
+    assert np.ndim(b) == np.ndim(want_b) and np.array_equal(b, want_b), (group.name, kind, lo)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_code_columns_equal_subset_columns_exhaustively(kind):
+    for descriptor in supported_descriptors(16):
+        group = parse_group(descriptor)
+        candidates = ENUMERATORS[kind](group)
+        assert [candidates[i] for i in range(len(candidates))] == list(candidates)
+        check_code_columns(group, kind, 0, len(candidates))
+
+
+CODE_GROUPS = {name: parse_group(name) for name in ("C4xC8", "C6xC6", "C3xC9")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CODE_GROUPS)),
+    kind=st.sampled_from(KINDS),
+    start=st.floats(0, 1, exclude_max=True),
+    width=st.integers(1, 50),
+)
+def test_code_columns_property_on_random_codes(name, kind, start, width):
+    group = CODE_GROUPS[name]
+    size = len(ENUMERATORS[kind](group))
+    lo = int(start * size)
+    check_code_columns(group, kind, lo, min(lo + width, size))
+
+
+@pytest.mark.parametrize("order, kind, size", [
+    (125, "quasi", 2 ** 62),      # 62 inverse pairs
+    (79, "cube-pair", 3 ** 39),   # 39 inverse pairs
+])
+def test_code_columns_at_the_top_of_the_int64_range(order, kind, size):
+    group = cyclic(order)
+    assert len(ENUMERATORS[kind](group)) == size
+    check_code_columns(group, kind, size - 5, size)
+    with pytest.raises(IndexError):
+        ENUMERATORS[kind](group)[size]
+
+
 def test_screen_above_order_63():
     # order 73 > 63: the indicator columns span more than one machine word
     group = cyclic(73)
@@ -157,13 +223,13 @@ def test_screen_above_order_63():
     chunk = [paley, nonresidues, near_miss]
     assert np.array_equal(indicator_columns(73, chunk).T.nonzero()[1],
                           np.concatenate([s.indices_array() for s in chunk]))
-    assert list(seidel_identity(group, "quasi", chunk)[0]) == [True, True, False]
+    assert list(screen(group, "quasi", chunk)) == [True, True, False]
     assert [accepts(group, "quasi", s) for s in chunk] == [True, True, False]
 
     full = Subset.full_nonidentity(73)
     empty = Subset.empty(73)
     pairs = [(full, empty), (Subset.of(73, [1, 72]), Subset.of(73, range(2, 37)))]
-    assert list(seidel_identity(group, "cube-pair", pairs)[0]) == [True, False]
+    assert list(screen(group, "cube-pair", pairs)) == [True, False]
     assert [accepts(group, "cube-pair", p) for p in pairs] == [True, False]
 
 

@@ -1,4 +1,5 @@
 import sys
+from itertools import compress, product
 
 import pytest
 
@@ -9,6 +10,7 @@ from frameforge import (
     cyclic,
     direct_product,
     enumerate_inverse_closed,
+    parse_group,
     quaternion8,
     search,
     verify_quasi_signature_pair,
@@ -16,9 +18,16 @@ from frameforge import (
     verify_signature_pair,
     verify_signature_set,
 )
+from frameforge.search import KINDS
 from frameforge.verdicts import SignatureVerdict
 
-from conftest import all_cube_assignments, all_nonidentity_subsets, small_groups_to_order_8
+from conftest import (
+    all_cube_assignments,
+    all_nonidentity_subsets,
+    small_groups_to_order_8,
+    supported_descriptors,
+)
+from test_screen import screen, verify
 
 
 def hit_summary(hits):
@@ -237,3 +246,64 @@ def test_every_hit_reverifies(c4xc4):
     for h in search(SearchSpec(group=c4xc4, kind="signature")):
         again = verify_signature_set(c4xc4, h.verdict.subset)
         assert again.ok and again.params == h.verdict.params
+
+
+def reference_candidates(group, kind):
+    """Inverse-closed subsets, or (S, T) pairs with S = S^-1 and V = T^-1,
+    built orbit by orbit without the library's enumerators."""
+    n, inv = group.order, group.inv.tolist()
+    involutions = [x for x in range(1, n) if inv[x] == x]
+    pairs = [(x, inv[x]) for x in range(1, n) if x < inv[x]]
+    if not kind.startswith("cube"):
+        orbits = [1 << x for x in involutions] + [(1 << x) | (1 << y) for x, y in pairs]
+        for picks in product((False, True), repeat=len(orbits)):
+            yield Subset(n, sum(compress(orbits, picks)))
+        return
+    for picks in product(range(3), repeat=len(pairs)):
+        s, t = sum(1 << x for x in involutions), 0
+        for pick, (x, y) in zip(picks, pairs):
+            if pick == 0:
+                s |= (1 << x) | (1 << y)
+            else:
+                t |= 1 << (x if pick == 1 else y)
+        yield Subset(n, s), Subset(n, t)
+
+
+def reference_scan(group, kind):
+    """Reference candidates -> `seidel_identity` on their subsets' columns ->
+    verifier, as (key, mu, k) rows in key order."""
+    cube = kind.startswith("cube")
+    candidates = list(reference_candidates(group, kind))
+    rows = []
+    for lo in range(0, len(candidates), 4096):
+        chunk = candidates[lo:lo + 4096]
+        for candidate in compress(chunk, screen(group, kind, chunk)):
+            verdict = verify(group, kind, candidate)
+            if isinstance(verdict, SignatureVerdict):
+                s, t = candidate if cube else (candidate, None)
+                key = (tuple(sorted(s.labels(group))), tuple(sorted(t.labels(group))) if cube else ())
+                rows.append((key, verdict.mu, verdict.params.k))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_search_equals_reference_scan(kind):
+    for descriptor in supported_descriptors(20):
+        group = parse_group(descriptor)
+        got = hit_summary(search(SearchSpec(group=group, kind=kind, force=True)))
+        assert got == reference_scan(group, kind), (descriptor, kind)
+
+
+@pytest.mark.parametrize("descriptor, kind", [("C4xC8", "signature"), ("C3xC6", "cube-quasi")])
+def test_search_equals_reference_scan_past_order_20(descriptor, kind):
+    group = parse_group(descriptor)
+    got = hit_summary(search(SearchSpec(group=group, kind=kind, force=True)))
+    assert got and got == reference_scan(group, kind)
+
+
+def test_search_refuses_a_space_past_int64_codes():
+    # 2^63 quasi candidates in C127 (63 inverse pairs), 3^40 cube ones in C81
+    with pytest.raises(ValueError, match="int64"):
+        search(SearchSpec(group=cyclic(127), kind="quasi", force=True))
+    with pytest.raises(ValueError, match="int64"):
+        search(SearchSpec(group=cyclic(81), kind="cube-quasi", force=True))

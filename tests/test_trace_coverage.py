@@ -6,10 +6,14 @@ calls.  The tracer registers every patched span when it installs, so the
 run's own "lacks per-layer metric" check cannot see that; the span record
 it writes to perfbench/out/ can.  Each workload is traced once on a 0.1 s
 budget, and every span its metrics are defined by must have been entered.
+The search record's candidate count must also equal the 2^orbits or
+3^pairs its jobs enumerate: the enumerators are lazy sequences, and the
+tracer counts them with `len()` after materialising them.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -21,13 +25,24 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def tracer_metrics():
+def perfbench_module(name):
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     try:
-        import tracer
+        return importlib.import_module(name)
     finally:
         del sys.path[:2]
-    return tracer.METRICS
+
+
+def search_candidates(seed):
+    """The candidates the search workload's jobs for this seed enumerate:
+    2^orbits or 3^pairs per search step."""
+    jobs = perfbench_module("jobs")
+    total = 0
+    for job in jobs.WORKLOADS["search"].draw(seed):
+        for step in job.steps:
+            flags = dict(zip(step.argv[1::2], step.argv[2::2]))
+            total += jobs.candidate_count(flags["--group"], flags["--kind"])
+    return total
 
 
 @pytest.mark.parametrize("workload", ["search", "tables-certify", "frame-realise"])
@@ -41,6 +56,12 @@ def test_traced_workload_enters_every_measured_layer(workload):
 
     record = np.load(ROOT / "perfbench" / "out" / f"{workload}-seed1-trace1.npz")
     calls = dict(zip(record["names"].tolist(), np.bincount(record["name_id"]).tolist()))
-    needed = {span for _name, _unit, span, workloads in tracer_metrics()
+    needed = {span for _name, _unit, span, workloads in perfbench_module("tracer").METRICS
               if span is not None and workload in workloads}
     assert sorted(span for span in needed if not calls.get(span)) == []
+
+    if workload == "search":
+        # the enumerators still report every candidate, so the tracer's
+        # count is the true 2^orbits or 3^pairs per job
+        traced = json.loads((ROOT / "perfbench" / "out" / "search-seed1-trace1.json").read_text())
+        assert traced["counts"]["search.candidates"] == search_candidates(1)

@@ -163,8 +163,8 @@ def test_mutual_oracle_disagreement_is_a_hard_error(kind, monkeypatch):
     assert verify(*args).ok
 
     def wrong_mu(real):
-        def patched(group, kind, candidates):
-            holds, mu = real(group, kind, candidates)
+        def patched(group, kind, a, b):
+            holds, mu = real(group, kind, a, b)
             return holds, mu + 3
         return patched
 

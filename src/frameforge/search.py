@@ -2,10 +2,12 @@
 cube-root (quasi-)pairs in small groups.
 
 Candidates are numbered by mixed-radix codes over inverse-closure orbits.
-Fixed chunks of codes become coefficient columns by array gathers and pass
-an exact batched screen on the group algebra; only the survivors become
-`Subset`s and reach the verifiers, which decide acceptance.  The screen tests
-an identity that every accepted candidate satisfies, so it only discards
+A join on a quotient G/H (`quotients.choose_quotient`) picks out the codes
+whose image solves the Seidel identity of G/H; only these become coefficient
+columns by array gathers and pass an exact batched screen on the group
+algebra, and only the survivors become `Subset`s and reach the verifiers,
+which decide acceptance.  The join and the screen test identities that every
+accepted candidate satisfies, exactly in integers, so they only discard
 candidates the verifiers would reject, and the hit set equals that of a
 naive scan of all subset assignments.  Results come back in a deterministic
 order.
@@ -13,15 +15,16 @@ order.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cube_root import nmu_excluded, verify_quasi_signature_pair, verify_signature_pair
 from .groups import GroupTable
+from .quotients import Quotient, choose_quotient
 from .signature_sets import verify_quasi_signature_set, verify_signature_set
-from .subsets import Subset, conjugate_subset, seidel_coefficients, seidel_identity
+from .subsets import Subset, seidel_coefficients, seidel_identity
 from .verdicts import SignatureVerdict
 
 __all__ = [
@@ -45,6 +48,9 @@ DEFAULT_ORDER_LIMITS = {
 
 #: Candidates screened per batch; bounds the screen's working memory.
 _CHUNK = 4096
+
+#: Most codes of the low or the middle digits that the join tabulates.
+_HALF_CODES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,7 @@ class Candidates(Sequence):
     digit per pair puts it in S (0), or x (1) or x^-1 (2) into T, its partner
     landing in V; all else fails S = S^-1 or V = T^-1.  The first orbit's
     digit is the least significant, and iteration follows the codes upwards.
-    `columns(lo, hi)` gives the `seidel_coefficients` of codes lo..hi-1
+    `columns(codes)` gives the `seidel_coefficients` of an array of codes
     without building a `Subset`.  Codes are int64: a larger space is refused.
     """
 
@@ -130,12 +136,100 @@ class Candidates(Sequence):
             return Subset(n, bits & ((1 << n) - 1)), Subset(n, bits >> n)
         return Subset(n, bits)
 
-    def columns(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | int]:
+    def columns(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
         """Each element gathers its orbit's digit, then its coefficient under it."""
-        q = np.arange(lo, hi, dtype=self._weights.dtype) // self._weights
+        q = np.asarray(codes).astype(self._weights.dtype) // self._weights
         q[:-1] -= self._radix * q[1:]
         index = self._rows + q.astype(np.int16)[self._orbit]
         return tuple(np.take(c, index) if np.ndim(c) else c for c in self._table)
+
+    def join(self, quotient: Quotient, kind: str) -> Iterator[np.ndarray]:
+        """The codes whose image in the quotient solves its identity, in
+        batches of at most _CHUNK.
+
+        The image is a sum of (orbit, digit) terms, each packed into one int64
+        by a linear map that is injective on images.  The images every code
+        can reach are built orbit by orbit as a set, and the solutions r are
+        taken from it.  A code is split into low, middle and top digits:
+        (low, middle) pairs with key(low) + key(middle) = r - key(top) are
+        found by a sorted lookup of the distinct middle keys, and only their
+        codes are expanded.
+        """
+        radix, cube = self._radix, self._cube
+        stride = np.array(quotient.strides(cube)[:-1])
+        # keys[i, d]: the packed image of orbit i under digit d; the last row
+        # holds the identity and the elements no digit moves, under digit 0
+        images = []
+        for table in self._table[: 1 + cube]:
+            by_orbit = np.zeros((len(self._orbit), len(self._weights), radix), dtype=np.int64)
+            by_orbit[np.arange(len(self._orbit)), self._orbit] = table.reshape(-1, radix)
+            images.append(quotient.project(by_orbit))
+        keys = np.tensordot(stride, np.concatenate(images), axes=1)
+        keys, fixed = keys[:-1], keys[-1, 0]
+
+        reachable = np.array([fixed])
+        for row in keys:
+            reachable = np.sort((reachable[:, None] + row).ravel())
+            reachable = reachable[np.append(True, reachable[1:] != reachable[:-1])]
+        holds = [quotient.solves(kind, *quotient.unpack(reachable[lo:lo + _CHUNK], cube))[0]
+                 for lo in range(0, len(reachable), _CHUNK)]
+        solutions = reachable[np.concatenate(holds)]
+
+        low, middle = _split(len(keys), radix)
+        low_codes, low_uniq, low_start, low_count = _buckets(_digit_keys(keys[:low]))
+        mid_codes, mid_uniq, mid_start, mid_count = _buckets(_digit_keys(keys[low:low + middle]))
+        top = keys[low + middle:]
+        for high in range(radix ** len(top)):
+            top_key = fixed + sum(int(row[high // radix ** i % radix]) for i, row in enumerate(top))
+            pair_low, pair_mid = _matches(solutions - top_key, low_uniq, mid_uniq)
+            sizes = low_count[pair_low] * mid_count[pair_mid]
+            ends = np.cumsum(sizes)
+            total = int(ends[-1]) if len(ends) else 0
+            for lo in range(0, total, _CHUNK):
+                index = np.arange(lo, min(lo + _CHUNK, total))
+                pair = np.searchsorted(ends, index, side="right")
+                i, j = np.divmod(index - ends[pair] + sizes[pair], mid_count[pair_mid[pair]])
+                yield (low_codes[low_start[pair_low[pair]] + i]
+                       + radix ** low * (mid_codes[mid_start[pair_mid[pair]] + j]
+                                         + radix ** middle * high))
+
+
+def _split(digits: int, radix: int) -> tuple[int, int]:
+    """Low and middle digit counts: halves, each of at most _HALF_CODES codes;
+    the top digits beyond them are walked one value at a time."""
+    cap = 0
+    while radix ** (cap + 1) <= _HALF_CODES:
+        cap += 1
+    low = min(digits // 2, cap)
+    return low, min(digits - low, cap)
+
+
+def _matches(targets: np.ndarray, low: np.ndarray, middle: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index pairs (i, j) of the sorted distinct keys with low[i] + middle[j]
+    in targets, looked up in blocks of targets."""
+    found = []
+    block = max(1, _HALF_CODES // max(len(low), 1))
+    for lo in range(0, len(targets), block):
+        want = targets[lo:lo + block, None] - low
+        at = np.minimum(np.searchsorted(middle, want), len(middle) - 1)
+        rows, i = np.nonzero(middle[at] == want)
+        found.append((i, at[rows, i]))
+    return tuple(np.concatenate(part) for part in zip(*found)) if found else (np.zeros(0, int),) * 2
+
+
+def _digit_keys(keys: np.ndarray) -> np.ndarray:
+    """The packed image of every code over these orbits, in code order."""
+    out = np.zeros(1, dtype=np.int64)
+    for row in keys:
+        out = (row[:, None] + out).ravel()
+    return out
+
+
+def _buckets(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Codes sorted by key, the distinct keys, and where each key's codes start and how many."""
+    codes = np.argsort(keys, kind="stable")
+    uniq, start, count = np.unique(keys[codes], return_index=True, return_counts=True)
+    return codes, uniq, start, count
 
 
 def enumerate_inverse_closed(group: GroupTable) -> Candidates:
@@ -182,10 +276,10 @@ def search(spec: SearchSpec) -> list[SearchHit]:
     space = Candidates(group, pairs)  # refuses a space past int64 codes
     candidates = (cube_candidates if pairs else enumerate_inverse_closed)(group)
     verdicts = []
-    for lo in range(0, len(candidates), _CHUNK):
-        a, b = space.columns(lo, min(lo + _CHUNK, len(candidates)))
-        for code in np.flatnonzero(seidel_identity(group, spec.kind, a, b)[0]).tolist():
-            candidate = candidates[lo + code]
+    for codes in space.join(choose_quotient(group, spec.kind, len(candidates)), spec.kind):
+        a, b = space.columns(codes)
+        for code in codes[seidel_identity(group, spec.kind, a, b)[0]].tolist():
+            candidate = candidates[code]
             verdict = verify(group, *candidate) if pairs else verify(group, candidate)
             if isinstance(verdict, SignatureVerdict) and spec.mu in (None, verdict.mu):
                 verdicts.append(verdict)
@@ -198,15 +292,16 @@ def search(spec: SearchSpec) -> list[SearchHit]:
 
 
 def _dedupe_by_conjugation(group: GroupTable, hits: list[SearchHit]) -> list[SearchHit]:
-    """Keep one representative per conjugation orbit (the minimal key)."""
+    """Keep one representative per conjugation orbit (the minimal key).
+
+    Row g of the conjugation table is x -> g x g^-1; only its distinct rows
+    are applied, so an abelian group makes one identity pass."""
+    labels = np.array(group.labels, dtype=object)
+    conjugations = np.array(sorted(set(map(tuple, group.mul[group.mul, group.inv[:, None]].tolist()))))
     kept, seen = [], set()
     for hit in hits:
-        s, t = hit.verdict.subset, hit.verdict.t_subset
-        key = min(
-            _canonical_key(group, conjugate_subset(group, s, g),
-                           None if t is None else conjugate_subset(group, t, g))
-            for g in range(group.order)
-        )
+        parts = [x.indices_array() for x in (hit.verdict.subset, hit.verdict.t_subset) if x is not None]
+        key = min(tuple(tuple(sorted(labels[row[x]])) for x in parts) for row in conjugations)
         if key not in seen:
             seen.add(key)
             kept.append(hit)

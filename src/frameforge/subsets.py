@@ -126,14 +126,15 @@ def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The group-algebra product x*y: out[g] = sum_a x[a] * y[a^-1 g], so
     0/1 vectors give N_{(A,B)}^g.  Every pair count in this library comes from here.
 
-    x and y are int16, of shape (order,) or (order, B) for B columns at once.
-    Only the rows a where x is non-zero are visited, one left translate
-    y[a^-1 g] each (`GroupTable.left_translates`: a gathered table row, or a
-    slice in a cyclic group).  Accumulation stays in int16, which is exact
-    while sum_a |x[a]| * max|y| < 2**15; entries in {-1, 0, 1} qualify for
-    every order up to MAX_ORDER = 4096.
+    x and y are integer arrays of shape (order,) or (order, B) for B columns
+    at once.  Only the rows a where x is non-zero are visited, one left
+    translate y[a^-1 g] each (`GroupTable.left_translates`: a gathered table
+    row, or a slice in a cyclic group).  Accumulation stays in the inputs'
+    dtype.  For int16 that is exact while sum_a |x[a]| * max|y| < 2**15;
+    entries in {-1, 0, 1} qualify for every order up to MAX_ORDER = 4096.
+    The quotient join passes int64 coset sums.
     """
-    out = np.zeros(y.shape, dtype=np.int16)
+    out = np.zeros(y.shape, dtype=np.result_type(x, y))
     translate = group.left_translates(y)
     for a in np.flatnonzero(x.reshape(len(x), -1).any(axis=1)):
         out += x[a] * translate(a)

@@ -168,7 +168,7 @@ def check_code_columns(group, kind, lo, hi):
     """The columns gathered from codes lo..hi-1 are those of the candidates
     the enumerator builds for the same codes."""
     candidates = ENUMERATORS[kind](group)
-    a, b = candidates.columns(lo, hi)
+    a, b = candidates.columns(np.arange(lo, hi))
     want_a, want_b = seidel_coefficients(group.order, kind, [candidates[i] for i in range(lo, hi)])
     assert a.dtype == want_a.dtype and a.shape == want_a.shape, (group.name, kind, lo)
     assert np.array_equal(a, want_a), (group.name, kind, lo)

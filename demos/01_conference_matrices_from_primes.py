@@ -37,11 +37,11 @@ hit = generate("thm59", 0)[0]
 group = cyclic(hit.p)
 matrix = quasi_signature_matrix(group, Subset.of(hit.p, hit.residues))
 print(f"\nBordered matrix for p={hit.p} (the (6,3) frame):")
-print(matrix.data)
+print(matrix.a)
 
 # The exact certificate: Q^2 = (n-1) I + mu Q with mu = 0 here, so the
 # matrix squares to 5I and is a symmetric conference matrix.
 cert = certify_two_eigenvalue(matrix)
 print(f"\ncertificate: mu={cert.mu}, (n,k)=({cert.params.n},{cert.params.k})")
 print("Q^2 == 5I:", np.array_equal(matrix.square(), 5 * np.eye(6, dtype=np.int64)))
-print("conference matrix:", is_conference(matrix.data))
+print("conference matrix:", is_conference(matrix.a))

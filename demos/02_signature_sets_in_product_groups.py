@@ -32,7 +32,7 @@ print(f"complement -> mu={dual.mu}, frame ({dual.params.n}, {dual.params.k})")
 # I - Q is a Hadamard matrix whenever mu = 2 (the reversible Hadamard
 # difference-set family).
 q = signature_matrix(g16, axis)
-h = np.eye(16, dtype=np.int64) - q.data
+h = np.eye(16, dtype=np.int64) - q.a
 print("I - Q is Hadamard:", is_hadamard(h))
 
 # The same recipe with the diagonal added, in C6 x C6.

@@ -43,10 +43,10 @@ print(f"\nsignature verdict: mu={verdict.mu}, frame ({verdict.params.n}, {verdic
 
 q = signature_matrix(group, d)
 lhs = q.square()
-rhs = 63 * np.eye(64, dtype=np.int64) + 2 * q.data
+rhs = 63 * np.eye(64, dtype=np.int64) + 2 * q.a
 print("Q^2 == 63 I + 2 Q:", np.array_equal(lhs, rhs))
 
-h = np.eye(64, dtype=np.int64) - q.data
+h = np.eye(64, dtype=np.int64) - q.a
 print("I - Q is a Hadamard matrix of order 64:", is_hadamard(h))
 
 # A small non-example: the (11,5,2) set in Z11 is a perfectly good

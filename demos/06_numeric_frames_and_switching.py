@@ -58,4 +58,4 @@ print("certificates identical:", cert2.params == params)
 
 # And the standard form restores an all-ones first row and column.
 restored = to_standard_form(scrambled)
-print("standard form first row all ones:", bool((restored.data[0, 1:] == 1).all()))
+print("standard form first row all ones:", bool((restored.a[0, 1:] == 1).all()))

@@ -15,7 +15,6 @@ import numpy as np
 
 from .matrices import (
     SeidelMatrix,
-    SeidelMatrixInt,
     TwoEigenvalueCertificate,
     certify_two_eigenvalue,
 )
@@ -77,10 +76,10 @@ class FrameCheckReport:
 
 def gram_from_certificate(cert: TwoEigenvalueCertificate) -> np.ndarray:
     """P = (k/n) I + c_{n,k} Q for the matrix Q the certificate was issued
-    for, in floating point: float64 for an integer Seidel matrix,
-    complex128 for an Eisenstein one."""
+    for, in floating point: float64 when its omega part is the scalar 0,
+    as in an integer Seidel matrix, complex128 otherwise."""
     q, params = cert.q, cert.params
-    p = params.c_value * (q.data if isinstance(q, SeidelMatrixInt) else q.to_complex())
+    p = params.c_value * (q.to_complex() if q.b.ndim else q.a)
     np.fill_diagonal(p, params.k / params.n)  # Q has a zero diagonal
     return p
 

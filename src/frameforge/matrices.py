@@ -131,7 +131,6 @@ class SeidelMatrixInt(SeidelMatrix):
 
     UNITS = (ONE, -ONE)
     UNITS_TEXT = "+1 or -1"
-    data = property(lambda self: self.a)
 
     def square(self) -> np.ndarray:
         """Q^2, the a part of the component square (its b part is 0)."""
@@ -179,7 +178,8 @@ def certify_two_eigenvalue(q: SeidelMatrix) -> TwoEigenvalueCertificate | Reject
     """Check the exact two-eigenvalue identity and derive the frame parameters.
 
     mu is read off entry (0, 1) and then verified at every position; it
-    must be rational (zero omega part).
+    must be rational (zero omega part).  Such a mu is feasible, as tr Q = 0
+    makes the eigenvalue multiplicities integers, so a refusal is a bug.
     """
     n = q.n
     if n < 2:
@@ -200,8 +200,8 @@ def certify_two_eigenvalue(q: SeidelMatrix) -> TwoEigenvalueCertificate | Reject
             "not-two-eigenvalue", f"entry ({i},{j}): got {got}, need {need} for mu={mu}"
         )
     params = params_from_mu(n, mu)
-    if isinstance(params, Rejection):  # cannot happen for a genuine Seidel matrix
-        return params
+    if isinstance(params, Rejection):
+        raise RuntimeError(f"internal: a matrix satisfying the identity got {params}")
     return TwoEigenvalueCertificate(mu=mu, params=params, q=q)
 
 

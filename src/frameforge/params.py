@@ -49,10 +49,11 @@ def params_from_mu(n: int, mu: int) -> FrameParams | Rejection:
     """Solve for k (and the eigenvalues) given the matrix trace parameter mu.
 
     mu = 0 needs n even (k = n/2); otherwise the discriminant mu^2 + 4(n-1)
-    must be a perfect square s^2 with k = n(s - mu)/(2s) a positive integer
-    below n.  All screening is exact.  A failure is an infeasible-parameters
-    rejection whose detail names the condition: odd-n-with-mu-zero,
-    non-square-discriminant, non-integral-k or k-out-of-range.
+    must be a perfect square s^2 with k = n(s - mu)/(2s) an integer.  As
+    s > |mu| for n >= 2, such a k lies strictly between 0 and n.  All
+    screening is exact.  A failure is an infeasible-parameters rejection
+    whose detail names the condition: odd-n-with-mu-zero,
+    non-square-discriminant or non-integral-k.
     """
     if n < 2:
         raise ValueError("frame size n must be at least 2")
@@ -67,8 +68,6 @@ def params_from_mu(n: int, mu: int) -> FrameParams | Rejection:
     if (n * (s - mu)) % (2 * s):
         return Rejection("infeasible-parameters", f"mu={mu}: non-integral-k")
     k = n * (s - mu) // (2 * s)
-    if not 1 <= k <= n - 1:
-        return Rejection("infeasible-parameters", f"mu={mu}: k-out-of-range")
     return _build(n, k, mu, d, float(s))
 
 

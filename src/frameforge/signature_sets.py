@@ -59,9 +59,10 @@ def quasi_signature_matrix(group: GroupTable, s: Subset) -> SeidelMatrixInt:
 def verify_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict | Rejection:
     """Decide whether S is a signature set; n is the group order.
 
-    Criteria: S and T closed under inverses, and one even mu with
+    Criteria: S and T closed under inverses, and one mu with
     4*N_{(S,T)}^g = n-2-mu on S and 4*N_{(S,T)}^h = n-2+mu on T.
     Odd group order is rejected outright (no signature set exists there).
+    For even n, mu = n-2-4N is even and N <= min(|S|, |T|) <= (n-2)/2.
     """
     n = group.order
     if fault := screen_members(group, s):
@@ -75,10 +76,6 @@ def verify_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict | Rej
 
     ct_st = pair_count_table(group, s, t)
     mu = n - 2 - 4 * int(ct_st[next(iter(s))]) if s else -(n - 2)
-    if mu % 2:
-        return Rejection("odd-mu", f"candidate mu={mu} is odd")
-    if not -(n - 2) <= mu <= n - 2:
-        return Rejection("mu-out-of-range", f"mu={mu} outside [-(n-2), n-2]")
     return (
         _count_mismatch(group, "count-mismatch-on-s", s, ct_st, n - 2 - mu, "S,T", "(n-2-mu)/4")
         or _count_mismatch(group, "count-mismatch-on-t", t, ct_st, n - 2 + mu, "S,T", "(n-2+mu)/4")
@@ -184,11 +181,12 @@ def accept_verdict(
 ) -> SignatureVerdict | Rejection:
     """The acceptance every verifier ends in, once its own criterion has
     fixed mu: the matrix identity in group-algebra form (`seidel_identity`)
-    must give the same mu, and mu must give feasible frame parameters.
+    must give the same mu, which then gives the frame parameters.
 
     kind is a `SignatureVerdict` kind; t is the T of a cube pair.  The
     matrix has size |G|, plus one for the bordered kinds.  Disagreement of
-    the two criteria would mean an implementation bug, hence the hard error.
+    the two criteria, or infeasible parameters for a mu the identity holds
+    with, would mean an implementation bug, hence the hard error.
     """
     columns = seidel_coefficients(group.order, kind, [s if t is None else (s, t)])
     holds, identity_mu = seidel_identity(group, kind, *columns)
@@ -197,7 +195,7 @@ def accept_verdict(
     n = group.order + (kind in ("quasi", "cube-quasi"))
     params = params_from_mu(n, mu)
     if isinstance(params, Rejection):
-        return params
+        raise RuntimeError(f"internal: a matrix satisfying the identity got {params}")
     return SignatureVerdict(
         kind=kind, params=params, mu=mu, subset=s, t_subset=t, matrix_dim=n
     )

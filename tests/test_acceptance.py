@@ -96,11 +96,11 @@ def test_criterion_2_table_1mod8_reproduction():
 
 def test_criterion_3_printed_matrix_goldens():
     q6 = quasi_signature_matrix(cyclic(5), Subset.of(5, [1, 4]))
-    assert np.array_equal(q6.data, golden.CONFERENCE_6)
+    assert np.array_equal(q6.a, golden.CONFERENCE_6)
     assert np.array_equal(q6.square(), 5 * np.eye(6, dtype=np.int64))
 
     q14 = quasi_signature_matrix(cyclic(13), Subset.of(13, [1, 3, 4, 9, 10, 12]))
-    assert np.array_equal(q14.data, golden.CONFERENCE_14)
+    assert np.array_equal(q14.a, golden.CONFERENCE_14)
     assert np.array_equal(q14.square(), 13 * np.eye(14, dtype=np.int64))
 
     g = quaternion8()
@@ -182,8 +182,8 @@ def test_criterion_5_difference_set_suite():
     verdict = diffset_to_signature(g64, d)
     assert verdict.ok and (verdict.params.n, verdict.params.k) == (64, 28)
     q = signature_matrix(g64, d)
-    assert np.array_equal(q.square(), 63 * np.eye(64, dtype=np.int64) + 2 * q.data)
-    h = np.eye(64, dtype=np.int64) - q.data
+    assert np.array_equal(q.square(), 63 * np.eye(64, dtype=np.int64) + 2 * q.a)
+    h = np.eye(64, dtype=np.int64) - q.a
     assert is_hadamard(h)
     assert np.array_equal(h.T @ h, 64 * np.eye(64, dtype=np.int64))
 

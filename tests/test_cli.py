@@ -68,6 +68,15 @@ def test_diffset(capsys):
     assert payload["n"] == 11 and payload["k"] == 5 and payload["lambda"] == 2
 
 
+def test_diffset_rejects_a_non_difference_set(capsys):
+    code, out, err = run_cli(capsys, "diffset", "--group", "C7", "--set", "1,2")
+    assert code == 1 and err == ""
+    assert out == (
+        '{"group": "C7", "reason": "non-constant-differences: element 2 arises 0 times, '
+        'others 1: witness=2", "valid": false}\n'
+    )
+
+
 def test_diffset_to_signature(capsys):
     code, out, _ = run_cli(
         capsys, "diffset", "--group", "C4xC4",
@@ -159,6 +168,25 @@ def test_tables_json_with_sets(capsys):
     assert payload["set"] == [1, 2, 4, 8, 9, 13, 15, 16]
 
 
+def test_tables_text_with_sets(capsys):
+    code, out, err = run_cli(capsys, "tables", "--algorithm", "thm59", "--max-m", "3", "--emit-sets")
+    assert code == 0 and err == ""
+    assert out == (  # m = 2 gives p = 21, which is not prime
+        "   0  (6, 3)  {1,4}\n"
+        "   1  (14, 7)  {1,3,4,9,10,12}\n"
+        "   3  (30, 15)  {1,4,5,6,7,9,13,16,20,22,23,24,25,28}\n"
+    )
+
+
+def test_tables_emit_matrix_without_a_hit_exits_1(capsys):
+    # p = 8*2 + 5 = 21 is not prime, so m = 2 has no row
+    code, out, err = run_cli(
+        capsys, "tables", "--algorithm", "thm59", "--max-m", "10", "--emit-matrix", "2",
+    )
+    assert code == 1 and out == ""
+    assert err == "no hit at m=2\n"
+
+
 def test_tables_emit_matrix(capsys):
     code, out, _ = run_cli(
         capsys, "tables", "--algorithm", "thm59", "--max-m", "0", "--emit-matrix", "0",
@@ -241,10 +269,46 @@ def test_frame_vector_file(tmp_path, capsys, emit):
     assert "-0," not in text and "-0\n" not in text
 
 
+def test_frame_rejects_a_matrix_with_more_than_two_eigenvalues(tmp_path, capsys):
+    # eigenvalues -sqrt(5), -1, 1, sqrt(5)
+    path = tmp_path / "matrix.json"
+    path.write_text(
+        '{"n": 4, "entries": [["0", "1", "1", "1"], ["1", "0", "1", "-1"], '
+        '["1", "1", "0", "1"], ["1", "-1", "1", "0"]]}'
+    )
+    code, out, err = run_cli(capsys, "frame", "--from", str(path))
+    assert code == 1 and err == ""
+    assert out == (
+        '{"reason": "not-two-eigenvalue: entry (0,2): got 2, need 0 for mu=0", '
+        '"valid": false}\n'
+    )
+
+
+def test_frame_below_float_resolution_is_a_factor_gram_rejection(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    code, out, _ = run_cli(
+        capsys, "tables", "--algorithm", "thm59", "--max-m", "0", "--emit-matrix", "0",
+    )
+    path.write_text(out)
+    assert code == 0 and run_cli(capsys, "frame", "--from", str(path))[0] == 0
+    # float round-off puts the Gram spectrum farther than 1e-30 from {0, 1}
+    reject = frame_from_matrix(matrix_from_json(out), tol=1e-30)
+    assert reject.reason == "not-a-rank-k-projection"
+    code, out, err = run_cli(capsys, "frame", "--from", str(path), "--tol", "1e-30")
+    assert code == 1 and err == ""
+    assert out == json.dumps({"reason": str(reject), "valid": False}, sort_keys=True) + "\n"
+
+
 def test_usage_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "verify", "--group", "S3", "--set", "1")
     assert code == 2
     assert "error" in err.lower()
+
+
+def test_unbalanced_close_paren_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--group", "C4xC4", "--set", "(1,0)),(0,1)")
+    assert code == 2 and out == ""
+    assert err == "error: unbalanced parentheses in label list\n"
 
 
 def test_unknown_label_exit_2(capsys):

@@ -134,8 +134,8 @@ def test_diffset_to_signature_z8z8():
     assert (verdict.params.n, verdict.params.k) == (64, 28)
     q = signature_matrix(g, d)
     sq = q.square()
-    assert np.array_equal(sq, 63 * np.eye(64, dtype=np.int64) + 2 * q.data)
-    assert is_hadamard(np.eye(64, dtype=np.int64) - q.data)
+    assert np.array_equal(sq, 63 * np.eye(64, dtype=np.int64) + 2 * q.a)
+    assert is_hadamard(np.eye(64, dtype=np.int64) - q.a)
 
 
 def test_diffset_to_signature_rejects_non_square_order():
@@ -202,4 +202,4 @@ def test_hadamard_from_every_acceptance(c4xc4):
         verdict = diffset_to_signature(group, d)
         assert verdict.ok
         q = signature_matrix(group, d)
-        assert is_hadamard(np.eye(group.order, dtype=np.int64) - q.data)
+        assert is_hadamard(np.eye(group.order, dtype=np.int64) - q.a)

@@ -91,7 +91,7 @@ def test_bordered_matrices_are_conference(m, p):
     algorithm = "thm59" if p % 8 == 5 else "thm511"
     hit = [h for h in generate(algorithm, m, verify=False) if h.m == m][0]
     matrix = quasi_signature_matrix(cyclic(p), Subset.of(p, hit.residues))
-    assert is_conference(matrix.data)
+    assert is_conference(matrix.a)
     cert = certify_two_eigenvalue(matrix)
     assert cert.mu == 0 and cert.params.k == (p + 1) // 2
 
@@ -99,7 +99,7 @@ def test_bordered_matrices_are_conference(m, p):
 def test_midsize_matrix_is_conference():
     hit = [h for h in generate("thm511", 12, verify=False) if h.p == 97][0]
     matrix = quasi_signature_matrix(cyclic(97), Subset.of(97, hit.residues))
-    assert is_conference(matrix.data)
+    assert is_conference(matrix.a)
 
 
 def test_largest_table_hit_certifies_exactly():
@@ -109,4 +109,4 @@ def test_largest_table_hit_certifies_exactly():
     matrix = quasi_signature_matrix(cyclic(hit.p), Subset.of(hit.p, hit.residues))
     cert = certify_two_eigenvalue(matrix)
     assert cert.mu == 0 and (cert.params.n, cert.params.k) == (2378, 1189)
-    assert is_conference(matrix.data)
+    assert is_conference(matrix.a)

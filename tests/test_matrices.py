@@ -72,7 +72,7 @@ def test_regrep_rejects_identity_coefficient():
 def test_regrep_z5_circulant_matches_reference():
     g = cyclic(5)
     m = signature_matrix(g, Subset.of(5, [1, 4]))
-    assert np.array_equal(m.data, golden.CONFERENCE_6[1:, 1:])
+    assert np.array_equal(m.a, golden.CONFERENCE_6[1:, 1:])
 
 
 def test_builders_refuse_a_subset_of_another_group():
@@ -102,20 +102,20 @@ def test_constructor_leaves_the_callers_array_writable(eisenstein):
 
 def test_border_empty():
     empty = SeidelMatrixInt(np.zeros((0, 0), dtype=np.int64))
-    assert border_standard(empty).data.tolist() == [[0]]
+    assert border_standard(empty).a.tolist() == [[0]]
 
 
 def test_border_reproduces_conference_6():
     g = cyclic(5)
     m = border_standard(signature_matrix(g, Subset.of(5, [1, 4])))
-    assert np.array_equal(m.data, golden.CONFERENCE_6)
+    assert np.array_equal(m.a, golden.CONFERENCE_6)
     assert m.b.shape == ()  # the omega part of an integer matrix stays the scalar 0
 
 
 def test_border_reproduces_conference_14():
     g = cyclic(13)
     m = border_standard(signature_matrix(g, Subset.of(13, [1, 3, 4, 9, 10, 12])))
-    assert np.array_equal(m.data, golden.CONFERENCE_14)
+    assert np.array_equal(m.a, golden.CONFERENCE_14)
 
 
 def test_border_reproduces_cube_root_9():
@@ -281,7 +281,7 @@ def test_to_standard_form_restores_switched_matrix():
         d = rng.choice([-1, 1], size=14)
         scrambled = switch(q, d.tolist())
         restored = to_standard_form(scrambled)
-        assert (restored.data[0, 1:] == 1).all() and (restored.data[1:, 0] == 1).all()
+        assert (restored.a[0, 1:] == 1).all() and (restored.a[1:, 0] == 1).all()
         cert = certify_two_eigenvalue(restored)
         assert cert.params == base.params
 
@@ -302,7 +302,7 @@ def test_is_hadamard():
     g = direct_product(cyclic(4), cyclic(4))
     s = g.subset(["(1,0)", "(2,0)", "(3,0)", "(0,1)", "(0,2)", "(0,3)"])
     q = signature_matrix(g, s)
-    assert is_hadamard(np.eye(16, dtype=np.int64) - q.data)
+    assert is_hadamard(np.eye(16, dtype=np.int64) - q.a)
     # mu = 0 cases fail: (I-Q)^2 = (n+1)I - 2Q != nI
     q0 = golden.CONFERENCE_6
     assert not is_hadamard(np.eye(6, dtype=np.int64) - q0)
@@ -321,7 +321,7 @@ def test_symmetric_mu_zero_implies_conference():
         q = border_standard(signature_matrix(g, Subset.of(n, s_idx)))
         cert = certify_two_eigenvalue(q)
         assert cert.mu == 0
-        assert is_conference(q.data)
+        assert is_conference(q.a)
 
 
 def test_plus_minus_cover_has_seidel_shape():
@@ -392,7 +392,7 @@ def test_rejected_symmetric_candidate_has_more_eigenvalues():
     data[2, 1] = -1
     q = SeidelMatrixInt(data)
     assert not isinstance(certify_two_eigenvalue(q), TwoEigenvalueCertificate)
-    spectrum = np.sort(np.linalg.eigvalsh(q.data.astype(np.float64)))
+    spectrum = np.sort(np.linalg.eigvalsh(q.a.astype(np.float64)))
     distinct = 1 + int(np.sum(np.diff(spectrum) > 1e-9))
     assert distinct > 2
 
@@ -431,7 +431,7 @@ def test_certify_midsize_conference_matrix():
     q = quasi_signature_matrix(cyclic(313), Subset.of(313, hit[0].residues))
     cert = certify_two_eigenvalue(q)
     assert cert.mu == 0 and cert.params.k == 157
-    assert is_conference(q.data)
+    assert is_conference(q.a)
 
 
 def test_csv_json_round_trip_int():
@@ -538,7 +538,7 @@ def test_matrix_from_json_parses_or_raises_value_error(text):
 def _reference_tokens(q):
     """The per-cell serialisation: one unit_to_token call per cell."""
     if isinstance(q, SeidelMatrixInt):
-        return [[unit_to_token(EisensteinInt(int(v), 0)) for v in row] for row in q.data]
+        return [[unit_to_token(EisensteinInt(int(v), 0)) for v in row] for row in q.a]
     return [[unit_to_token(q.entry(i, j)) for j in range(q.n)] for i in range(q.n)]
 
 

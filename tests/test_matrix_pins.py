@@ -159,9 +159,9 @@ def test_integer_switch_matches_the_per_cell_reference(seed):
         out = switch(q, signs, perm.tolist())
         units = [EisensteinInt(s, 0) for s in signs]
         expected = np.array(
-            [[(units[i] * EisensteinInt(int(q.data[perm[i], perm[j]]), 0) * units[j]).a
+            [[(units[i] * EisensteinInt(int(q.a[perm[i], perm[j]]), 0) * units[j]).a
               for j in range(n)] for i in range(n)],
             dtype=np.int64,
         ).reshape(n, n)
         assert isinstance(out, SeidelMatrixInt)
-        assert np.array_equal(out.data, expected)
+        assert np.array_equal(out.a, expected)

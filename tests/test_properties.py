@@ -121,7 +121,7 @@ def test_every_mu_zero_acceptance_is_conference():
                 q = signature_matrix(group, hit.verdict.subset)
                 from frameforge import is_conference
 
-                assert is_conference(q.data)
+                assert is_conference(q.a)
 
 
 def test_accepted_quasi_sets_match_feasible_mu_screen():

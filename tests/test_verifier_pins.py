@@ -3,8 +3,8 @@
 The digests are sha256 over `str(result)`, one result per line, for every
 candidate of small groups: any change to a verdict, a rejection reason, its
 detail text or its witness changes a digest.  The oracle tests make the
-group-algebra identity disagree with the counting criterion and require the
-hard error.
+group-algebra identity disagree with the counting criterion, or refuse the
+parameters of a mu it holds with, and require the hard error.
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ from itertools import combinations
 import pytest
 
 from frameforge import (
+    Rejection,
     Subset,
+    certify_two_eigenvalue,
     cyclic,
     diffset_to_signature,
     direct_product,
+    quasi_signature_matrix,
     quaternion8,
     verify_difference_set,
     verify_quasi_signature_pair,
@@ -176,3 +179,22 @@ def test_mutual_oracle_disagreement_is_a_hard_error(kind, monkeypatch):
     assert patched
     with pytest.raises(RuntimeError):
         verify(*args)
+
+
+def test_infeasible_parameters_for_a_true_identity_are_a_hard_error(monkeypatch):
+    # the mu of any matrix that satisfies the two-eigenvalue identity is
+    # feasible, so a refusal from params_from_mu is an implementation bug
+    c4xc4 = direct_product(cyclic(4), cyclic(4))
+    axis = c4xc4.subset(["(1,0)", "(2,0)", "(3,0)", "(0,1)", "(0,2)", "(0,3)"])
+    quasi = quasi_signature_matrix(cyclic(5), Subset.of(5, [1, 4]))
+    assert verify_signature_set(c4xc4, axis).ok and certify_two_eigenvalue(quasi).ok
+
+    def infeasible(n, mu):
+        return Rejection("infeasible-parameters", f"mu={mu}: non-integral-k")
+
+    for name in ("frameforge.signature_sets", "frameforge.matrices"):
+        monkeypatch.setattr(sys.modules[name], "params_from_mu", infeasible)
+    with pytest.raises(RuntimeError, match="internal"):
+        verify_signature_set(c4xc4, axis)
+    with pytest.raises(RuntimeError, match="internal"):
+        certify_two_eigenvalue(quasi)

@@ -9,6 +9,7 @@ digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -223,8 +224,13 @@ def _cmd_frame(args: argparse.Namespace) -> int:
     if args.out:
         # one re,im pair of cells per component; + 0.0 drops negative zero.
         # "%.12g" % x is the text of format(x, ".12g"), one template per row.
-        cells = np.ascontiguousarray(frame.vectors, dtype=np.complex128).view(np.float64) + 0.0
-        line = ",".join(["%.12g"] * cells.shape[1]) + "\n"
+        v = frame.vectors
+        if np.iscomplexobj(v):
+            cells = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64) + 0.0
+            pair = "%.12g,%.12g"
+        else:  # a real frame formats only its real parts: every imaginary cell is 0
+            cells, pair = v + 0.0, "%.12g,0"
+        line = ",".join([pair] * v.shape[1]) + "\n"
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("".join(line % tuple(row) for row in cells.tolist()))
     payload = {
@@ -247,7 +253,10 @@ def _write_matrix(matrix, mu: int, path: str) -> None:
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each subcommand's handler looks
+    up the module's names when it runs."""
     parser = argparse.ArgumentParser(
         prog="frameforge",
         description="construct, certify and search group-derived equiangular tight frames",
@@ -304,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

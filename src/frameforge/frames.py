@@ -109,6 +109,9 @@ def factor_gram(p: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> FrameVectors
             "not-a-rank-k-projection",
             f"need {k} eigenvalues near 1 and the rest near 0; spectrum: [{spectrum}]",
         )
+    # Scalar per column on purpose: numpy divides a complex scalar and a
+    # complex array with different rounding, so a vectorised phase fix
+    # changes the last bits of complex frames.
     cols = []
     for idx in np.nonzero(near_one)[0]:
         vec = eigvecs[:, idx] * np.sqrt(eigvals[idx])
@@ -136,8 +139,9 @@ def verify_frame(
     tightness = float(np.abs(v.conj().T @ v - np.eye(k)).max())
     norms = np.real(np.diagonal(gram))
     uniformity = float(np.abs(norms - k / n).max())
-    off = ~np.eye(n, dtype=bool)
-    equiangularity = float(np.abs(np.abs(gram[off]) - params.c_value).max())
+    dev = np.abs(np.abs(gram) - params.c_value)
+    np.fill_diagonal(dev, 0.0)  # every deviation is >= 0 and n >= 2: the max is kept
+    equiangularity = float(dev.max())
     return FrameCheckReport(
         tightness_dev=tightness,
         uniformity_dev=uniformity,

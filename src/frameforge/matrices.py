@@ -289,10 +289,15 @@ def matrix_to_csv(q: SeidelMatrix) -> str:
 
 
 def matrix_to_json(q: SeidelMatrix, mu: int | None = None) -> str:
-    payload: dict = {"n": q.n, "entries": _cell_tokens(q).tolist()}
+    """The text of json.dumps({"entries": tokens, "mu": mu, "n": n},
+    sort_keys=True), with "mu" left out when it is None.  The entries are
+    joined row by row: no cell token needs escaping, and "entries" sorts
+    before the keys json.dumps still writes."""
+    rest: dict = {"n": q.n}
     if mu is not None:
-        payload["mu"] = mu
-    return json.dumps(payload, sort_keys=True)
+        rest["mu"] = mu
+    rows = ", ".join('["' + '", "'.join(row) + '"]' for row in _cell_tokens(q).tolist())
+    return '{"entries": [' + rows + "], " + json.dumps(rest, sort_keys=True)[1:]
 
 
 def matrix_from_json(text: str) -> SeidelMatrix:

@@ -196,6 +196,4 @@ def accept_verdict(
     params = params_from_mu(n, mu)
     if isinstance(params, Rejection):
         raise RuntimeError(f"internal: a matrix satisfying the identity got {params}")
-    return SignatureVerdict(
-        kind=kind, params=params, mu=mu, subset=s, t_subset=t, matrix_dim=n
-    )
+    return SignatureVerdict(kind=kind, params=params, mu=mu, subset=s, t_subset=t)

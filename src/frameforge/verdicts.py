@@ -35,9 +35,9 @@ class Rejection:
 class SignatureVerdict:
     """A successful verification of a set (or pair of sets) in a group.
 
-    kind is one of "signature", "quasi", "cube-pair", "cube-quasi";
-    matrix_dim is the size of the certified matrix (group order, plus one
-    for the bordered kinds).
+    kind is one of "signature", "quasi", "cube-pair", "cube-quasi"; the
+    certified matrix has params.n rows (the group order, plus one for the
+    bordered kinds).
     """
 
     kind: str
@@ -45,7 +45,6 @@ class SignatureVerdict:
     mu: int
     subset: Subset
     t_subset: Subset | None
-    matrix_dim: int
 
     @property
     def ok(self) -> bool:

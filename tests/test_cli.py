@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from frameforge import generators, parse_group
+from frameforge import cli, generators, parse_group
 from frameforge.cli import main, split_labels
 from frameforge.frames import frame_from_matrix
 from frameforge.matrices import matrix_from_json
@@ -241,8 +241,9 @@ def _per_cell_csv(vectors):
 
 @pytest.mark.parametrize("emit", [
     ["tables", "--algorithm", "thm59", "--max-m", "3", "--emit-matrix", "3"],
+    ["tables", "--algorithm", "thm59", "--max-m", "21", "--emit-matrix", "21"],  # n = 174
     ["cube-verify", "--group", "Q8", "--s", "-1", "--t", "i,j,k", "--quasi", "--emit-matrix"],
-], ids=["thm59_m3", "q8_cube"])
+], ids=["thm59_m3", "thm59_m21", "q8_cube"])
 def test_frame_vector_file(tmp_path, capsys, emit):
     matrix_path = tmp_path / "matrix.json"
     vectors_path = tmp_path / "vectors.csv"
@@ -386,3 +387,35 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, *command)
     assert code == 2 and out == ""
     assert "error" in err
+
+
+def _cli_session(capsys, tmp_path):
+    """A usage error, a search, an emitted matrix and its frame, run in turn;
+    the (exit code, stdout, stderr) of each call."""
+    matrix_path, vectors_path = tmp_path / "matrix.json", tmp_path / "vectors.csv"
+    results = []
+    try:
+        main(["search", "--group", "C5", "--kind", "nope"])
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        results.append((exc.code, out.out, out.err))
+    results.append(run_cli(capsys, "search", "--group", "C4xC4", "--kind", "signature"))
+    results.append(run_cli(
+        capsys, "tables", "--algorithm", "thm59", "--max-m", "4", "--emit-matrix", "4",
+    ))
+    matrix_path.write_text(results[-1][1])
+    results.append(run_cli(
+        capsys, "frame", "--from", str(matrix_path), "--out", str(vectors_path),
+    ))
+    return results, vectors_path.read_text()
+
+
+def test_parser_is_built_once_and_parses_like_a_fresh_one(capsys, tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    cached = _cli_session(capsys, tmp_path)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = _cli_session(capsys, tmp_path)
+    assert cached == fresh
+    assert [code for code, _, _ in cached[0]] == [2, 0, 0, 0]
+    assert "invalid choice" in cached[0][0][2]

@@ -100,7 +100,6 @@ def test_quasi_pair_quaternion(q8):
     verdict = verify_quasi_signature_pair(q8, q8.subset(["-1"]), q8.subset(["i", "j", "k"]))
     assert verdict.ok and verdict.mu == -2
     assert (verdict.params.n, verdict.params.k) == (9, 6)
-    assert verdict.matrix_dim == 9
 
 
 def test_quasi_pair_trivial_border():

@@ -28,7 +28,14 @@ from frameforge import (
     switch,
     to_standard_form,
 )
-from frameforge.eisenstein import OMEGA, OMEGA2, ONE, EisensteinInt, unit_to_token
+from frameforge.eisenstein import (
+    CELL_TOKENS,
+    OMEGA,
+    OMEGA2,
+    ONE,
+    EisensteinInt,
+    unit_to_token,
+)
 from frameforge.verdicts import Rejection
 
 
@@ -557,12 +564,12 @@ def _random_seidel(rng, n, eisenstein):
 @pytest.mark.parametrize("eisenstein", [False, True], ids=["int", "eisenstein"])
 def test_serialisation_matches_per_cell_reference(eisenstein):
     rng = np.random.default_rng(7 + eisenstein)
-    for n in [1, 2, 3, 5, 8, 13, 21, 34, 40]:
-        for _ in range(3):
+    for n in [1, 2, 3, 5, 8, 13, 21, 34, 40, 211]:
+        for _ in range(3 if n < 200 else 1):
             q = _random_seidel(rng, n, eisenstein)
             tokens = _reference_tokens(q)
             assert matrix_to_csv(q) == "\n".join(",".join(row) for row in tokens) + "\n"
-            for mu in (None, -2):
+            for mu in (None, 0, -2):  # the CLI writes mu = 0
                 text = matrix_to_json(q, mu=mu)
                 payload = {"n": n, "entries": tokens, **({} if mu is None else {"mu": mu})}
                 assert text == json.dumps(payload, sort_keys=True)
@@ -572,3 +579,17 @@ def test_serialisation_matches_per_cell_reference(eisenstein):
                     assert back == SeidelMatrixInt(q.a)
                 else:
                     assert back == q
+
+
+def test_cell_tokens_need_no_json_escaping():
+    # matrix_to_json joins the tokens into JSON text without json.dumps
+    assert all(json.dumps(token) == f'"{token}"' for token in CELL_TOKENS)
+
+
+def test_json_mu_goes_through_json_dumps():
+    q = SeidelMatrixInt([[0, 1], [1, 0]])
+    assert matrix_to_json(q, mu=1.5) == json.dumps(
+        {"n": 2, "entries": [["0", "1"], ["1", "0"]], "mu": 1.5}, sort_keys=True
+    )
+    with pytest.raises(TypeError):
+        matrix_to_json(q, mu=object())

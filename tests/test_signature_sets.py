@@ -104,7 +104,6 @@ def test_quasi_z5():
     verdict = verify_quasi_signature_set(g, Subset.of(5, [1, 4]))
     assert verdict.ok and verdict.mu == 0
     assert (verdict.params.n, verdict.params.k) == (6, 3)
-    assert verdict.matrix_dim == 6
 
 
 def test_quasi_z13():

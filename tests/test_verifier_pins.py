@@ -55,40 +55,40 @@ def _all_subsets(group):
 
 SET_DIGESTS = {
     "C1": "1e6a63be7a7cc8332263fac88e6ace13c9c2590f730ec77df8ee6e1faea583e4",
-    "C2": "5e6f76bb2ca461977bc99285cd37213e36f32813bdb5c546ee8ba8403e6f6696",
+    "C2": "61cbdf94db066602c1e553a16eeb52744a5f566fe0c8a1292b82ccde7a1af6ce",
     "C3": "80a755c31f06c25434d62ccc41343ac9a7b466d90caf22caa3de685ce407ac2d",
-    "C4": "f18ac0dcfd77fb40f52f2e5938371baf0dba2b090121605a329e234d06a40515",
-    "C5": "16679e5554982acb82d8568f020f8b29faa1f1cb8e8a7d73e3e1cc4c25711178",
-    "C6": "2e771b372fad338d54d3d878a689a49315d03e20656c05c55e9c3343e2ebc555",
+    "C4": "94a168de043829f9da5aede65b5b37d734749592313a0016e26db9f0b705ef5e",
+    "C5": "f4f744ebba751be9f4c2925e7f15046caaee162a518bb279fe9918d2eeddb70a",
+    "C6": "dd3bfa7a38082bfd8061b925f533fe65f059d3bb1bc6c319c48d073dbc4918f3",
     "C7": "14134194025bc29e8639fc134ae97f5b964d89c0ff47439d52967be3fed116f0",
-    "C8": "8b12b3b31c7ce4756cfcbc66fa7e32df7eee784dbc2b03e21618f91c00041d6b",
+    "C8": "7aa4e5145283f7a35523e48b29631bf0e15897494e132e4e50228ad8b910c638",
     "C9": "20fcb63b424db9b93e6d83e3e141622c5a782c525457a2a437413afce38d460e",
-    "Q8": "ecb140f2fe722d669fba2c9b8c13fbadd80d4706a796aa9cc7e7ebfee75a22ef",
-    "C2xC4": "681fe402d95ce7ff997543110bffc423eea7f999e61cba14b3c59ee2fc358b25",
-    "C3xC3": "b12871bcd394d5bc0b05e489ce90d8468fa979ee2581470da9a368edbd538056",
+    "Q8": "4191c4e4d436886e430940d2afe7d3c9fd237807d5029db0ad63b3470f8acaa8",
+    "C2xC4": "f742cc3292adb92ab06d4ceacc39605650fe6ebd9ef8c52968c88104326f2725",
+    "C3xC3": "9169ad0e0807c76a2acb82e29e8e68d2a2c3957dacef81a07ba6d5786f4cc3d5",
 }
 
 PAIR_DIGESTS = {
-    "C1": "adc7acd2208d305165c591967dca1e8236d5f8a41ebd6c410d921808cdca6233",
-    "C2": "63181aa5585433ed32dc31a51274c5bae88a3bfb8d1c5be6ff6043f5939e0873",
-    "C3": "ae594c5b36f49cf0b6ca1feb3140f6a5969c2597d4d6afa354405afc8fdf1278",
-    "C4": "744f614699f52335c2b46f617088fa519c9ddc2c485acfc388eddd87f9dc7d67",
-    "C5": "0c3d688a10394ae76af15d68231d85ddfc0ae79e932c55559d59c00962073282",
-    "C6": "457b4f3b75b5354e747f2719ed3e17f35888a72d44f0fdef4ca23ccf831a0bd9",
-    "C7": "229600ed1d602fd3d981a7f4fe96fd67a0c70aa2eb331daea478b000bd168604",
-    "C8": "9e9d970f908350818dbde734765e24e639a1f20fae7956a0fbed1796c8a7e746",
-    "C9": "3a0c1da15a81442142a9eb4df8dda707ccad7ab99210c6c645f0488a29828c87",
-    "Q8": "97c4b3c2d4233e597d5a8e70faba0d7929767038de3e0cabbb4f5dc6c2c96f22",
-    "C2xC4": "f8bed7b98eaf047f4f9573ed2c71d129b77ff38e146ae4ce17b25c29ba67eacc",
-    "C3xC3": "e532ec0fc8d6a59460218929fcdc2f85c15565f7134524f7209a17fca1468c86",
+    "C1": "b1b92a86a4ccf549aa609878f50f4e1db61392785c5c1cb429bf6c1990ba178d",
+    "C2": "4b91c7263751908bc8c90ee3a8a82c489b3ee42435094b52c696744ea63df1b2",
+    "C3": "bec3b4ff993f3062515ef22ff791c336292ff85a24ab7f610dcd618985a60d25",
+    "C4": "5a696965b4cc4965c81258bcfcff0d67d9bb5d4b2290a71ea0b643ddb17c8d61",
+    "C5": "11df636bfa7a70a1216de386935dd77a19a02a79361b087f9237a23ad664c348",
+    "C6": "d2ed451c60c4ea097206e821a0e0040cc407245f34718877208033e913f34ff3",
+    "C7": "4d45c22b204f8b32a69a6d9ac5106bc47503575a0da21e7693da6a3be1e128d2",
+    "C8": "c5872fafe003a7909045846fd9bda8b8adaca12a7cd7294e272056f186430d7c",
+    "C9": "8822788f85052b0da2fc54634bf329a9f84da2156e0b1a26377fb7dae6c4cd65",
+    "Q8": "2d9de5cced7624943eb8ecf69a11d18d06a16c4954cd2501dcea65985ca63de0",
+    "C2xC4": "f3e001afddc9cf6d2aedec270d120ddc9bec615debdc3ab5c1730590fb407404",
+    "C3xC3": "641374777beebdaefb80a87f612e20a512fbf3e3244a20c3a6e804d82c3dd585",
 }
 
 DIFFSET_DIGESTS = {
-    "C4": "f777ae9190d07739f7b2aa74f1e084289794b9209628337825809ab05bc3150e",
-    "C2xC2": "360529e285f21ace984e0b41980a152601f61ca275d9c790047a8a9153dea9d5",
+    "C4": "1817d9bc5427f46edf71a5fd500580d1ca6238b5725ddb8830e1b2bea31a3e50",
+    "C2xC2": "09e14a35e879fe6f36e32f0e9a50dd696c76f4cf71a8dc02718e5511f4a2269c",
     "C9": "6bfd2aadd7fc00e5971e65d983e6d149975db24db45674662ff52e32b9ad22fb",
     "C3xC3": "328b8ce13a3724647f74f0b48294baa8eb9f3c4fa3e05d2f9c54db2b2bb4cb22",
-    "C4xC4": "302bec756289721671a6fde1f5ae99ce0c18bdca89c98c1ad72ab19c835af0e7",
+    "C4xC4": "499b7a057da79bd19a2d8003c4ae8b4fe7fe1bdc7aa30457ee5a76bb8e5994f3",
 }
 
 

@@ -44,6 +44,15 @@ class Subset:
         return cls(order, bits)
 
     @classmethod
+    def from_mask(cls, order: int, mask: np.ndarray) -> Subset:
+        """The subset whose members are the non-zero entries of a
+        length-order vector; the inverse of `mask`."""
+        if len(mask) != order:
+            raise ValueError(f"mask of length {len(mask)} for order {order}")
+        packed = np.packbits(mask, bitorder="little").tobytes()
+        return cls(order, int.from_bytes(packed, "little"))
+
+    @classmethod
     def full_nonidentity(cls, order: int) -> Subset:
         return cls(order, (1 << order) - 2)
 
@@ -105,8 +114,7 @@ def inverse_set(group: "GroupTable", s: Subset) -> Subset:
     """{x^-1 : x in s}: y is a member when y^-1 is in s, so one gather of
     the mask through inv gives the inverse set's mask."""
     _check_group(group, s)
-    packed = np.packbits(s.mask()[group.inv], bitorder="little").tobytes()
-    return Subset(s.order, int.from_bytes(packed, "little"))
+    return Subset.from_mask(s.order, s.mask()[group.inv])
 
 
 def pair_count_table(group: "GroupTable", a: Subset, b: Subset) -> np.ndarray:
@@ -122,23 +130,56 @@ def indicator_columns(order: int, subsets: Sequence[Subset]) -> np.ndarray:
     return np.array([s.mask() for s in subsets], dtype=np.int16).reshape(-1, order).T.copy()
 
 
+#: Largest number of entries in one gathered block of translates: 128 KB of
+#: int16, the bound on a block's temporaries.  Certifying both generator
+#: tables in-process (2 cores), 2**15 entries took 1.24x as long, 2**17
+#: 0.87x for twice the memory, and 2**18 1.25x.
+_BLOCK = 1 << 16
+
+
 def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The group-algebra product x*y: out[g] = sum_a x[a] * y[a^-1 g], so
     0/1 vectors give N_{(A,B)}^g.  Every pair count in this library comes from here.
 
     x and y are integer arrays of shape (order,) or (order, B) for B columns
-    at once.  Only the rows a where x is non-zero are visited, one left
-    translate y[a^-1 g] each (`GroupTable.left_translates`: a gathered table
-    row, or a slice in a cyclic group).  Accumulation stays in the inputs'
-    dtype.  For int16 that is exact while sum_a |x[a]| * max|y| < 2**15;
-    entries in {-1, 0, 1} qualify for every order up to MAX_ORDER = 4096.
-    The quotient join passes int64 coset sums.
+    at once.  Only the rows a where x is non-zero are visited, in blocks of
+    left translates y[a^-1 g] (`GroupTable.left_translates`: gathered table
+    rows, or windows of a slice in a cyclic group).  When x is one vector,
+    of shape (order,) or (order, 1), the rows of one weight are gathered at
+    most _BLOCK entries at a time, summed by one reduction and scaled once;
+    with B columns of x each row has its own weights, so a block is that
+    one translate, added as it is.  Accumulation stays in the inputs'
+    dtype.  For int16 that is exact while sum_a |x[a]| * max|y| < 2**15:
+    every partial sum of a block, scaled by its weight, and every running
+    total is bounded by it.  Entries in {-1, 0, 1} qualify for every order
+    up to MAX_ORDER = 4096.  The quotient join passes int64 coset sums.
     """
     out = np.zeros(y.shape, dtype=np.result_type(x, y))
     translate = group.left_translates(y)
-    for a in np.flatnonzero(x.reshape(len(x), -1).any(axis=1)):
-        out += x[a] * translate(a)
+    for weight, rows in _blocks(x, max(1, _BLOCK // y.size)):
+        # one expression, so no gathered translate outlives its term
+        out += weight * (
+            translate(rows).sum(axis=0, dtype=out.dtype) if rows.ndim else translate(rows)
+        )
     return out
+
+
+def _blocks(x: np.ndarray, step: int) -> Iterable[tuple]:
+    """The blocks of `convolve`: (weight, rows) with x[a] = weight for every
+    a in rows.  rows is an index array of at most step entries when x is one
+    vector, and a single row (an integer scalar) when x has several columns."""
+    if x.size != len(x):
+        return ((x[a], a) for a in np.flatnonzero(x.any(axis=1)))
+    x = x.reshape(len(x))
+    rows = np.argsort(x)  # the rows of one weight side by side
+    weights = x[rows]
+    cuts = [0, *(np.flatnonzero(weights[1:] != weights[:-1]) + 1).tolist(), len(x)]
+    return [
+        (weights[lo], rows[a:min(a + step, hi)])
+        for lo, hi in zip(cuts, cuts[1:])
+        if weights[lo]
+        for a in range(lo, hi, step)
+    ]
 
 
 def seidel_coefficients(
@@ -188,7 +229,8 @@ def seidel_identity(
         value = (sq_a + shift) * (a - b)[1:] + sq_b * b[1:]
     else:
         # c = 2u - 1 + delta_e with u = (c + 1) >> 1 the indicator of S, so
-        # c*c = 2 u*c - sum(c) + c: the loop in convolve covers S only
+        # c*c = 2 u*c - sum(c) + c: convolve visits the rows of S only, all
+        # of weight 1, so for one candidate it is a plain gathered sum
         value = (2 * convolve(group, (a + 1) >> 1, a)[1:] - total + a[1:] + shift) * a[1:]
     # the first value, or 0 in the trivial group, fixes mu for the unbordered kinds
     mu = total if shift else value[:1].sum(axis=0, dtype=np.int16)

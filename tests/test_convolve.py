@@ -1,0 +1,81 @@
+"""`subsets.convolve` against its definition, out[g] = sum_a x[a] * y[a^-1 g],
+read straight off the Cayley table: every group kind, every input shape, and
+orders where the non-zero rows of x fill several gathered blocks."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from frameforge import Subset, cyclic, direct_product, generate, quaternion8, units_mod
+from frameforge.signature_sets import verify_quasi_signature_set
+from frameforge.subsets import _BLOCK, _blocks, convolve
+
+GROUPS = {
+    "C7": lambda: cyclic(7),
+    "C1201": lambda: cyclic(1201),
+    "C2377": lambda: cyclic(2377),
+    "C4xC4": lambda: direct_product(cyclic(4), cyclic(4)),
+    "Q8": quaternion8,
+    "Zmult13": lambda: units_mod(13),
+    "Zmult1201": lambda: units_mod(1201),
+}
+SHAPES = {"vector": (), "column": (1,), "batch": (3,)}
+DTYPES = [(np.int16, np.int16), (np.int64, np.int64), (np.int16, np.int64), (np.int64, np.int16)]
+
+
+def reference(group, x, y):
+    """The definition, one table row at a time, in int64."""
+    out = np.zeros(y.shape, dtype=np.int64)
+    for a in range(group.order):
+        out += x[a].astype(np.int64) * y[group.mul[group.inv[a]]]
+    return out
+
+
+@pytest.mark.parametrize("dtypes", DTYPES, ids=lambda d: f"{d[0].__name__}-{d[1].__name__}")
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", GROUPS)
+def test_convolve_matches_the_definition(name, shape, dtypes):
+    group = GROUPS[name]()
+    n = group.order
+    rng = np.random.default_rng([n, len(SHAPES[shape]), dtypes[0](0).itemsize])
+    # weights in {-2, ..., 2}: sum_a |x[a]| * max|y| <= 4n < 2**15 keeps int16 exact
+    x = rng.integers(-2, 3, size=(n, *SHAPES[shape])).astype(dtypes[0])
+    y = rng.integers(-2, 3, size=(n, *SHAPES[shape])).astype(dtypes[1])
+    got = convolve(group, x, y)
+    assert got.dtype == np.result_type(x, y) and got.shape == y.shape
+    assert np.array_equal(got, reference(group, x, y))
+
+
+@pytest.mark.parametrize("name", ["C1201", "C2377", "Zmult1201"])
+def test_large_orders_span_several_blocks(name):
+    # each of the four non-zero weights of a vector x fills more than one
+    # block, so the differential test above crosses block boundaries
+    n = GROUPS[name]().order
+    x = np.random.default_rng(n).integers(-2, 3, size=n)
+    blocks = _blocks(x, _BLOCK // n)
+    assert all(len(rows) <= _BLOCK // n for _, rows in blocks)
+    per_weight = Counter(int(w) for w, _ in blocks)
+    assert sorted(per_weight) == [-2, -1, 1, 2] and min(per_weight.values()) > 1
+
+
+def test_zero_and_single_row_inputs():
+    group = cyclic(2377)
+    y = np.arange(2377, dtype=np.int16) % 7
+    assert not convolve(group, np.zeros(2377, dtype=np.int16), y).any()
+    x = np.zeros(2377, dtype=np.int16)
+    x[5] = -2
+    assert np.array_equal(convolve(group, x, y), -2 * np.roll(y, 5))
+
+
+def test_thm511_set_with_a_swapped_residue_is_rejected():
+    # the p = 2377 residues with one residue pair {r, -r} traded for a
+    # non-residue pair: still S = S^-1, so the pair counts must reject it
+    hit = generate("thm511", 297, verify=False)[-1]
+    p, residues = hit.p, set(hit.residues)
+    r = min(residues)
+    nr = min(set(range(1, p)) - residues)
+    swapped = residues - {r, p - r} | {nr, p - nr}
+    verdict = verify_quasi_signature_set(cyclic(p), Subset.of(p, swapped))
+    assert not verdict.ok
+    assert verdict.reason in ("count-mismatch-on-s", "count-mismatch-on-t")

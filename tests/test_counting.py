@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameforge import (
     Subset,
@@ -71,6 +73,19 @@ def test_inverse_set_matches_elementwise_inversion(group):
         s = Subset.of(group.order, np.flatnonzero(rng.random(group.order) < 0.5).tolist())
         expected = Subset.of(group.order, (int(group.inv[x]) for x in s))
         assert inverse_set(group, s) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), order=st.one_of(st.integers(1, 70), st.sampled_from([2377, 4096])))
+def test_from_mask_inverts_mask(data, order):
+    s = Subset(order, data.draw(st.integers(0, (1 << order) - 1)))
+    assert Subset.from_mask(order, s.mask()) == s
+
+
+def test_from_mask_takes_nonzero_entries_and_checks_length():
+    assert Subset.from_mask(5, np.array([0, 3, 0, -1, 0])) == Subset.of(5, [1, 3])
+    with pytest.raises(ValueError):
+        Subset.from_mask(5, np.ones(6, dtype=np.uint8))
 
 
 def test_symmetry_of_cross_counts_exhaustive_small_orders():

@@ -10,6 +10,8 @@ from frameforge import (
     quasi_signature_matrix,
     verify_quasi_signature_set,
 )
+from frameforge.generators import ALGORITHM_IDS
+from frameforge.groups import MAX_ORDER
 from frameforge.numbertheory import multiplicative_order
 
 
@@ -84,6 +86,26 @@ def test_every_hit_reverifies_full_range():
         verdict = verify_quasi_signature_set(cyclic(hit.p), Subset.of(hit.p, hit.residues))
         assert verdict.ok and verdict.mu == 0
         assert (verdict.params.n, verdict.params.k) == (hit.n, hit.k)
+
+
+def test_every_row_through_max_order_certifies():
+    # max_m = 511 reaches every p <= MAX_ORDER in both families
+    assert 8 * 512 + 1 > MAX_ORDER
+    for algorithm in ALGORITHM_IDS:
+        assert generate(algorithm, 511, verify=True) == generate(algorithm, 511, verify=False)
+
+
+def powers_of_two(p: int, step: int) -> tuple[int, ...]:
+    """The families' own definition: {2^(step*r) mod p : 1 <= r <= (p-1)/2}."""
+    return tuple(sorted({pow(2, step * r, p) for r in range(1, (p + 1) // 2)}))
+
+
+def test_residues_are_the_powers_of_two_through_max_order():
+    # thm59 takes the even powers of 2, thm511 all powers of 2
+    hits = generate("thm59", 511, verify=False) + generate("thm511", 511, verify=False)
+    assert len(hits) == 167
+    for hit in hits:
+        assert hit.residues == powers_of_two(hit.p, 2 if hit.algorithm == "thm59" else 1)
 
 
 @pytest.mark.parametrize("m,p", [(0, 5), (1, 13), (2, 17), (5, 41)])

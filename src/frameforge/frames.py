@@ -1,15 +1,15 @@
 """Turn a certified signature matrix into frame vectors, and check them.
 
 The Gram matrix of the Parseval frame is P = (k/n) I + c_{n,k} Q; it is a
-rank-k projection, so factoring P = V V* through its unit eigenvalues gives
-an isometry V whose rows carry the frame vectors.  Verification checks
-tightness, uniform norms k/n, and the common angle c_{n,k} in floating
-point against a configurable tolerance.
+rank-k projection, so k steps of diagonally pivoted Cholesky factor it as
+P = V V* with V an n x k isometry whose rows carry the frame vectors (see
+`factor_gram`).  Verification checks tightness, uniform norms k/n, and the
+common angle c_{n,k} in floating point against a configurable tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,11 +43,14 @@ def _check_tol(tol: float) -> None:
 class FrameVectors:
     """n frame vectors for C^k; row i of `vectors` is the analysis row
     <., f_i>, so V*V = I_k and the Gram matrix is V V*.  A real Gram
-    matrix gives real vectors, in R^k."""
+    matrix gives real vectors, in R^k.  `factor_gram` also keeps the
+    product V V* it formed, read-only like the vectors, so that
+    `verify_frame` need not form it again."""
 
     n: int
     k: int
     vectors: np.ndarray  # (n, k): float64 from a real Gram matrix, else complex128
+    gram: np.ndarray | None = field(default=None, repr=False, compare=False)  # V V*
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,26 @@ def gram_from_certificate(cert: TwoEigenvalueCertificate) -> np.ndarray:
 def factor_gram(p: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> FrameVectors | Rejection:
     """Factor a rank-k projection P as V V* with V an n x k isometry.
 
-    Rejects unless the spectrum sits within tol of {0, 1} with exactly k
-    ones.  Eigenvectors are normalised so their first significant component
-    is real and positive, making the output reproducible.  A real P is
-    factored in real arithmetic, so V is real too.
+    k steps of left-looking, diagonally pivoted Cholesky build R = V*, a
+    (k, n) array.  Step j pivots on the largest remaining diagonal entry
+    d[i] of the Schur complement (the lowest index on a tie), forms the row
+    P[i] - R[:j, i]* R[:j] with its pivot entry set to d[i], scales it by
+    1/sqrt(d[i]) and takes |row|^2 off d, with d[i] = 0.  Up to rounding V
+    is then triangular in the pivot order with a real, positive entry at
+    each pivot, which fixes it among the factors V U of P (U unitary): the
+    output is reproducible.  A real P gives a real V.
+
+    A true frame passes every pivot: the final R has orthonormal rows, so
+    after j pivots the Schur complement has trace k - j spread over n - j
+    diagonal entries, and pivot j+1 is at least (k-j)/(n-j) >= 1/(n-k+1).
+    The Q8 frames reach that bound (1/4, n - k + 1 = 4), so no pivot is
+    compared with tol.
+
+    Rejects "not-hermitian" unless P is self-adjoint within tol, and
+    "not-a-rank-k-projection", with the spectrum of P as its detail, when a
+    pivot is <= 0, a diagonal entry above tol is left after k pivots, or
+    max|V*V - I| > tol.  P may be indefinite with a clean diagonal, so
+    "factorisation-drift" rejects max|V V* - P| > 10 tol.
     """
     _check_tol(tol)
     p = np.asarray(p)
@@ -100,42 +119,49 @@ def factor_gram(p: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> FrameVectors
         raise ValueError("Gram matrix must be square")
     if np.abs(p - p.conj().T).max(initial=0.0) > tol:
         return Rejection("not-hermitian", "Gram matrix is not self-adjoint within tol")
-    eigvals, eigvecs = np.linalg.eigh(p)
-    near_one = np.abs(eigvals - 1.0) <= tol
-    near_zero = np.abs(eigvals) <= tol
-    if not np.all(near_one | near_zero) or int(near_one.sum()) != k:
-        spectrum = ", ".join(format(v, ".6g") for v in eigvals)
-        return Rejection(
-            "not-a-rank-k-projection",
-            f"need {k} eigenvalues near 1 and the rest near 0; spectrum: [{spectrum}]",
-        )
-    # Scalar per column on purpose: numpy divides a complex scalar and a
-    # complex array with different rounding, so a vectorised phase fix
-    # changes the last bits of complex frames.
-    cols = []
-    for idx in np.nonzero(near_one)[0]:
-        vec = eigvecs[:, idx] * np.sqrt(eigvals[idx])
-        lead = np.nonzero(np.abs(vec) > 1e-8)[0]
-        if lead.size:
-            pivot = vec[lead[0]]
-            vec = vec * (pivot.conjugate() / abs(pivot))
-        cols.append(vec)
-    v = np.column_stack(cols)
-    if np.abs(v @ v.conj().T - p).max() > 10 * tol:
+    d = np.real(np.diagonal(p)).copy()
+    r = np.empty((k, n), dtype=p.dtype)
+    for j in range(k):
+        i = int(np.argmax(d))
+        pivot = d[i]
+        if not pivot > 0:
+            return _not_a_projection(p, k)
+        row = r[j]
+        np.subtract(p[i], r[:j, i].conj() @ r[:j], out=row)
+        row[i] = pivot
+        row *= 1 / np.sqrt(pivot)
+        d -= (row * row.conj()).real
+        d[i] = 0.0
+    v = r.conj().T
+    if d.max(initial=0.0) > tol or np.abs(r @ v - np.eye(k)).max(initial=0.0) > tol:
+        return _not_a_projection(p, k)
+    gram = v @ r
+    if np.abs(gram - p).max(initial=0.0) > 10 * tol:
         return Rejection("factorisation-drift", "V V* strays from P beyond 10*tol")
-    return FrameVectors(n=n, k=k, vectors=v)
+    v.setflags(write=False)
+    gram.setflags(write=False)
+    return FrameVectors(n=n, k=k, vectors=v, gram=gram)
+
+
+def _not_a_projection(p: np.ndarray, k: int) -> Rejection:
+    spectrum = ", ".join(format(x, ".6g") for x in np.linalg.eigh(p)[0])
+    return Rejection(
+        "not-a-rank-k-projection",
+        f"need {k} eigenvalues near 1 and the rest near 0; spectrum: [{spectrum}]",
+    )
 
 
 def verify_frame(
     frame: FrameVectors, params: FrameParams, tol: float = DEFAULT_TOL
 ) -> FrameCheckReport:
-    """Check tightness, uniformity and equiangularity of the frame vectors."""
+    """Check tightness, uniformity and equiangularity of the frame vectors,
+    reading V V* from the frame when `factor_gram` kept it."""
     _check_tol(tol)
     v = frame.vectors
     n, k = params.n, params.k
     if v.shape != (n, k):
         raise ValueError("frame shape does not match the parameters")
-    gram = v @ v.conj().T
+    gram = v @ v.conj().T if frame.gram is None else frame.gram
     tightness = float(np.abs(v.conj().T @ v - np.eye(k)).max())
     norms = np.real(np.diagonal(gram))
     uniformity = float(np.abs(norms - k / n).max())

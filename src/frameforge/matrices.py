@@ -31,15 +31,18 @@ from .params import FrameParams, params_from_mu
 from .verdicts import Rejection
 
 
-def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for integer matrices.  BLAS float64 is exact while every inner
-    product is an integer below 2**53; past that bound int64 takes over."""
+def _exact_matmul(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """x @ y for integer matrices, or x @ x.T when y is None, which numpy
+    forms in float64 as a symmetric product (syrk).  BLAS float64 is exact
+    while every inner product is an integer below 2**53; past that bound
+    int64 takes over."""
+    yt = x.T if y is None else y
     n = x.shape[1]
-    bound = n * max(int(np.abs(x).max(initial=0)), 1) * max(int(np.abs(y).max(initial=0)), 1)
+    bound = n * max(int(np.abs(x).max(initial=0)), 1) * max(int(np.abs(yt).max(initial=0)), 1)
     if bound >= 2 ** 53:
-        return x @ y
+        return x @ yt
     xf = x.astype(np.float64)
-    yf = xf if y is x else y.astype(np.float64)  # a square converts once
+    yf = xf.T if y is None else xf if y is x else y.astype(np.float64)  # x converts once
     return np.rint(xf @ yf).astype(np.int64)
 
 
@@ -186,7 +189,9 @@ def certify_two_eigenvalue(q: SeidelMatrix) -> TwoEigenvalueCertificate | Reject
         return Rejection("matrix-too-small", f"n={n} admits no frame")
     if not q.is_hermitian():
         return Rejection("not-self-adjoint")
-    sq_a, sq_b = SeidelMatrix.square(q)  # the component square of either kind
+    # Q is self-adjoint, so an integer a is symmetric and a @ a.T is its
+    # square; an Eisenstein Q takes the component square
+    sq_a, sq_b = SeidelMatrix.square(q) if q.b.ndim else (_exact_matmul(q.a), q.b)
     mu_e = _cell(sq_a, sq_b, 0, 1) * q.entry(0, 1).conjugate()  # divide by the unit
     if not mu_e.is_rational:
         return Rejection("mu-not-real", f"entry (0,1) gives mu = {mu_e}")

@@ -130,8 +130,11 @@ def indicator_columns(order: int, subsets: Sequence[Subset]) -> np.ndarray:
     return np.array([s.mask() for s in subsets], dtype=np.int16).reshape(-1, order).T.copy()
 
 
-#: Largest number of entries in one gathered block of translates: 128 KB of
-#: int16, the bound on a block's temporaries.  Certifying both generator
+#: Largest number of entries in one gathered block of translates.  A block's
+#: temporaries are its entries in y's dtype, 128 KB of int16 at the cap, and
+#: in a table group (`GroupTable.left_translates`) also the int32 row indices
+#: mul[inv[rows]] and the intp copy `take` makes of them: 12 bytes more per
+#: entry, 896 KB in all at the cap for int16.  Certifying both generator
 #: tables in-process (2 cores), 2**15 entries took 1.24x as long, 2**17
 #: 0.87x for twice the memory, and 2**18 1.25x.
 _BLOCK = 1 << 16

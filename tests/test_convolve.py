@@ -2,6 +2,7 @@
 read straight off the Cayley table: every group kind, every input shape, and
 orders where the non-zero rows of x fill several gathered blocks."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -57,6 +58,24 @@ def test_large_orders_span_several_blocks(name):
     assert all(len(rows) <= _BLOCK // n for _, rows in blocks)
     per_weight = Counter(int(w) for w, _ in blocks)
     assert sorted(per_weight) == [-2, -1, 1, 2] and min(per_weight.values()) > 1
+
+
+@pytest.mark.parametrize("name, index_bytes", [("C1201", 0), ("Zmult1201", 12)])
+def test_block_temporaries_stay_within_the_stated_bound(name, index_bytes):
+    # the _BLOCK comment: 2 bytes per gathered int16 entry, and 12 more in a
+    # table group for the int32 row indices and their intp copy; the rest
+    # (argsort, weights, output, cyclic windows) is O(order)
+    group = GROUPS[name]()
+    n = group.order
+    x, y = np.random.default_rng(n).integers(-2, 3, size=(2, n)).astype(np.int16)
+    convolve(group, x, y)  # builds the group's lazy tables outside the trace
+    tracemalloc.start()
+    try:
+        convolve(group, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 + index_bytes) * _BLOCK + 32 * n
 
 
 def test_zero_and_single_row_inputs():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from frameforge import (
@@ -14,7 +16,7 @@ from frameforge import (
     quaternion8,
     verify_frame,
 )
-from frameforge.frames import FrameVectors
+from frameforge.frames import DEFAULT_TOL, FrameVectors
 from frameforge.generators import generate
 from frameforge.matrices import border_standard
 from frameforge.cube_root import build_cube_matrix
@@ -191,3 +193,123 @@ def test_factorisation_pipeline_on_group_constructions():
         assert report.tightness_dev < 1e-9
         assert report.uniformity_dev < 1e-9
         assert report.equiangularity_dev < 1e-9
+
+
+# -- the pivoted Cholesky factor ---------------------------------------------
+
+
+def eigh_factor(p, k, tol=DEFAULT_TOL):
+    """The eigenvector factor `factor_gram` used before pivoted Cholesky, as
+    a reference: the eigenvectors of the k eigenvalues near 1, each scaled
+    by sqrt(eigenvalue) and phased so its first significant component is
+    real and positive.  None unless the spectrum is within tol of {0, 1}
+    with k ones and V V* is within 10 tol of P."""
+    eigvals, eigvecs = np.linalg.eigh(p)
+    near_one = np.abs(eigvals - 1.0) <= tol
+    if not np.all(near_one | (np.abs(eigvals) <= tol)) or int(near_one.sum()) != k:
+        return None
+    cols = []
+    for idx in np.nonzero(near_one)[0]:
+        vec = eigvecs[:, idx] * np.sqrt(eigvals[idx])
+        lead = np.nonzero(np.abs(vec) > 1e-8)[0]
+        if lead.size:
+            pivot = vec[lead[0]]
+            vec = vec * (pivot.conjugate() / abs(pivot))
+        cols.append(vec)
+    v = np.column_stack(cols)
+    return v if np.abs(v @ v.conj().T - p).max() <= 10 * tol else None
+
+
+def q8_quasi_pair(t):
+    q8 = quaternion8()
+    return border_standard(build_cube_matrix(q8, q8.subset(["-1"]), q8.subset(t.split(","))))
+
+
+def certified_frames():
+    """Every certified matrix these tests build: the conference matrices of
+    orders 6 and 14, thm59 through m = 21, and the four Q8 quasi pairs."""
+    yield "conference_6", conference_6()
+    yield "conference_14", SeidelMatrixInt(golden.CONFERENCE_14)
+    for hit in generate("thm59", 21, verify=False):
+        yield f"thm59_m{hit.m}", quasi_signature_matrix(cyclic(hit.p), Subset.of(hit.p, hit.residues))
+    for t in ("i,j,k", "-i,-j,-k", "-i,-j,k", "-i,j,k"):
+        yield f"q8_{t}", q8_quasi_pair(t)
+
+
+def random_projection(seed, n, k, complex_):
+    """A rank-k orthogonal projection Q Q* and its isometry Q, from the QR
+    factor of a random n x k matrix."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, k)) + (1j * rng.normal(size=(n, k)) if complex_ else 0)
+    q = np.linalg.qr(a)[0]
+    return q @ q.conj().T, q
+
+
+projections = st.integers(1, 24).flatmap(
+    lambda n: st.tuples(st.integers(0, 2 ** 32 - 1), st.just(n), st.integers(1, n), st.booleans())
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(projections)
+def test_random_projections_are_factored(case):
+    p, _ = random_projection(*case)
+    _, n, k, complex_ = case
+    frame = factor_gram(p, k)
+    assert isinstance(frame, FrameVectors)
+    v = frame.vectors
+    assert v.shape == (n, k) and np.iscomplexobj(v) == complex_
+    assert np.abs(v @ v.conj().T - p).max() <= 10 * DEFAULT_TOL
+    assert np.abs(v.conj().T @ v - np.eye(k)).max() <= DEFAULT_TOL
+
+
+@settings(max_examples=80, deadline=None)
+@given(projections, st.sampled_from([0.5, 2.0]))
+def test_a_moved_eigenvalue_is_not_a_rank_k_projection(case, eigenvalue):
+    _, q = random_projection(*case)
+    scale = np.ones(q.shape[1])
+    scale[-1] = eigenvalue
+    reject = factor_gram((q * scale) @ q.conj().T, case[2])
+    assert isinstance(reject, Rejection)
+    assert reject.reason == "not-a-rank-k-projection"
+    assert "spectrum" in reject.detail
+
+
+def test_indefinite_gram_with_a_clean_diagonal_is_drift():
+    # one pivot on index 0 leaves the diagonal at 0 and V*V = 1, but the
+    # off-diagonal block [[0, 1], [1, 0]] is not factored by any V
+    p = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    reject = factor_gram(p, 1)
+    assert isinstance(reject, Rejection)
+    assert reject.reason == "factorisation-drift"
+
+
+@pytest.mark.parametrize("q", [pytest.param(q, id=name) for name, q in certified_frames()])
+def test_cholesky_and_eigenvector_factors_agree(q):
+    cert = certify_two_eigenvalue(q)
+    p = gram_from_certificate(cert)
+    frame = factor_gram(p, cert.params.k)
+    reference = eigh_factor(p, cert.params.k)
+    assert isinstance(frame, FrameVectors) and reference is not None
+    v = frame.vectors
+    assert np.abs(v @ v.conj().T - reference @ reference.conj().T).max() <= 10 * DEFAULT_TOL
+    # the factor keeps V V*, and verify_frame reads the same report off it
+    # as off the vectors alone
+    report = verify_frame(frame, cert.params)
+    assert report.ok
+    assert report == verify_frame(FrameVectors(n=frame.n, k=frame.k, vectors=v), cert.params)
+
+
+def test_accept_path_runs_no_eigensolver(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on the accept path")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for q in (conference_6(), cube_root_9()):
+        assert frame_from_matrix(q)[1].ok
+
+
+def test_largest_bench_frame_deviations():
+    frame, report, params = frame_from_matrix(thm59_matrix(99))
+    assert (params.n, params.k) == (798, 399)
+    assert max(report.tightness_dev, report.uniformity_dev, report.equiangularity_dev) <= 1e-12

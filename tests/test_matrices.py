@@ -412,6 +412,7 @@ def test_exact_matmul_large_path_matches_direct(n):
     m = rng.choice([-1, 1], size=(n, n)).astype(np.int64)
     np.fill_diagonal(m, 0)
     assert np.array_equal(_exact_matmul(m, m), m @ m)
+    assert np.array_equal(_exact_matmul(m), m @ m.T)  # the symmetric product
 
 
 def test_exact_matmul_falls_back_to_int64_past_the_float_bound():
@@ -427,6 +428,7 @@ def test_exact_matmul_falls_back_to_int64_past_the_float_bound():
     rounded = np.rint(x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
     assert not np.array_equal(rounded, exact)
     assert np.array_equal(_exact_matmul(x, y), exact)
+    assert np.array_equal(_exact_matmul(x), (x.astype(object) @ x.T.astype(object)).astype(np.int64))
 
 
 def test_certify_midsize_conference_matrix():

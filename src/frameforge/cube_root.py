@@ -9,23 +9,18 @@ identity in group-algebra form (`seidel_identity`).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .groups import GroupTable
-from .matrices import (
-    SeidelMatrixEis,
-    border_standard,
-    certify_two_eigenvalue,
-    regrep_sum,
-)
+from .matrices import SeidelMatrixEis, certify_columns, regrep_sum
 from .numbertheory import is_perfect_square
-from .signature_sets import accept_verdict, screen_closure, screen_members
-from .subsets import (  # noqa: F401 - perfbench/tracer.py patches pair_count_table here
-    Subset,
-    complement_nonidentity,
-    inverse_set,
-    pair_count_table,
-    seidel_coefficients,
-)
+from .signature_sets import accept_verdicts, closure_faults, reject_where, screen_members
+from .subsets import Subset, seidel_coefficients
 from .verdicts import Rejection, SignatureVerdict
+
+# perfbench/tracer.py patches these names here
+from .matrices import border_standard, certify_two_eigenvalue  # noqa: F401
+from .subsets import inverse_set, pair_count_table  # noqa: F401
 
 __all__ = [
     "build_cube_matrix",
@@ -50,7 +45,7 @@ def verify_signature_pair(
     group: GroupTable, s: Subset, t: Subset
 ) -> SignatureVerdict | Rejection:
     """Decide whether (S, T) is a cube-root signature pair on n = |G|."""
-    return _verify_pair(group, s, t, quasi=False)
+    return verify_pairs(group, "cube-pair", [(s, t)])[0]
 
 
 def verify_quasi_signature_pair(
@@ -58,25 +53,30 @@ def verify_quasi_signature_pair(
 ) -> SignatureVerdict | Rejection:
     """Decide whether (S, T) is a cube-root quasi-signature pair; the
     bordered matrix has size n = |G| + 1 and mu must equal |S| - |T|."""
-    return _verify_pair(group, s, t, quasi=True)
+    return verify_pairs(group, "cube-quasi", [(s, t)])[0]
 
 
-def _verify_pair(
-    group: GroupTable, s: Subset, t: Subset, quasi: bool
-) -> SignatureVerdict | Rejection:
-    if fault := screen_members(group, s, t):
-        return fault
-    if fault := screen_closure(group, s, "S must be closed under inverses"):
-        return fault
-    if inverse_set(group, t).bits != complement_nonidentity(s.union(t)).bits:
-        return Rejection("v-neq-t-inverse", "V must equal T^-1")
-
-    q = build_cube_matrix(group, s, t)
-    cert = certify_two_eigenvalue(border_standard(q) if quasi else q)
-    if isinstance(cert, Rejection):
-        return cert
-    # checked against the group-algebra form, whose mu is |S| - |T| when bordered
-    return accept_verdict(group, "cube-quasi" if quasi else "cube-pair", cert.mu, s, t)
+def verify_pairs(
+    group: GroupTable, kind: str, pairs: list[tuple[Subset, Subset]]
+) -> list[SignatureVerdict | Rejection]:
+    """The verdict or Rejection the kind's verifier ("cube-pair" or
+    "cube-quasi") gives each pair alone.  S = S^-1 and V = T^-1, masks on
+    the pairs' columns, make every matrix self-adjoint; the pairs left go
+    to one batched certificate, then one `accept_verdicts`."""
+    results = [screen_members(group, s, t) for s, t in pairs]
+    live = [k for k, fault in enumerate(results) if fault is None]
+    a, b = seidel_coefficients(group.order, kind, [pairs[k] for k in live])
+    # c = 1, w, w^2 = -1 - w on S, T, V: (a, b) = (1, 0), (0, 1), (-1, -1)
+    open_s, closure_fault = closure_faults(group, a == 1, "S must be closed under inverses")
+    v_open = (b[group.inv] == 1) != (a == -1)  # T^-1 != V
+    v_fault = Rejection("v-neq-t-inverse", "V must equal T^-1")
+    live, a, b = reject_where(results, live, open_s | v_open.any(axis=0),
+                              lambda j: closure_fault(j) if open_s[j] else v_fault, a, b)
+    mus = certify_columns(group, a, b, bordered=kind == "cube-quasi")
+    failed = np.array([isinstance(m, Rejection) for m in mus], dtype=bool)
+    live, a, b = reject_where(results, live, failed, mus.__getitem__, a, b)
+    mu = np.array([m for m in mus if not isinstance(m, Rejection)], dtype=np.int64)
+    return accept_verdicts(group, kind, results, live, pairs, mu, a, b)
 
 
 def cube_necessary_conditions(n: int, mu: int, quasi: bool = False) -> tuple[bool, list[str]]:

@@ -32,12 +32,12 @@ from .verdicts import Rejection
 
 
 def _exact_matmul(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """x @ y for integer matrices, or x @ x.T when y is None, which numpy
-    forms in float64 as a symmetric product (syrk).  BLAS float64 is exact
-    while every inner product is an integer below 2**53; past that bound
-    int64 takes over."""
+    """x @ y for integer matrices or stacks of them, or x @ x.T for one
+    matrix when y is None, which numpy forms in float64 as a symmetric
+    product (syrk).  BLAS float64 is exact while every inner product is an
+    integer below 2**53; past that bound int64 takes over."""
     yt = x.T if y is None else y
-    n = x.shape[1]
+    n = x.shape[-1]
     bound = n * max(int(np.abs(x).max(initial=0)), 1) * max(int(np.abs(yt).max(initial=0)), 1)
     if bound >= 2 ** 53:
         return x @ yt
@@ -153,14 +153,16 @@ def regrep_sum(group: GroupTable, coeffs: Sequence[int] | np.ndarray) -> np.ndar
     The entry at (row r, column r*g) is coeffs[g]; equivalently
     M[r, c] = coeffs[r^-1 * c], which is the layout that makes the
     group-subset constructions print in their standard form.  The identity
-    coefficient must be 0 so the diagonal vanishes.
+    coefficient must be 0 so the diagonal vanishes.  Columns of shape
+    (order, B) give a (B, order, order) stack, one matrix per column.
     """
     c = _integer_array(coeffs)
-    if c.shape != (group.order,):
+    if c.shape[:1] != (group.order,) or c.ndim > 2:
         raise ValueError("need one coefficient per group element")
-    if c[0] != 0:
+    if c[0].any():
         raise ValueError("identity coefficient must be 0")
-    return group.left_translates(c)(np.arange(group.order))
+    m = group.left_translates(c)(np.arange(group.order))
+    return m if c.ndim == 1 else m.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -184,30 +186,70 @@ def certify_two_eigenvalue(q: SeidelMatrix) -> TwoEigenvalueCertificate | Reject
     must be rational (zero omega part).  Such a mu is feasible, as tr Q = 0
     makes the eigenvalue multiplicities integers, so a refusal is a bug.
     """
-    n = q.n
-    if n < 2:
-        return Rejection("matrix-too-small", f"n={n} admits no frame")
     if not q.is_hermitian():
         return Rejection("not-self-adjoint")
     # Q is self-adjoint, so an integer a is symmetric and a @ a.T is its
     # square; an Eisenstein Q takes the component square
     sq_a, sq_b = SeidelMatrix.square(q) if q.b.ndim else (_exact_matmul(q.a), q.b)
-    mu_e = _cell(sq_a, sq_b, 0, 1) * q.entry(0, 1).conjugate()  # divide by the unit
-    if not mu_e.is_rational:
-        return Rejection("mu-not-real", f"entry (0,1) gives mu = {mu_e}")
-    mu = mu_e.a
-    exp_a, exp_b = mu * q.a, mu * q.b
-    np.fill_diagonal(exp_a, n - 1)
-    if not (np.array_equal(sq_a, exp_a) and np.array_equal(sq_b, exp_b)):
-        i, j = np.argwhere((sq_a != exp_a) | (sq_b != exp_b))[0]
-        got, need = _cell(sq_a, sq_b, i, j), _cell(exp_a, exp_b, i, j)
-        return Rejection(
-            "not-two-eigenvalue", f"entry ({i},{j}): got {got}, need {need} for mu={mu}"
-        )
-    params = params_from_mu(n, mu)
+    mu = _identity_mu(*(x[None] if x.ndim else x for x in (q.a, q.b, sq_a, sq_b)))[0]
+    if isinstance(mu, Rejection):
+        return mu
+    params = params_from_mu(q.n, mu)
     if isinstance(params, Rejection):
         raise RuntimeError(f"internal: a matrix satisfying the identity got {params}")
     return TwoEigenvalueCertificate(mu=mu, params=params, q=q)
+
+
+#: Most entries of a stack in `certify_columns`; with its products, a few MB.
+_STACK = 1 << 15
+
+
+def certify_columns(
+    group: GroupTable, a: np.ndarray, b: np.ndarray, bordered: bool
+) -> list[int | Rejection]:
+    """The test of `certify_two_eigenvalue` on the self-adjoint matrices
+    sum c(g) R(g) of the columns c = a + b*omega, bordered when asked: one mu
+    or Rejection per column.  Each (B, n, n) stack of at most _STACK entries
+    is gathered by `regrep_sum` and squared by one batched exact product."""
+    n = group.order + bordered
+    step = max(1, _STACK // n ** 2)
+    out = []
+    for lo in range(0, a.shape[1], step):
+        gathered = [regrep_sum(group, x[:, lo:lo + step]) for x in (a, b)]
+        qa, qb = q = np.zeros((2, len(gathered[0]), n, n), np.int64)
+        q[:, :, bordered:, bordered:] = gathered
+        if bordered:  # border_standard's all-ones first row and column
+            qa[:, 0, 1:] = qa[:, 1:, 0] = 1
+        out += _identity_mu(qa, qb, *eis_product(qa, qb, qa, qb, _exact_matmul))
+    return out
+
+
+def _identity_mu(a, b, sq_a, sq_b) -> list[int | Rejection]:
+    """Per self-adjoint Q = a + b*omega of a (B, n, n) stack, given Q^2 (b, sq_b may be
+    the scalar 0): mu with Q^2 = (n-1)I + mu*Q, read off entry (0, 1), or the Rejection."""
+    count, n = len(a), a.shape[-1]
+    if n < 2:
+        return [Rejection("matrix-too-small", f"n={n} admits no frame")] * count
+    a01, b01, sq_a01, sq_b01 = (x[:, 0, 1] if x.ndim else x for x in (a, b, sq_a, sq_b))
+    # divide by the unit Q[0, 1]: multiply by conj(a + bw) = (a - b) - bw
+    mu, mu_b = eis_product(sq_a01, sq_b01, a01 - b01, -b01, np.multiply)
+    exp_a, exp_b = mu[:, None, None] * a, mu[:, None, None] * b
+    exp_a[:, np.arange(n), np.arange(n)] = n - 1
+    off = sq_a != exp_a
+    off |= sq_b != exp_b
+    out = []
+    for k, (m, m_b) in enumerate(zip(mu.tolist(), np.broadcast_to(mu_b, mu.shape).tolist())):
+        if m_b:
+            out.append(Rejection("mu-not-real", f"entry (0,1) gives mu = {EisensteinInt(m, m_b)}"))
+        elif off[k].any():
+            i, j = divmod(int(off[k].argmax()), n)  # the first entry that is off, row by row
+            got, need = (_cell(x[k], y[k] if y.ndim else y, i, j)
+                         for x, y in ((sq_a, sq_b), (exp_a, exp_b)))
+            out.append(Rejection("not-two-eigenvalue",
+                                 f"entry ({i},{j}): got {got}, need {need} for mu={m}"))
+        else:
+            out.append(m)
+    return out
 
 
 def border_standard(q: SeidelMatrix) -> SeidelMatrix:

@@ -16,9 +16,10 @@ import numpy as np
 from .groups import GroupTable
 from .matrices import SeidelMatrixInt, border_standard, regrep_sum
 from .params import params_from_mu
-from .subsets import (
+from .subsets import (  # noqa: F401 - perfbench/tracer.py patches two of these names here
     Subset,
     complement_nonidentity,
+    convolve,
     inverse_set,
     pair_count_table,
     seidel_coefficients,
@@ -64,23 +65,7 @@ def verify_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict | Rej
     Odd group order is rejected outright (no signature set exists there).
     For even n, mu = n-2-4N is even and N <= min(|S|, |T|) <= (n-2)/2.
     """
-    n = group.order
-    if fault := screen_members(group, s):
-        return fault
-    if n % 2:
-        # covers the degenerate one-element group as well
-        return Rejection("odd-order", f"group order {n} is odd")
-    t = complement_nonidentity(s)
-    if fault := screen_closure(group, s, "S is not closed under inverses"):
-        return fault
-
-    ct_st = pair_count_table(group, s, t)
-    mu = n - 2 - 4 * int(ct_st[next(iter(s))]) if s else -(n - 2)
-    return (
-        _count_mismatch(group, "count-mismatch-on-s", s, ct_st, n - 2 - mu, "S,T", "(n-2-mu)/4")
-        or _count_mismatch(group, "count-mismatch-on-t", t, ct_st, n - 2 + mu, "S,T", "(n-2+mu)/4")
-        or accept_verdict(group, "signature", mu, s)
-    )
+    return verify_sets(group, "signature", [s])[0]
 
 
 def verify_quasi_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict | Rejection:
@@ -91,28 +76,62 @@ def verify_quasi_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict
     within the admissible band 2 - n/3 <= mu <= n/3 - 2 (which excludes the
     trivial all-or-nothing subsets).
     """
-    if fault := screen_members(group, s):
-        return fault
-    n = group.order + 1
-    if n % 2:
-        return Rejection("odd-frame-size", f"|G|+1 = {n} is odd")
-    t = complement_nonidentity(s)
-    mu = s.size - t.size
-    if not 6 - n <= 3 * mu <= n - 6:
-        return Rejection("mu-out-of-range", f"mu={mu} outside [2-n/3, n/3-2]")
-    if fault := screen_closure(group, s, "S is not closed under inverses"):
-        return fault
+    return verify_sets(group, "quasi", [s])[0]
 
-    ct_ss = pair_count_table(group, s, s)
-    # on T, N_(T,T) = N_(S,S) + |G| - 2 - 2|S|, as 1_T = 1 - delta_e - 1_S
-    ct_tt = ct_ss + (group.order - 2 - 2 * s.size)
-    return (
-        _count_mismatch(group, "count-mismatch-on-s", s, ct_ss, n + 3 * mu - 6, "S,S",
-                        "(n+3mu-6)/4")
-        or _count_mismatch(group, "count-mismatch-on-t", t, ct_tt, n - 3 * mu - 6, "T,T",
-                           "(n-3mu-6)/4")
-        or accept_verdict(group, "quasi", mu, s)
-    )
+
+def verify_sets(
+    group: GroupTable, kind: str, subsets: list[Subset]
+) -> list[SignatureVerdict | Rejection]:
+    """The verdict or Rejection the kind's verifier ("signature" or "quasi")
+    gives each subset alone.  The checks run in its order, as masks on the
+    columns of the subsets still in play; all pair counts come from one
+    `convolve` (single-vector for one subset), then one `accept_verdicts`."""
+    results = [screen_members(group, s) for s in subsets]
+    live = [k for k, fault in enumerate(results) if fault is None]
+    quasi = kind == "quasi"
+    n = group.order + quasi
+    if n % 2:  # covers the degenerate one-element group as well
+        odd = (Rejection("odd-frame-size", f"|G|+1 = {n} is odd") if quasi
+               else Rejection("odd-order", f"group order {n} is odd"))
+        return [fault or odd for fault in results]
+    a, _ = seidel_coefficients(group.order, kind, [subsets[k] for k in live])
+    s = (a + 1) >> 1  # the indicator of S; a is 1 on S, -1 on T and 0 at e
+    mu = 2 * s.sum(axis=0) - (group.order - 1)  # |S| - |T|, the quasi kind's mu
+    if quasi:
+        live, a, s, mu = reject_where(
+            results, live, np.abs(3 * mu) > n - 6,
+            lambda j: Rejection("mu-out-of-range", f"mu={mu[j]} outside [2-n/3, n/3-2]"), a, s, mu)
+    live, a, s, mu = reject_where(
+        results, live, *closure_faults(group, s, "S is not closed under inverses"), a, s, mu)
+    if not live:
+        return results
+
+    counts = convolve(group, s, s if quasi else (1 - a) >> 1)  # N_(S,S) or N_(S,T)
+    if quasi:
+        # 1_T = 1 - delta_e - 1_S and |S| - |T| = mu give N_(T,T) = N_(S,S) - 1 - mu,
+        # so 4 N_(T,T) = n-3mu-6 on T reads 4 N_(S,S) = n-2+mu there
+        need = (n + 3 * mu - 6, n - 2 + mu)
+        texts = (("S,S", "(n+3mu-6)/4"), ("T,T", "(n-3mu-6)/4"))
+    else:  # the first member of S fixes mu; an empty S gives -(n-2)
+        mu = np.where(s.any(axis=0), n - 2 - 4 * counts[s.argmax(axis=0), range(len(live))], 2 - n)
+        need = (n - 2 - mu, n - 2 + mu)
+        texts = (("S,T", "(n-2-mu)/4"), ("S,T", "(n-2+mu)/4"))
+    on_s = a > 0  # members of S; a < 0 on T
+    off = (a != 0) & (4 * counts != np.where(on_s, *need))
+
+    def mismatch(j: int) -> Rejection:
+        # the first member of S whose count is off, or else the first of T
+        on_t = not (off[:, j] & on_s[:, j]).any()
+        g = int((off[:, j] & (on_s[:, j] != on_t)).argmax())
+        (label, formula), witness = texts[on_t], group.labels[g]
+        count = counts[g, j] - on_t * quasi * (1 + mu[j])
+        detail = f"N_({label}) at {witness} is {count}, need {formula}"
+        if on_t:
+            return Rejection("count-mismatch-on-t", detail, witness=witness)
+        return Rejection("count-mismatch-on-s", detail, witness=witness)
+
+    live, a, mu = reject_where(results, live, off.any(axis=0), mismatch, a, mu)
+    return accept_verdicts(group, kind, results, live, subsets, mu, a, 0)
 
 
 def index2_subgroup_set(group: GroupTable, h: Subset) -> SignatureVerdict | Rejection:
@@ -131,22 +150,14 @@ def index2_subgroup_set(group: GroupTable, h: Subset) -> SignatureVerdict | Reje
     return verdict
 
 
-def _count_mismatch(
-    group: GroupTable, reason: str, subset: Subset, counts: np.ndarray, need: int,
-    label: str, formula: str,
-) -> Rejection | None:
-    """The first member g of the subset with 4 * counts[g] != need, as a
-    rejection with this reason witnessed by g; None when all match."""
-    members = subset.indices_array()
-    off = members[4 * counts[members] != need]
-    if not off.size:
-        return None
-    g = int(off[0])
-    return Rejection(
-        reason,
-        f"N_({label}) at {group.labels[g]} is {int(counts[g])}, need {formula}",
-        witness=group.labels[g],
-    )
+def reject_where(results: list, live: list[int], failed: np.ndarray, rejection, *columns) -> tuple:
+    """Record rejection(j) as the result of each failed candidate j (at results[live[j]]);
+    the candidates left, and the columns (last axis: one per candidate) cut to them."""
+    if not failed.any():
+        return live, *columns
+    for j in np.flatnonzero(failed):
+        results[live[j]] = rejection(j)
+    return [k for k, bad in zip(live, failed) if not bad], *(x[..., ~failed] for x in columns)
 
 
 def screen_members(group: GroupTable, s: Subset, t: Subset | None = None) -> Rejection | None:
@@ -164,36 +175,35 @@ def screen_members(group: GroupTable, s: Subset, t: Subset | None = None) -> Rej
     return None
 
 
-def screen_closure(group: GroupTable, s: Subset, detail: str) -> Rejection | None:
-    """S must be closed under inverses; the witness is the first element of
-    S^-1 minus S.  A complement of S in G\\{e} then is closed too, as
-    inversion is a bijection that fixes e."""
-    mismatch = inverse_set(group, s).difference(s)
-    if mismatch:
-        return Rejection(
-            "s-not-inverse-closed", detail, witness=group.labels[next(iter(mismatch))]
-        )
-    return None
+def closure_faults(group: GroupTable, s: np.ndarray, detail: str) -> tuple:
+    """Which indicator columns s fail S = S^-1, and column -> its Rejection,
+    witnessed by the first element of S^-1 minus S.  A complement of S in
+    G\\{e} then is closed too, as inversion is a bijection that fixes e."""
+    outside = s[group.inv] > s  # y^-1 in S, y not in S
+    return outside.any(axis=0), lambda j: Rejection(
+        "s-not-inverse-closed", detail, witness=group.labels[outside[:, j].argmax()]
+    )
 
 
-def accept_verdict(
-    group: GroupTable, kind: str, mu: int, s: Subset, t: Subset | None = None
-) -> SignatureVerdict | Rejection:
-    """The acceptance every verifier ends in, once its own criterion has
-    fixed mu: the matrix identity in group-algebra form (`seidel_identity`)
-    must give the same mu, which then gives the frame parameters.
-
-    kind is a `SignatureVerdict` kind; t is the T of a cube pair.  The
-    matrix has size |G|, plus one for the bordered kinds.  Disagreement of
-    the two criteria, or infeasible parameters for a mu the identity holds
-    with, would mean an implementation bug, hence the hard error.
-    """
-    columns = seidel_coefficients(group.order, kind, [s if t is None else (s, t)])
-    holds, identity_mu = seidel_identity(group, kind, *columns)
-    if not holds[0] or identity_mu[0] != mu:
+def accept_verdicts(
+    group: GroupTable, kind: str, results: list, live: list[int], candidates: list,
+    mu: np.ndarray, a: np.ndarray, b: np.ndarray | int,
+) -> list[SignatureVerdict | Rejection]:
+    """The end of every verifier, once its own criterion has fixed the mu of
+    the candidates left (live, as in `reject_where`): one `seidel_identity`
+    call on their columns (a, b) must give the same mu, and `params_from_mu`,
+    once per distinct mu, feasible parameters (n = |G|, plus one when
+    bordered).  Either failing is an implementation bug, a hard error."""
+    if not live:
+        return results
+    holds, identity_mu = seidel_identity(group, kind, a, b)
+    if not holds.all() or (identity_mu != mu).any():
         raise RuntimeError("internal: the counting criterion and the matrix identity disagree")
-    n = group.order + (kind in ("quasi", "cube-quasi"))
-    params = params_from_mu(n, mu)
-    if isinstance(params, Rejection):
-        raise RuntimeError(f"internal: a matrix satisfying the identity got {params}")
-    return SignatureVerdict(kind=kind, params=params, mu=mu, subset=s, t_subset=t)
+    n, mus = group.order + (kind in ("quasi", "cube-quasi")), mu.tolist()
+    params = {m: params_from_mu(n, m) for m in dict.fromkeys(mus)}
+    if infeasible := [p for p in params.values() if isinstance(p, Rejection)]:
+        raise RuntimeError(f"internal: a matrix satisfying the identity got {infeasible[0]}")
+    for k, m in zip(live, mus):
+        s, t = candidates[k] if kind.startswith("cube") else (candidates[k], None)
+        results[k] = SignatureVerdict(kind=kind, params=params[m], mu=m, subset=s, t_subset=t)
+    return results

@@ -9,7 +9,8 @@ and column is a permutation (a Latin square) without a separate check.
 
 Cyclic groups store no table: their group-algebra products need only the
 left translates y -> y[a^-1 g], which are slices of y repeated twice, and
-their `mul` is built and validated by `make_group` when first read.
+their `mul` is built and validated by `make_group` when first read; a
+product of two is tabulated without reading either factor's `mul`.
 """
 
 from __future__ import annotations
@@ -128,10 +129,11 @@ def _check_associative(mul: np.ndarray) -> None:
 
     The g that pass are closed under products, since (x(gh))y = ((xg)h)y =
     (xg)(hy) = x(g(hy)) = x((gh)y); so the table is associative once the
-    passing generators reach every element from the identity.  With inverses
-    checked first, the reached set M is a subgroup; each new generator lies
-    outside it and Mg is disjoint from M, so M at least doubles: at most
-    log2(n) exact checks of n^2 entries.
+    passing generators reach every element from the identity.  `_reached`
+    also steps by g^2, g^4, ...: each is a product of passing elements, so it
+    passes too.  With inverses checked first, the reached set M is a
+    subgroup; each new generator lies outside it and Mg is disjoint from M,
+    so M at least doubles: at most log2(n) exact checks of n^2 entries.
     """
     gens: list[int] = []
     while not (reached := _reached(mul, gens)).all():
@@ -144,16 +146,21 @@ def _check_associative(mul: np.ndarray) -> None:
 
 
 def _reached(mul: np.ndarray, gens: Sequence[int]) -> np.ndarray:
-    """Mask of the elements reached from the identity by right-multiplying by gens."""
-    reached = np.arange(mul.shape[0]) == 0
-    frontier = np.zeros(1, dtype=np.intp)
-    steps = mul[:, gens]
-    while frontier.size:
-        grown = reached.copy()
-        grown[steps[frontier]] = True
-        frontier = np.flatnonzero(grown > reached)
-        reached = grown
-    return reached
+    """Mask of the elements reached from the identity by right-multiplying by
+    gens: passes over the steps g, g^2, g^4, ... of each generator, one gather
+    each, until the reached set is closed under every generator."""
+    n, steps = mul.shape[0], {}
+    for g in gens:
+        for _ in range((n - 1).bit_length()):  # to g^(2^k) with 2^(k+1) >= n
+            steps[g] = None
+            g = int(mul[g, g])
+    steps.pop(0, None)
+    reached = np.arange(n) == 0
+    while True:
+        for s in steps:
+            reached[mul[:, s][reached]] = True
+        if all(reached[mul[:, g][reached]].all() for g in gens):
+            return reached
 
 
 class CyclicGroup(GroupTable):
@@ -178,10 +185,7 @@ class CyclicGroup(GroupTable):
 
     @cached_property
     def mul(self) -> np.ndarray:
-        i = np.arange(self.order, dtype=np.int32)
-        mul = i[:, None] + i
-        mul %= self.order
-        return make_group(self.name, mul, self.labels).mul
+        return make_group(self.name, _table(self), self.labels).mul
 
     def left_translates(self, y: np.ndarray) -> Callable[[int | np.ndarray], np.ndarray]:
         n = self.order
@@ -203,12 +207,20 @@ def cyclic(n: int) -> GroupTable:
     return CyclicGroup(n)
 
 
+def _table(group: GroupTable) -> np.ndarray:
+    """group.mul, but a cyclic group's by index arithmetic, with `mul` unread."""
+    if not isinstance(group, CyclicGroup):
+        return group.mul
+    i = np.arange(group.order, dtype=np.int32)
+    return (i[:, None] + i) % np.int32(group.order)
+
+
 def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     """Componentwise product; element (i, j) lives at index i*|g2| + j."""
     n1, n2 = g1.order, g2.order
     _check_order(n1 * n2)
     n = n1 * n2
-    mul = (g1.mul[:, None, :, None] * np.int32(n2) + g2.mul[None, :, None, :]).reshape(n, n)
+    mul = (_table(g1)[:, None, :, None] * np.int32(n2) + _table(g2)[None, :, None, :]).reshape(n, n)
     labels = [f"({la},{lb})" for la in g1.labels for lb in g2.labels]
     return make_group(f"{g1.name}x{g2.name}", mul, labels)
 

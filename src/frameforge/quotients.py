@@ -87,67 +87,83 @@ def trivial_quotient(order: int) -> Quotient:
 
 
 def normal_quotients(group: GroupTable) -> list[Quotient]:
-    """G/H for each H in a fixed family of normal subgroups H != 1 with G/H
-    a p-group, p the least prime dividing |G|: the normal cyclic subgroups of
-    p-power index, and the subgroups generated by the p^j-th powers.
+    """G/H for each H of `_subgroup_masks`, in its order."""
+    return [_quotient(group, mask) for mask in _subgroup_masks(group)]
 
-    In a cyclic group these are all the subgroups <p^j>, and the cosets are
-    the residues mod p^j, so no table is read.
+
+def _subgroup_masks(group: GroupTable) -> np.ndarray:
+    """One membership row per H in a fixed family of normal subgroups H != 1
+    with G/H a p-group, p the least prime dividing |G|: the normal cyclic
+    subgroups of p-power index, then those generated by the p^j-th powers.
+
+    In a cyclic group these are all the subgroups <p^j>, and no table is
+    read.  In an abelian group the p^j-th powers already form a subgroup.
     """
     n = group.order
     p = next((d for d in range(2, n + 1) if n % d == 0), None)
     if p is None:
-        return []
+        return np.zeros((0, n), dtype=bool)
+    e, top = np.arange(n), p  # top: the largest power of p that divides n
+    while n % (top * p) == 0:
+        top *= p
     if isinstance(group, CyclicGroup):
-        out, d = [], p
-        while n % d == 0 and d < n:
-            out.append(Quotient(np.arange(n) % d, cyclic(d)))
-            d *= p
-        return out
-    mul, inv, e = group.mul, group.inv, np.arange(n)
+        d = [p ** j for j in range(1, n.bit_length()) if top % p ** j == 0 and p ** j < n]
+        return e % np.array(d, dtype=int)[:, None] == 0
+    mul, inv = group.mul, group.inv
     powers = [e]  # powers[k][g] = g^(k+1), up to the exponent
     while powers[-1].any():
         powers.append(mul[powers[-1], e])
     member = np.zeros((n, n), dtype=bool)  # member[g, x]: x lies in <g>
     member[e, np.array(powers)] = True
-    index = n // member.sum(axis=1)
-    normal = member[e, mul[mul[e[:, None], e], inv[:, None]]].all(axis=0)  # x g x^-1 in <g>
-    masks = [member[g] for g in e if normal[g] and 1 < index[g] < n and _is_power(index[g], p)]
+    size, same = member.sum(axis=1), member & member.T  # same[g, x]: <g> = <x>
+    keep = (top % (n // size) == 0) & (1 < size) & (size < n) & (same.argmax(axis=1) == e)
+    if not group.is_abelian:  # x g x^-1 in <g> for every x
+        keep &= member[e, mul[mul[e[:, None], e], inv[:, None]]].all(axis=0)
+    masks = member[keep]  # one row per subgroup, at its least generator
     k = p
     while len(powers) % k == 0:
-        masks.append(subgroup_generated(group, set(powers[k - 1].tolist())).mask() == 1)
+        generated = np.zeros(n, dtype=bool)
+        generated[powers[k - 1]] = True
+        if not group.is_abelian:
+            generated = subgroup_generated(group, np.flatnonzero(generated)).mask() == 1
+        if 1 < generated.sum() < n and not (masks == generated).all(axis=1).any():
+            masks = np.vstack([masks, generated])
         k *= p
-    out, seen = [], set()
-    for mask in masks:
-        if mask.sum() in (1, n) or mask.tobytes() in seen:
-            continue
-        seen.add(mask.tobytes())
-        coset_min = mul[:, mask].min(axis=1)  # the least element of gH
-        reps = np.flatnonzero(coset_min == e)
-        coset = np.zeros(n, dtype=np.intp)
-        coset[reps] = np.arange(len(reps))
-        coset = coset[coset_min]
-        table = coset[mul[reps][:, reps]]  # a group table because H is normal
-        labels = tuple(f"{group.labels[r]}H" for r in reps)
-        out.append(Quotient(coset, GroupTable(f"{group.name}/H", table, np.argmin(table, axis=1), labels)))
-    return out
+    return masks
 
 
-def _is_power(x: int, p: int) -> bool:
-    while x % p == 0:
-        x //= p
-    return x == 1
+def _quotient(group: GroupTable, mask: np.ndarray) -> Quotient:
+    """G/H for the normal subgroup H with this membership mask."""
+    n = group.order
+    if isinstance(group, CyclicGroup):
+        d = n // int(mask.sum())
+        return Quotient(np.arange(n) % d, cyclic(d))
+    mul = group.mul
+    coset_min = mul[:, mask].min(axis=1)  # the least element of gH
+    reps = np.flatnonzero(coset_min == np.arange(n))
+    coset = np.zeros(n, dtype=np.intp)
+    coset[reps] = np.arange(len(reps))
+    coset = coset[coset_min]
+    table = coset[mul[reps][:, reps]]  # a group table because H is normal
+    labels = tuple(f"{group.labels[r]}H" for r in reps)
+    return Quotient(coset, GroupTable(f"{group.name}/H", table, np.argmin(table, axis=1), labels))
 
 
 def key_count(quotient: Quotient, cube: bool) -> int:
-    """A bound on the distinct images rho(c).  A coset sum of h unit
-    coefficients takes at most h + 1 values, or (h + 1)(h + 2)/2 in Z[omega];
-    the sum on q^-1 H follows from the one on qH; and in Z[omega] a coset
-    with qH = q^-1 H sums conjugate pairs, c + conj(c) in {2, -1}, and
-    involutions, whose c is 1: at most h/2 + 1 values."""
+    """`_key_bound` of a built quotient."""
     h = len(quotient.coset) // quotient.order
     self_inverse = int((quotient.group.inv == np.arange(quotient.order)).sum())
-    pairs = (quotient.order - self_inverse) // 2
+    return _key_bound(h, quotient.order, self_inverse, cube)
+
+
+def _key_bound(h: int, order: int, self_inverse: int, cube: bool) -> int:
+    """A bound on the distinct images rho(c) in G/H, |H| = h, with this many
+    self-inverse cosets.  A coset sum of h unit coefficients takes at most
+    h + 1 values, or (h + 1)(h + 2)/2 in Z[omega]; the sum on q^-1 H follows
+    from the one on qH; and in Z[omega] a coset with qH = q^-1 H sums
+    conjugate pairs, c + conj(c) in {2, -1}, and involutions, whose c is 1:
+    at most h/2 + 1 values."""
+    pairs = (order - self_inverse) // 2
     if cube:
         return (h // 2 + 1) ** self_inverse * ((h + 1) * (h + 2) // 2) ** pairs
     return (h + 1) ** (self_inverse + pairs)
@@ -158,13 +174,21 @@ def choose_quotient(group: GroupTable, kind: str, candidates: int) -> Quotient:
     bound is at most _KEYS_PER_HALF_CODE times the square root of the
     candidate count (the size of each half table of the join) and whose
     images pack into one int64, the one with the most cosets, then the
-    largest bound, then the first; G/G when there is none."""
-    cube = kind.startswith("cube")
-    budget = _KEYS_PER_HALF_CODE * math.isqrt(candidates)
-    best, best_rank = trivial_quotient(group.order), (1, 0)
-    for quotient in normal_quotients(group):
-        rank = (quotient.order, key_count(quotient, cube))
-        if best_rank < rank and rank[1] <= budget and quotient.strides(cube)[-1] < 2 ** 62:
-            best, best_rank = quotient, rank
-    return best
+    largest bound, then the first; G/G when there is none.
 
+    The subgroups are ranked before any quotient is built: |H| gives the
+    order and the packed range, and the self-inverse cosets qH, those with
+    q^2 in H, number #{g : g^2 in H} / |H|.  Only the chosen one is built.
+    """
+    cube, n, e = kind.startswith("cube"), group.order, np.arange(group.order)
+    budget = _KEYS_PER_HALF_CODE * math.isqrt(candidates)
+    masks = _subgroup_masks(group)
+    squares = 2 * e % n if isinstance(group, CyclicGroup) else group.mul[e, e]
+    sizes = masks.sum(axis=1)
+    best, best_rank = None, (1, 0)
+    for mask, h, s in zip(masks, sizes.tolist(), (masks[:, squares].sum(axis=1) // sizes).tolist()):
+        rank = (n // h, _key_bound(h, n // h, s, cube))
+        packs = (2 * h + 1) ** (rank[0] * (1 + cube)) < 2 ** 62  # Quotient.strides(cube)[-1]
+        if best_rank < rank and rank[1] <= budget and packs:
+            best, best_rank = mask, rank
+    return trivial_quotient(n) if best is None else _quotient(group, best)

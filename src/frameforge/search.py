@@ -24,7 +24,7 @@ from .cube_root import nmu_excluded, verify_pairs
 from .groups import GroupTable
 from .quotients import Quotient, choose_quotient
 from .signature_sets import verify_sets
-from .subsets import Subset, seidel_coefficients, seidel_identity
+from .subsets import Subset, seidel_identity
 from .verdicts import SignatureVerdict
 
 # perfbench/tracer.py patches the one-candidate verifiers under these names
@@ -93,37 +93,38 @@ class Candidates(Sequence):
     """
 
     def __init__(self, group: GroupTable, cube: bool) -> None:
-        e, inv = np.arange(1, group.order), group.inv[1:]
-        involutions = e[inv == e].tolist()
-        orbits = list(zip(e[e < inv].tolist(), inv[e < inv].tolist()))
-        if not cube:
-            orbits[:0] = [(x, x) for x in involutions]
-        n, self._cube, self._radix = group.order, cube, 3 if cube else 2
+        n, inv, e = group.order, group.inv, np.arange(group.order)
+        # each orbit's least element, the involutions first for the real kinds
+        leads = np.flatnonzero((e < inv) | (e == inv) & (e > 0) & (not cube))
+        leads = leads[np.argsort(inv[leads] != leads, kind="stable")]
+        self._cube, self._radix = cube, 3 if cube else 2
         # the bits that each digit of an orbit sets: S in the low n bits, T above
-        self._fixed = sum(1 << x for x in involutions) if cube else 0
+        self._fixed = sum(1 << x for x in e[(inv == e) & (e > 0)].tolist()) if cube else 0
         self._options = [
             (bits, 1 << (n + x), 1 << (n + y)) if cube else (0, bits)
-            for x, y in orbits
+            for x, y in zip(leads.tolist(), inv[leads].tolist())
             for bits in [(1 << x) | (1 << y)]
         ]
-        self._size = self._radix ** len(orbits)
+        self._size = self._radix ** len(leads)
         if self._size > np.iinfo(np.int64).max:
-            raise ValueError(f"{group.name} has {self._radix}^{len(orbits)} candidates, "
+            raise ValueError(f"{group.name} has {self._radix}^{len(leads)} candidates, "
                              "more than int64 codes can number")
         # q_i = code // radix^i in the narrowest unsigned type that holds the
         # codes, and digit i = q_i - radix * q_(i+1).  The top digit is 0 for
         # every code; the identity and the cube kinds' involutions read it.
-        self._weights = (self._radix ** np.arange(len(orbits) + 1, dtype=np.uint64)).astype(
+        self._weights = (self._radix ** np.arange(len(leads) + 1, dtype=np.uint64)).astype(
             np.min_scalar_type(self._size))[:, None]
-        self._orbit = np.full(n, len(orbits))
-        for i, orbit in enumerate(orbits):
-            self._orbit[list(orbit)] = i
-        # An element's coefficient depends on its orbit's digit alone, so the
-        # candidates with all digits d give column d of the (element, digit) table.
-        repunit = (self._size - 1) // (self._radix - 1)
-        columns = seidel_coefficients(n, "cube-pair" if cube else "signature",
-                                      [self[d * repunit] for d in range(self._radix)])
-        self._table = [c.ravel() if np.ndim(c) else c for c in columns]
+        self._orbit = np.full(n, len(leads))
+        self._orbit[leads] = self._orbit[inv[leads]] = np.arange(len(leads))
+        # The (element, digit) coefficient table: digit d puts an element in S, T
+        # or V (c = 1, omega, -1 - omega) by (sign * d + shift) % 3, with sign -1
+        # for a cube partner, 0 for a cube involution, else 1; shift 2, real kinds.
+        sign = np.zeros(n, dtype=np.int64)
+        sign[leads], sign[inv[leads]] = 1, -1 if cube else 1
+        role = (sign[:, None] * np.arange(self._radix) + 2 * (not cube)) % 3
+        a, b = np.array([[1, 0, -1], [0, 1, -1]], dtype=np.int16)[:, role]
+        a[0] = 0  # the identity; its role 0 already gives b = 0
+        self._table = [a.ravel(), b.ravel() if cube else 0]
         self._rows = self._radix * np.arange(n, dtype=np.int16)[:, None]
 
     def __len__(self) -> int:

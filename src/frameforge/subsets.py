@@ -159,7 +159,7 @@ def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     out = np.zeros(y.shape, dtype=np.result_type(x, y))
     translate = group.left_translates(y)
-    for weight, rows in _blocks(x, max(1, _BLOCK // y.size)):
+    for weight, rows in _blocks(x, max(1, _BLOCK // max(y.size, 1))):
         # one expression, so no gathered translate outlives its term
         out += weight * (
             translate(rows).sum(axis=0, dtype=out.dtype) if rows.ndim else translate(rows)
@@ -170,19 +170,21 @@ def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _blocks(x: np.ndarray, step: int) -> Iterable[tuple]:
     """The blocks of `convolve`: (weight, rows) with x[a] = weight for every
     a in rows.  rows is an index array of at most step entries when x is one
-    vector, and a single row (an integer scalar) when x has several columns."""
+    vector, and a single row (an integer scalar) when x has several columns.
+    A vector with one non-zero weight, such as a 0/1 indicator, is cut into
+    blocks as it is, with no sort."""
     if x.size != len(x):
         return ((x[a], a) for a in np.flatnonzero(x.any(axis=1)))
     x = x.reshape(len(x))
-    rows = np.argsort(x)  # the rows of one weight side by side
+    rows = x.nonzero()[0]
     weights = x[rows]
-    cuts = [0, *(np.flatnonzero(weights[1:] != weights[:-1]) + 1).tolist(), len(x)]
-    return [
-        (weights[lo], rows[a:min(a + step, hi)])
-        for lo, hi in zip(cuts, cuts[1:])
-        if weights[lo]
-        for a in range(lo, hi, step)
-    ]
+    if not np.count_nonzero(weights != weights[:1]):
+        return [(weights[0], rows[a:a + step]) for a in range(0, len(rows), step)]
+    rows = rows[np.argsort(weights)]  # the rows of one weight side by side
+    weights = x[rows]
+    cuts = [0, *(np.flatnonzero(weights[1:] != weights[:-1]) + 1).tolist(), len(rows)]
+    return [(weights[lo], rows[a:min(a + step, hi)])
+            for lo, hi in zip(cuts, cuts[1:]) for a in range(lo, hi, step)]
 
 
 def seidel_coefficients(

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from frameforge import Subset, cyclic, direct_product, generate, quaternion8, units_mod
+from frameforge import Subset, cyclic, direct_product, generate, parse_group, quaternion8, units_mod
 from frameforge.signature_sets import verify_quasi_signature_set
 from frameforge.subsets import _BLOCK, _blocks, convolve
 
@@ -85,6 +85,15 @@ def test_zero_and_single_row_inputs():
     x = np.zeros(2377, dtype=np.int16)
     x[5] = -2
     assert np.array_equal(convolve(group, x, y), -2 * np.roll(y, 5))
+
+
+@pytest.mark.parametrize("name", ["C5", "C2xC4"])
+def test_a_batch_of_no_columns_gives_the_empty_product(name):
+    group = parse_group(name)
+    empty = np.zeros((group.order, 0), dtype=np.int16)
+    for x in (empty, np.ones(group.order, dtype=np.int16)):
+        out = convolve(group, x, empty)
+        assert out.shape == (group.order, 0) and out.dtype == np.int16
 
 
 def test_thm511_set_with_a_swapped_residue_is_rejected():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import frameforge.groups
+
 from frameforge import (
     Subset,
     conjugate_subset,
@@ -13,7 +15,9 @@ from frameforge import (
     subgroup_generated,
     units_mod,
 )
-from frameforge.groups import _check_associative
+from frameforge.groups import _check_associative, _reached
+
+from conftest import supported_descriptors
 
 
 def test_cyclic_trivial():
@@ -68,6 +72,25 @@ def test_direct_product_table_matches_index_gather(build):
     mul = direct_product(g1, g2).mul
     assert mul.dtype == reference.dtype == np.int32
     assert mul.tobytes() == reference.tobytes()
+
+
+def test_cyclic_factors_are_never_tabulated(monkeypatch):
+    # the product table is written by index arithmetic, and validated once
+    validated = []
+    make_group = frameforge.groups.make_group
+    monkeypatch.setattr(frameforge.groups, "make_group",
+                        lambda name, *args: validated.append(name) or make_group(name, *args))
+    for descriptor in supported_descriptors(64):
+        if "x" in descriptor:
+            a, b = (int(part[1:]) for part in descriptor.split("x"))
+            g1, g2 = cyclic(a), cyclic(b)
+            product = direct_product(g1, g2)
+            assert "mul" not in vars(g1) and "mul" not in vars(g2), descriptor
+            assert validated == [product.name] == [descriptor]
+            validated.clear()
+            left, right = np.divmod(np.arange(a * b), b)
+            reference = (left[:, None] + left) % a * b + (right[:, None] + right) % b
+            assert np.array_equal(product.mul, reference), descriptor
 
 
 def test_direct_product_overflow_rejected():
@@ -160,6 +183,38 @@ def _brute_closure(g, gens):
                 members.add(y)
                 frontier.append(y)
     return members
+
+
+def _frontier_reached(mul, gens):
+    """Reference: breadth-first search from the identity, one round per
+    Cayley-graph step."""
+    reached = np.arange(mul.shape[0]) == 0
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        grown = reached.copy()
+        grown[mul[frontier][:, gens]] = True
+        frontier = np.flatnonzero(grown > reached)
+        reached = grown
+    return reached
+
+
+def _dihedral(m):
+    """D_m, index k + m*f standing for r^k s^f, with s r = r^-1 s."""
+    k, f = np.divmod(np.arange(2 * m), m)[::-1]
+    mul = (k[:, None] + np.where(f[:, None], -k, k)) % m + m * (f[:, None] ^ f)
+    return make_group(f"D{m}", mul, [str(i) for i in range(2 * m)])
+
+
+@pytest.mark.parametrize("descriptor", supported_descriptors(64) + ["D3", "D4", "D5", "D12", "D32"])
+def test_log_step_closure_equals_the_frontier_search(descriptor):
+    group = _dihedral(int(descriptor[1:])) if descriptor[0] == "D" else parse_group(descriptor)
+    mul = group.mul
+    for g in range(group.order):
+        assert np.array_equal(_reached(mul, [g]), _frontier_reached(mul, [g])), g
+    rng = np.random.default_rng(group.order)
+    for size in (0, 2, 3, 5):
+        gens = rng.integers(0, group.order, size=size).tolist()
+        assert np.array_equal(_reached(mul, gens), _frontier_reached(mul, gens)), gens
 
 
 def test_conjugation_abelian_fixes_sets():

@@ -10,6 +10,7 @@ join's code set with a brute-force filter of all codes.
 
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frameforge.groups
-from frameforge import SearchSpec, cyclic, make_group, parse_group, search
+from frameforge import GroupTable, SearchSpec, cyclic, direct_product, make_group, parse_group, search
 from frameforge.eisenstein import eis_product
 from frameforge.quotients import (
+    _KEYS_PER_HALF_CODE,
     Quotient,
     choose_quotient,
     key_count,
@@ -51,6 +53,8 @@ def permutation_group(name, generators):
 
 S3 = permutation_group("S3", [(1, 2, 0), (0, 2, 1)])
 D4 = permutation_group("D4", [(1, 2, 3, 0), (0, 3, 2, 1)])  # <s> has index 4 and is not normal
+D8 = permutation_group("D8", [(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)])
+A4xC2 = direct_product(permutation_group("A4", [(1, 2, 0, 3), (1, 0, 3, 2)]), cyclic(2))  # squares: no subgroup
 
 #: (descriptor, kind, hits, sha256 of the hit rows), recorded with the full scan
 HIT_PINS = [
@@ -196,6 +200,60 @@ def test_key_bound_covers_the_images():
                     image = np.vstack([image, quotient.project(b)])
                 distinct = len(np.unique(image, axis=1).T)
                 assert distinct <= key_count(quotient, cube), (descriptor, cube, quotient.order)
+
+
+def every_quotient(group):
+    """Reference family: G/H for each normal cyclic subgroup of p-power index
+    and each subgroup generated by the p^j-th powers (p the least prime
+    dividing |G|), in that order, each H once; every quotient is built."""
+    n, mul, inv = group.order, group.mul, group.inv
+    p = next((d for d in range(2, n + 1) if n % d == 0), None)
+    if p is None:
+        return []
+    powers = [list(range(n))]  # powers[k][g] = g^(k+1), up to the exponent
+    while any(powers[-1]):
+        powers.append([int(mul[x, g]) for g, x in enumerate(powers[-1])])
+    cyclic_subgroups = [{powers[k][g] for k in range(len(powers))} for g in range(n)]
+    subgroups = []
+    for g, h in enumerate(cyclic_subgroups):
+        index = n // len(h)
+        if 1 < index < n and p ** round(math.log(index, p)) == index and all(
+                int(mul[mul[x, g], inv[x]]) in h for x in range(n)):
+            subgroups.append(h)
+    k = p
+    while len(powers) % k == 0:
+        h = set(powers[k - 1])
+        while (grown := h | {int(mul[x, y]) for x in h for y in h}) != h:
+            h = grown
+        subgroups.append(h)
+        k *= p
+    out, seen = [], []
+    for h in subgroups:
+        if 1 < len(h) < n and h not in seen:
+            seen.append(h)
+            cosets = sorted({min(int(mul[g, x]) for x in h) for g in range(n)})
+            coset = np.array([cosets.index(min(int(mul[g, x]) for x in h)) for g in range(n)])
+            table = coset[mul[np.ix_(cosets, cosets)]]
+            quotient = GroupTable("G/H", table, np.argmin(table, axis=1), tuple(map(str, cosets)))
+            out.append(Quotient(coset, quotient))
+    return out
+
+
+def test_ranked_choice_equals_building_every_quotient():
+    # of the quotients within the key budget whose images fit in an int64:
+    # the most cosets, then the largest key bound, then the first
+    for group in [*map(parse_group, supported_descriptors(64)), S3, D4, D8, A4xC2]:
+        for kind in KINDS:
+            cube = kind.startswith("cube")
+            candidates = len(Candidates(group, cube))
+            budget = _KEYS_PER_HALF_CODE * math.isqrt(candidates)
+            want = max([trivial_quotient(group.order)] + [
+                q for q in every_quotient(group)
+                if key_count(q, cube) <= budget and q.strides(cube)[-1] < 2 ** 62
+            ], key=lambda q: (q.order, key_count(q, cube)))
+            got = choose_quotient(group, kind, candidates)
+            assert np.array_equal(got.coset, want.coset), (group.name, kind)
+            assert np.array_equal(got.group.mul, want.group.mul), (group.name, kind)
 
 
 def test_cyclic_quotients_read_no_table(monkeypatch):

@@ -1,6 +1,7 @@
 import sys
 from itertools import compress, product
 
+import numpy as np
 import pytest
 
 from frameforge import (
@@ -18,7 +19,8 @@ from frameforge import (
     verify_signature_pair,
     verify_signature_set,
 )
-from frameforge.search import KINDS
+from frameforge.search import KINDS, Candidates
+from frameforge.subsets import seidel_coefficients
 from frameforge.verdicts import SignatureVerdict
 
 from conftest import (
@@ -307,3 +309,18 @@ def test_search_refuses_a_space_past_int64_codes():
         search(SearchSpec(group=cyclic(127), kind="quasi", force=True))
     with pytest.raises(ValueError, match="int64"):
         search(SearchSpec(group=cyclic(81), kind="cube-quasi", force=True))
+
+
+def test_candidate_table_is_the_coefficients_of_the_repunit_codes():
+    # an element's coefficient depends on its orbit's digit alone, so the
+    # code with every digit d gives column d of the (element, digit) table
+    for descriptor in supported_descriptors(64):
+        group = parse_group(descriptor)
+        for kind in ("signature", "cube-pair"):
+            space = Candidates(group, kind == "cube-pair")
+            radix = 3 if kind == "cube-pair" else 2
+            repunit = (len(space) - 1) // (radix - 1)
+            want = seidel_coefficients(group.order, kind, [space[d * repunit] for d in range(radix)])
+            for got, column in zip(space._table, want):
+                assert np.asarray(got).dtype == np.asarray(column).dtype, (descriptor, kind)
+                assert np.array_equal(np.ravel(got), np.ravel(column)), (descriptor, kind)

@@ -14,7 +14,7 @@ import numpy as np
 from .groups import GroupTable
 from .matrices import SeidelMatrixEis, certify_columns, regrep_sum
 from .numbertheory import is_perfect_square
-from .signature_sets import accept_verdicts, closure_faults, reject_where, screen_members
+from .signature_sets import accept_verdicts, closure_faults, screen_members
 from .subsets import Subset, seidel_coefficients
 from .verdicts import Rejection, SignatureVerdict
 
@@ -61,22 +61,18 @@ def verify_pairs(
 ) -> list[SignatureVerdict | Rejection]:
     """The verdict or Rejection the kind's verifier ("cube-pair" or
     "cube-quasi") gives each pair alone.  S = S^-1 and V = T^-1, masks on
-    the pairs' columns, make every matrix self-adjoint; the pairs left go
-    to one batched certificate, then one `accept_verdicts`."""
+    the columns of the pairs past the member screen, make a matrix
+    self-adjoint; all are certified in one batch before `accept_verdicts`."""
     results = [screen_members(group, s, t) for s, t in pairs]
-    live = [k for k, fault in enumerate(results) if fault is None]
-    a, b = seidel_coefficients(group.order, kind, [pairs[k] for k in live])
+    a, b = seidel_coefficients(group.order, kind, [p for p, r in zip(pairs, results) if r is None])
     # c = 1, w, w^2 = -1 - w on S, T, V: (a, b) = (1, 0), (0, 1), (-1, -1)
-    open_s, closure_fault = closure_faults(group, a == 1, "S must be closed under inverses")
-    v_open = (b[group.inv] == 1) != (a == -1)  # T^-1 != V
-    v_fault = Rejection("v-neq-t-inverse", "V must equal T^-1")
-    live, a, b = reject_where(results, live, open_s | v_open.any(axis=0),
-                              lambda j: closure_fault(j) if open_s[j] else v_fault, a, b)
+    v_open = ((b[group.inv] == 1) != (a == -1)).any(axis=0)  # T^-1 != V
     mus = certify_columns(group, a, b, bordered=kind == "cube-quasi")
-    failed = np.array([isinstance(m, Rejection) for m in mus], dtype=bool)
-    live, a, b = reject_where(results, live, failed, mus.__getitem__, a, b)
-    mu = np.array([m for m in mus if not isinstance(m, Rejection)], dtype=np.int64)
-    return accept_verdicts(group, kind, results, live, pairs, mu, a, b)
+    checks = [closure_faults(group, a == 1, "S must be closed under inverses"),
+              (v_open, lambda j: Rejection("v-neq-t-inverse", "V must equal T^-1")),
+              (np.array([isinstance(m, Rejection) for m in mus], dtype=bool), mus.__getitem__)]
+    mu = np.array([0 if isinstance(m, Rejection) else m for m in mus], dtype=np.int64)
+    return accept_verdicts(group, kind, results, checks, pairs, mu, a, b)
 
 
 def cube_necessary_conditions(n: int, mu: int, quasi: bool = False) -> tuple[bool, list[str]]:
@@ -111,7 +107,7 @@ def unique_square_root(group: GroupTable, x: int) -> int:
         raise ValueError("the group must have odd order")
     if not group.is_abelian:
         raise ValueError("the group must be abelian")
-    if x == 0:
+    if group.element_index(x) == 0:
         raise ValueError("x must not be the identity")
     order = group.element_order(x)
     h = 0

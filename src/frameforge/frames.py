@@ -117,6 +117,8 @@ def factor_gram(p: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> FrameVectors
     n = p.shape[0]
     if p.shape != (n, n):
         raise ValueError("Gram matrix must be square")
+    if not np.isfinite(p).all():  # NaN would pass every comparison with tol
+        raise ValueError("Gram matrix must be finite")
     if np.abs(p - p.conj().T).max(initial=0.0) > tol:
         return Rejection("not-hermitian", "Gram matrix is not self-adjoint within tol")
     d = np.real(np.diagonal(p)).copy()

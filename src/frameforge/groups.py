@@ -71,7 +71,14 @@ class GroupTable:
         mul, inv = self.mul, self.inv
         return lambda a: y.take(mul[inv[a]], axis=0)
 
+    def element_index(self, x: int, what: str = "element") -> int:
+        """x as an element index; a ValueError when it is out of range."""
+        if not 0 <= x < self.order:
+            raise ValueError(f"{what} index {x} out of range")
+        return int(x)
+
     def element_order(self, x: int) -> int:
+        x = self.element_index(x)
         k, y = 1, x
         while y != 0:
             y = int(self.mul[y, x])
@@ -256,10 +263,7 @@ def subgroup_generated(group: GroupTable, generators: Iterable[int]) -> Subset:
     Every inverse in a finite group is a positive power, so closing under
     right multiplication by the generators also closes under inverses.
     """
-    gens = [int(g) for g in generators]
-    for g in gens:
-        if not 0 <= g < group.order:
-            raise ValueError(f"generator index {g} out of range")
+    gens = [group.element_index(g, "generator") for g in generators]
     return Subset.from_mask(group.order, _reached(group.mul, gens))
 
 

@@ -207,10 +207,10 @@ _STACK = 1 << 15
 def certify_columns(
     group: GroupTable, a: np.ndarray, b: np.ndarray, bordered: bool
 ) -> list[int | Rejection]:
-    """The test of `certify_two_eigenvalue` on the self-adjoint matrices
-    sum c(g) R(g) of the columns c = a + b*omega, bordered when asked: one mu
-    or Rejection per column.  Each (B, n, n) stack of at most _STACK entries
-    is gathered by `regrep_sum` and squared by one batched exact product."""
+    """The identity test of `certify_two_eigenvalue`, but not its self-adjoint
+    check, on sum c(g) R(g) for each column c = a + b*omega, bordered when
+    asked: a mu or Rejection per column.  Stacks (B, n, n) of at most _STACK
+    entries are gathered by `regrep_sum` and squared by one exact product."""
     n = group.order + bordered
     step = max(1, _STACK // n ** 2)
     out = []
@@ -225,7 +225,7 @@ def certify_columns(
 
 
 def _identity_mu(a, b, sq_a, sq_b) -> list[int | Rejection]:
-    """Per self-adjoint Q = a + b*omega of a (B, n, n) stack, given Q^2 (b, sq_b may be
+    """Per Q = a + b*omega of a (B, n, n) stack, given Q^2 (b, sq_b may be
     the scalar 0): mu with Q^2 = (n-1)I + mu*Q, read off entry (0, 1), or the Rejection."""
     count, n = len(a), a.shape[-1]
     if n < 2:

@@ -88,8 +88,9 @@ class Candidates(Sequence):
     digit per pair puts it in S (0), or x (1) or x^-1 (2) into T, its partner
     landing in V; all else fails S = S^-1 or V = T^-1.  The first orbit's
     digit is the least significant, and iteration follows the codes upwards.
-    `columns(codes)` gives the `seidel_coefficients` of an array of codes
-    without building a `Subset`.  Codes are int64: a larger space is refused.
+    `columns(codes)` gives the `seidel_coefficients` of codes, `decode` reads
+    candidates off them, and both read one table of what a digit means.
+    Codes are int64: a larger space is refused.
     """
 
     def __init__(self, group: GroupTable, cube: bool) -> None:
@@ -98,13 +99,6 @@ class Candidates(Sequence):
         leads = np.flatnonzero((e < inv) | (e == inv) & (e > 0) & (not cube))
         leads = leads[np.argsort(inv[leads] != leads, kind="stable")]
         self._cube, self._radix = cube, 3 if cube else 2
-        # the bits that each digit of an orbit sets: S in the low n bits, T above
-        self._fixed = sum(1 << x for x in e[(inv == e) & (e > 0)].tolist()) if cube else 0
-        self._options = [
-            (bits, 1 << (n + x), 1 << (n + y)) if cube else (0, bits)
-            for x, y in zip(leads.tolist(), inv[leads].tolist())
-            for bits in [(1 << x) | (1 << y)]
-        ]
         self._size = self._radix ** len(leads)
         if self._size > np.iinfo(np.int64).max:
             raise ValueError(f"{group.name} has {self._radix}^{len(leads)} candidates, "
@@ -133,13 +127,22 @@ class Candidates(Sequence):
     def __getitem__(self, code: int) -> Subset | tuple[Subset, Subset]:
         if not 0 <= code < self._size:
             raise IndexError(f"candidate code {code} out of range")
-        bits, n = self._fixed, len(self._orbit)
-        for options in self._options:
-            code, digit = divmod(code, self._radix)
-            bits |= options[digit]
-        if self._cube:
-            return Subset(n, bits & ((1 << n) - 1)), Subset(n, bits >> n)
-        return Subset(n, bits)
+        return self.decode(*self.columns(np.array([code])))[0]
+
+    def __iter__(self) -> Iterator[Subset | tuple[Subset, Subset]]:
+        for lo in range(0, self._size, _CHUNK):
+            yield from self.decode(*self.columns(np.arange(lo, min(lo + _CHUNK, self._size))))
+
+    def decode(self, a: np.ndarray, b: np.ndarray | int) -> list:
+        """The candidates of coefficient columns: S where c = 1 (a == 1) and,
+        for the cube kinds, T where c = omega (b == 1)."""
+        n, sets = len(self._orbit), []
+        for x in (a, b)[: 1 + self._cube]:
+            # one row of packed bits per column, read as one bytes object by a void view
+            packed = np.packbits(x == 1, axis=0, bitorder="little").T.copy()
+            sets.append([Subset(n, int.from_bytes(row, "little"))
+                         for row in packed.view(f"V{packed.shape[1]}").ravel().tolist()])
+        return list(zip(*sets)) if self._cube else sets[0]
 
     def columns(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
         """Each element gathers its orbit's digit, then its coefficient under it."""
@@ -272,16 +275,17 @@ def search(spec: SearchSpec) -> list[SearchHit]:
         if nmu_excluded(group.order, spec.mu, group.is_abelian):
             return []
 
-    # `space` turns codes into the screen's columns.  The enumerator, called
-    # by its public name so that a wrapper of it sees the scan, gives the
-    # candidate count and builds each survivor; neither builds anything else.
+    # `space` turns codes into the screen's columns and decodes the survivors
+    # from them.  The enumerator is called by its public name, so that a
+    # wrapper of it sees the scan, and only for the candidate count.
     space = Candidates(group, pairs)  # refuses a space past int64 codes
-    candidates = (cube_candidates if pairs else enumerate_inverse_closed)(group)
+    count = len((cube_candidates if pairs else enumerate_inverse_closed)(group))
     verdicts, verify = [], verify_pairs if pairs else verify_sets
-    for codes in space.join(choose_quotient(group, spec.kind, len(candidates)), spec.kind):
+    for codes in space.join(choose_quotient(group, spec.kind, count), spec.kind):
         a, b = space.columns(codes)
-        kept = codes[seidel_identity(group, spec.kind, a, b)[0]].tolist()
-        verdicts += [v for v in verify(group, spec.kind, [candidates[code] for code in kept])
+        kept = seidel_identity(group, spec.kind, a, b)[0]
+        survivors = space.decode(a[:, kept], b[:, kept] if pairs else b)
+        verdicts += [v for v in verify(group, spec.kind, survivors)
                      if isinstance(v, SignatureVerdict) and spec.mu in (None, v.mu)]
 
     hits = sorted((SearchHit(v, _canonical_key(group, v.subset, v.t_subset)) for v in verdicts),

@@ -83,29 +83,19 @@ def verify_sets(
     group: GroupTable, kind: str, subsets: list[Subset]
 ) -> list[SignatureVerdict | Rejection]:
     """The verdict or Rejection the kind's verifier ("signature" or "quasi")
-    gives each subset alone.  The checks run in its order, as masks on the
-    columns of the subsets still in play; all pair counts come from one
-    `convolve` (single-vector for one subset), then one `accept_verdicts`."""
+    gives each subset alone.  Its checks are masks on the columns of all the
+    subsets past the member screen, all pair counts from one `convolve`
+    (single-vector for one subset), and `accept_verdicts` applies them."""
     results = [screen_members(group, s) for s in subsets]
-    live = [k for k, fault in enumerate(results) if fault is None]
     quasi = kind == "quasi"
     n = group.order + quasi
     if n % 2:  # covers the degenerate one-element group as well
         odd = (Rejection("odd-frame-size", f"|G|+1 = {n} is odd") if quasi
                else Rejection("odd-order", f"group order {n} is odd"))
         return [fault or odd for fault in results]
-    a, _ = seidel_coefficients(group.order, kind, [subsets[k] for k in live])
+    a, _ = seidel_coefficients(group.order, kind, [x for x, r in zip(subsets, results) if r is None])
     s = (a + 1) >> 1  # the indicator of S; a is 1 on S, -1 on T and 0 at e
     mu = 2 * s.sum(axis=0) - (group.order - 1)  # |S| - |T|, the quasi kind's mu
-    if quasi:
-        live, a, s, mu = reject_where(
-            results, live, np.abs(3 * mu) > n - 6,
-            lambda j: Rejection("mu-out-of-range", f"mu={mu[j]} outside [2-n/3, n/3-2]"), a, s, mu)
-    live, a, s, mu = reject_where(
-        results, live, *closure_faults(group, s, "S is not closed under inverses"), a, s, mu)
-    if not live:
-        return results
-
     counts = convolve(group, s, s if quasi else (1 - a) >> 1)  # N_(S,S) or N_(S,T)
     if quasi:
         # 1_T = 1 - delta_e - 1_S and |S| - |T| = mu give N_(T,T) = N_(S,S) - 1 - mu,
@@ -113,7 +103,7 @@ def verify_sets(
         need = (n + 3 * mu - 6, n - 2 + mu)
         texts = (("S,S", "(n+3mu-6)/4"), ("T,T", "(n-3mu-6)/4"))
     else:  # the first member of S fixes mu; an empty S gives -(n-2)
-        mu = np.where(s.any(axis=0), n - 2 - 4 * counts[s.argmax(axis=0), range(len(live))], 2 - n)
+        mu = np.where(s.any(axis=0), n - 2 - 4 * counts[s.argmax(axis=0), range(s.shape[1])], 2 - n)
         need = (n - 2 - mu, n - 2 + mu)
         texts = (("S,T", "(n-2-mu)/4"), ("S,T", "(n-2+mu)/4"))
     on_s = a > 0  # members of S; a < 0 on T
@@ -130,12 +120,18 @@ def verify_sets(
             return Rejection("count-mismatch-on-t", detail, witness=witness)
         return Rejection("count-mismatch-on-s", detail, witness=witness)
 
-    live, a, mu = reject_where(results, live, off.any(axis=0), mismatch, a, mu)
-    return accept_verdicts(group, kind, results, live, subsets, mu, a, 0)
+    checks = [closure_faults(group, s, "S is not closed under inverses"),
+              (off.any(axis=0), mismatch)]
+    if quasi:  # ahead of both, the band of the forced mu = |S| - |T|
+        checks.insert(0, (np.abs(3 * mu) > n - 6, lambda j: Rejection(
+            "mu-out-of-range", f"mu={mu[j]} outside [2-n/3, n/3-2]")))
+    return accept_verdicts(group, kind, results, checks, subsets, mu, a, 0)
 
 
 def index2_subgroup_set(group: GroupTable, h: Subset) -> SignatureVerdict | Rejection:
     """H\\{e} is a signature set exactly when H has index 2 (then k = 1)."""
+    if h.order != group.order:
+        raise ValueError("subset does not belong to this group")
     if not h.has_identity:
         raise ValueError("subgroup mask must contain the identity")
     members = h.indices_array()
@@ -148,16 +144,6 @@ def index2_subgroup_set(group: GroupTable, h: Subset) -> SignatureVerdict | Reje
     if isinstance(verdict, Rejection) or verdict.mu != group.order - 2 or verdict.params.k != 1:
         raise RuntimeError("internal: index-2 subgroup failed to verify as the trivial set")
     return verdict
-
-
-def reject_where(results: list, live: list[int], failed: np.ndarray, rejection, *columns) -> tuple:
-    """Record rejection(j) as the result of each failed candidate j (at results[live[j]]);
-    the candidates left, and the columns (last axis: one per candidate) cut to them."""
-    if not failed.any():
-        return live, *columns
-    for j in np.flatnonzero(failed):
-        results[live[j]] = rejection(j)
-    return [k for k, bad in zip(live, failed) if not bad], *(x[..., ~failed] for x in columns)
 
 
 def screen_members(group: GroupTable, s: Subset, t: Subset | None = None) -> Rejection | None:
@@ -186,24 +172,29 @@ def closure_faults(group: GroupTable, s: np.ndarray, detail: str) -> tuple:
 
 
 def accept_verdicts(
-    group: GroupTable, kind: str, results: list, live: list[int], candidates: list,
+    group: GroupTable, kind: str, results: list, checks: list, candidates: list,
     mu: np.ndarray, a: np.ndarray, b: np.ndarray | int,
 ) -> list[SignatureVerdict | Rejection]:
-    """The end of every verifier, once its own criterion has fixed the mu of
-    the candidates left (live, as in `reject_where`): one `seidel_identity`
-    call on their columns (a, b) must give the same mu, and `params_from_mu`,
-    once per distinct mu, feasible parameters (n = |G|, plus one when
-    bordered).  Either failing is an implementation bug, a hard error."""
-    if not live:
-        return results
-    holds, identity_mu = seidel_identity(group, kind, a, b)
+    """The end of every verifier.  checks lists (failed mask, j -> Rejection)
+    in the verifier's order; the masks, mu and the columns (a, b) cover the
+    candidates that passed the member screen (results[k] is None), and each
+    gets the Rejection of the first check it fails.  On the rest, one
+    `seidel_identity` call must give the mu the verifier fixed, and
+    `params_from_mu`, once per distinct mu, feasible parameters (n = |G|,
+    plus one when bordered).  Either failing is a bug, a hard error."""
+    live = [k for k, fault in enumerate(results) if fault is None]
+    passed = ~np.logical_or.reduce([failed for failed, _ in checks])
+    for j in (~passed).nonzero()[0]:
+        results[live[j]] = next(rejection(j) for failed, rejection in checks if failed[j])
+    mu, a = mu[passed], a[:, passed]
+    holds, identity_mu = seidel_identity(group, kind, a, b[:, passed] if np.ndim(b) else b)
     if not holds.all() or (identity_mu != mu).any():
         raise RuntimeError("internal: the counting criterion and the matrix identity disagree")
     n, mus = group.order + (kind in ("quasi", "cube-quasi")), mu.tolist()
     params = {m: params_from_mu(n, m) for m in dict.fromkeys(mus)}
     if infeasible := [p for p in params.values() if isinstance(p, Rejection)]:
         raise RuntimeError(f"internal: a matrix satisfying the identity got {infeasible[0]}")
-    for k, m in zip(live, mus):
+    for k, m in zip([k for k in live if results[k] is None], mus):
         s, t = candidates[k] if kind.startswith("cube") else (candidates[k], None)
         results[k] = SignatureVerdict(kind=kind, params=params[m], mu=m, subset=s, t_subset=t)
     return results

@@ -245,7 +245,7 @@ def seidel_identity(
 def conjugate_subset(group: "GroupTable", s: Subset, t: int) -> Subset:
     """{t * x * t^-1 : x in s}; preserves cardinality and inverse closure."""
     _check_group(group, s)
-    mul, inv = group.mul, group.inv
+    mul, inv, t = group.mul, group.inv, group.element_index(t)
     t_inv = int(inv[t])
     bits = 0
     for x in s:

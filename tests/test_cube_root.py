@@ -148,6 +148,13 @@ def test_unique_square_root():
         unique_square_root(quaternion8(), 1)
 
 
+@pytest.mark.parametrize("x", [-1, 5])
+def test_unique_square_root_refuses_an_index_out_of_range(x):
+    # x = -1 used to end in "internal: square root not unique"
+    with pytest.raises(ValueError, match=f"element index {x} out of range"):
+        unique_square_root(cyclic(5), x)
+
+
 def test_unique_square_root_everywhere():
     for g in (cyclic(9), cyclic(15), direct_product(cyclic(3), cyclic(3))):
         for x in range(1, g.order):

@@ -79,6 +79,16 @@ def test_factor_identity_projection():
     assert abs(abs(frame.vectors[0, 0]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_factor_refuses_a_non_finite_gram_matrix(bad):
+    # NaN passes every comparison with tol and used to reach the reject path
+    for dtype in (np.float64, np.complex128):
+        p = np.full((3, 3), 1 / 3, dtype=dtype)
+        p[0, 1] = p[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            factor_gram(p, 1)
+
+
 def test_factor_rejects_non_projection():
     for dtype in (np.complex128, np.float64):  # the complex and the real eigensolver
         p = np.diag([1.0, 0.5, 0.0]).astype(dtype)

@@ -114,6 +114,19 @@ def test_units_mod_7_order_of_2():
     assert g.element_order(g.index("2")) == 3  # 2^3 = 8 = 1 mod 7
 
 
+@pytest.mark.parametrize("x", [-3, -1, 8, 9])
+def test_element_order_refuses_an_index_out_of_range(q8, x):
+    # a negative index used to wrap: element_order(-3) read row 5 and gave 4
+    with pytest.raises(ValueError, match=f"element index {x} out of range"):
+        q8.element_order(x)
+
+
+def test_subgroup_generated_refuses_an_index_out_of_range(q8):
+    for g in (-1, 8):
+        with pytest.raises(ValueError, match=f"generator index {g} out of range"):
+            subgroup_generated(q8, [1, g])
+
+
 def test_units_mod_rejects_composite():
     with pytest.raises(ValueError):
         units_mod(10)
@@ -230,6 +243,13 @@ def test_conjugation_quaternion(q8):
     centre = q8.subset(["-1"])
     for t in range(8):
         assert conjugate_subset(q8, centre, t) == centre
+
+
+@pytest.mark.parametrize("t", [-1, 8, 9])
+def test_conjugation_refuses_an_index_out_of_range(q8, t):
+    # t = -1 used to conjugate by element 7, and t = 9 to raise IndexError
+    with pytest.raises(ValueError, match=f"element index {t} out of range"):
+        conjugate_subset(q8, q8.subset(["i", "-i"]), t)
 
 
 def test_conjugation_preserves_size_and_closure(q8):

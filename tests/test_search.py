@@ -311,6 +311,46 @@ def test_search_refuses_a_space_past_int64_codes():
         search(SearchSpec(group=cyclic(81), kind="cube-quasi", force=True))
 
 
+def reference_candidate(group, cube, code):
+    """The bit-level digit rule, independent of the coefficient table: the
+    orbits in `Candidates` order each take the code's next digit, least
+    significant first.  Real kinds: digit 1 puts the orbit in S.  Cube
+    kinds: the involutions lie in S, and digit 0 puts the pair {x, x^-1} in
+    S, 1 puts x into T and 2 puts x^-1 into T."""
+    n, inv = group.order, group.inv.tolist()
+    involutions = [x for x in range(1, n) if inv[x] == x]
+    pairs = [x for x in range(1, n) if x < inv[x]]
+    s_bits = sum(1 << x for x in involutions) if cube else 0
+    t_bits = 0
+    for x in pairs if cube else involutions + pairs:
+        code, digit = divmod(code, 3 if cube else 2)
+        if digit == (0 if cube else 1):
+            s_bits |= 1 << x | 1 << inv[x]
+        elif cube:
+            t_bits |= 1 << (x if digit == 1 else inv[x])
+    assert code == 0
+    return (Subset(n, s_bits), Subset(n, t_bits)) if cube else Subset(n, s_bits)
+
+
+@pytest.mark.parametrize("cube", [False, True])
+@pytest.mark.parametrize("descriptor", supported_descriptors(12))
+def test_candidates_decode_as_the_bit_level_digit_rule(descriptor, cube):
+    group = parse_group(descriptor)
+    space = Candidates(group, cube)
+    want = [reference_candidate(group, cube, code) for code in range(len(space))]
+    assert list(space) == want
+    assert space[0] == want[0] and space[len(space) - 1] == want[-1]
+    for code in (-1, len(space)):
+        with pytest.raises(IndexError):
+            space[code]
+
+
+def test_candidates_iterate_across_chunks_as_the_digit_rule():
+    group = parse_group("C3xC9")  # 13 inverse pairs, 8192 codes: two chunks
+    space = Candidates(group, False)
+    assert list(space) == [reference_candidate(group, False, code) for code in range(len(space))]
+
+
 def test_candidate_table_is_the_coefficients_of_the_repunit_codes():
     # an element's coefficient depends on its orbit's digit alone, so the
     # code with every digit d gives column d of the (element, digit) table

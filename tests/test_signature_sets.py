@@ -187,6 +187,13 @@ def test_index2_subgroup():
     assert verdict.ok and (verdict.params.n, verdict.params.k) == (8, 1)
 
 
+def test_index2_refuses_a_subset_of_another_group():
+    # order 6 used to end in an internal RuntimeError, order 8 in IndexError
+    for h in (Subset(6, 0b101), Subset(8, 0b10001)):
+        with pytest.raises(ValueError, match="does not belong to this group"):
+            index2_subgroup_set(cyclic(4), h)
+
+
 def test_index2_rejects_non_subgroup():
     g = cyclic(6)
     with pytest.raises(ValueError):

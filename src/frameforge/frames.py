@@ -44,13 +44,14 @@ class FrameVectors:
     """n frame vectors for C^k; row i of `vectors` is the analysis row
     <., f_i>, so V*V = I_k and the Gram matrix is V V*.  A real Gram
     matrix gives real vectors, in R^k.  `factor_gram` also keeps the
-    product V V* it formed, read-only like the vectors, so that
-    `verify_frame` need not form it again."""
+    products V V* and V*V it formed, read-only like the vectors, so that
+    `verify_frame` need not form them again."""
 
     n: int
     k: int
     vectors: np.ndarray  # (n, k): float64 from a real Gram matrix, else complex128
     gram: np.ndarray | None = field(default=None, repr=False, compare=False)  # V V*
+    column_gram: np.ndarray | None = field(default=None, repr=False, compare=False)  # V*V
 
 
 @dataclass(frozen=True)
@@ -135,14 +136,15 @@ def factor_gram(p: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> FrameVectors
         d -= (row * row.conj()).real
         d[i] = 0.0
     v = r.conj().T
-    if d.max(initial=0.0) > tol or np.abs(r @ v - np.eye(k)).max(initial=0.0) > tol:
+    column_gram = r @ v
+    if d.max(initial=0.0) > tol or np.abs(column_gram - np.eye(k)).max(initial=0.0) > tol:
         return _not_a_projection(p, k)
     gram = v @ r
     if np.abs(gram - p).max(initial=0.0) > 10 * tol:
         return Rejection("factorisation-drift", "V V* strays from P beyond 10*tol")
-    v.setflags(write=False)
-    gram.setflags(write=False)
-    return FrameVectors(n=n, k=k, vectors=v, gram=gram)
+    for x in (v, gram, column_gram):
+        x.setflags(write=False)
+    return FrameVectors(n=n, k=k, vectors=v, gram=gram, column_gram=column_gram)
 
 
 def _not_a_projection(p: np.ndarray, k: int) -> Rejection:
@@ -157,14 +159,15 @@ def verify_frame(
     frame: FrameVectors, params: FrameParams, tol: float = DEFAULT_TOL
 ) -> FrameCheckReport:
     """Check tightness, uniformity and equiangularity of the frame vectors,
-    reading V V* from the frame when `factor_gram` kept it."""
+    reading V V* and V*V from the frame where `factor_gram` kept them."""
     _check_tol(tol)
     v = frame.vectors
     n, k = params.n, params.k
     if v.shape != (n, k):
         raise ValueError("frame shape does not match the parameters")
     gram = v @ v.conj().T if frame.gram is None else frame.gram
-    tightness = float(np.abs(v.conj().T @ v - np.eye(k)).max())
+    column_gram = v.conj().T @ v if frame.column_gram is None else frame.column_gram
+    tightness = float(np.abs(column_gram - np.eye(k)).max())
     norms = np.real(np.diagonal(gram))
     uniformity = float(np.abs(norms - k / n).max())
     dev = np.abs(np.abs(gram) - params.c_value)

@@ -33,16 +33,18 @@ from .verdicts import Rejection
 
 def _exact_matmul(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """x @ y for integer matrices or stacks of them, or x @ x.T for one
-    matrix when y is None, which numpy forms in float64 as a symmetric
-    product (syrk).  BLAS float64 is exact while every inner product is an
-    integer below 2**53; past that bound int64 takes over."""
+    matrix when y is None, which numpy forms as a symmetric product (syrk).
+    Every partial sum of an inner product is an integer bounded by
+    n * max|x| * max|y|, so BLAS is exact in float32 while that bound is
+    below 2**24 and in float64 while it is below 2**53; past that, int64."""
     yt = x.T if y is None else y
     n = x.shape[-1]
     bound = n * max(int(np.abs(x).max(initial=0)), 1) * max(int(np.abs(yt).max(initial=0)), 1)
     if bound >= 2 ** 53:
         return x @ yt
-    xf = x.astype(np.float64)
-    yf = xf.T if y is None else xf if y is x else y.astype(np.float64)  # x converts once
+    dtype = np.float32 if bound < 2 ** 24 else np.float64
+    xf = x.astype(dtype)
+    yf = xf.T if y is None else xf if y is x else y.astype(dtype)  # x converts once
     return np.rint(xf @ yf).astype(np.int64)
 
 

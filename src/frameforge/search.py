@@ -283,7 +283,9 @@ def search(spec: SearchSpec) -> list[SearchHit]:
     verdicts, verify = [], verify_pairs if pairs else verify_sets
     for codes in space.join(choose_quotient(group, spec.kind, count), spec.kind):
         a, b = space.columns(codes)
-        kept = seidel_identity(group, spec.kind, a, b)[0]
+        kept, mu = seidel_identity(group, spec.kind, a, b)
+        if spec.kind == "quasi":  # the verifier's band |3 mu| <= n - 6, n = |G| + 1
+            kept &= np.abs(3 * mu) <= group.order - 5
         survivors = space.decode(a[:, kept], b[:, kept] if pairs else b)
         verdicts += [v for v in verify(group, spec.kind, survivors)
                      if isinstance(v, SignatureVerdict) and spec.mu in (None, v.mu)]

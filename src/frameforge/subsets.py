@@ -130,13 +130,16 @@ def indicator_columns(order: int, subsets: Sequence[Subset]) -> np.ndarray:
     return np.array([s.mask() for s in subsets], dtype=np.int16).reshape(-1, order).T.copy()
 
 
-#: Largest number of entries in one gathered block of translates.  A block's
-#: temporaries are its entries in y's dtype, 128 KB of int16 at the cap, and
-#: in a table group (`GroupTable.left_translates`) also the int32 row indices
-#: mul[inv[rows]] and the intp copy `take` makes of them: 12 bytes more per
-#: entry, 896 KB in all at the cap for int16.  Certifying both generator
-#: tables in-process (2 cores), 2**15 entries took 1.24x as long, 2**17
-#: 0.87x for twice the memory, and 2**18 1.25x.
+#: Entries in one gathered block of translates.  A block's temporaries are
+#: its entries in y's dtype, 128 KB of int16 at the cap, and in a table group
+#: (`GroupTable.left_translates`) also the int32 row indices mul[inv[rows]]
+#: and the intp copy `take` makes of them: 12 bytes more per entry, 896 KB
+#: in all at the cap for int16.  A block summed in int8 (see `convolve`)
+#: holds 2 * _BLOCK entries, the same 128 KB, in a cyclic group, whose
+#: translates are windows with no index array; a table group keeps _BLOCK,
+#: as its index arrays dominate.  Certifying both generator tables
+#: in-process (2 cores), 2**15 int16 entries took 1.24x as long, 2**17 0.87x
+#: for twice the memory, and 2**18 1.25x.
 _BLOCK = 1 << 16
 
 
@@ -156,13 +159,29 @@ def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
     every partial sum of a block, scaled by its weight, and every running
     total is bounded by it.  Entries in {-1, 0, 1} qualify for every order
     up to MAX_ORDER = 4096.  The quotient join passes int64 coset sums.
+
+    A one-vector x whose non-zero rows fill more than one block, with
+    max|y| <= 127, is summed in int8 instead: y is cast once, a block holds
+    at most 127 // max|y| translates and _BLOCK entries (2 * _BLOCK in a
+    cyclic group), so every partial sum of a block is at most 127 in
+    magnitude, and each block sum is widened to the output dtype before it
+    is scaled.
     """
     out = np.zeros(y.shape, dtype=np.result_type(x, y))
+    step, acc = max(1, _BLOCK // max(y.size, 1)), out.dtype
+    if x.size == len(x) and np.count_nonzero(x) > step:
+        peak = max(int(y.max()), -int(y.min()), 1)
+        if peak <= 127:
+            from .groups import CyclicGroup  # groups imports this module
+
+            step = min(step * (2 if isinstance(group, CyclicGroup) else 1), 127 // peak)
+            y, acc = y.astype(np.int8), np.int8
     translate = group.left_translates(y)
-    for weight, rows in _blocks(x, max(1, _BLOCK // max(y.size, 1))):
+    for weight, rows in _blocks(x, step):
         # one expression, so no gathered translate outlives its term
         out += weight * (
-            translate(rows).sum(axis=0, dtype=out.dtype) if rows.ndim else translate(rows)
+            translate(rows).sum(axis=0, dtype=acc).astype(out.dtype, copy=False)
+            if rows.ndim else translate(rows)
         )
     return out
 

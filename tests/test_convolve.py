@@ -14,6 +14,7 @@ from frameforge.subsets import _BLOCK, _blocks, convolve
 
 GROUPS = {
     "C7": lambda: cyclic(7),
+    "C1021": lambda: cyclic(1021),
     "C1201": lambda: cyclic(1201),
     "C2377": lambda: cyclic(2377),
     "C4xC4": lambda: direct_product(cyclic(4), cyclic(4)),
@@ -76,6 +77,36 @@ def test_block_temporaries_stay_within_the_stated_bound(name, index_bytes):
     finally:
         tracemalloc.stop()
     assert peak <= (2 + index_bytes) * _BLOCK + 32 * n
+
+
+@pytest.mark.parametrize("peak", [1, 2, 127, 128])
+@pytest.mark.parametrize("name", ["C1021", "C2377", "Zmult1201"])
+def test_int8_block_sums_match_the_definition(name, peak):
+    # a one-vector x over several blocks: max|y| <= 127 sums each block in
+    # int8, 128 keeps the wide path; y holds +peak, which int8 cannot hold at 128
+    group = GROUPS[name]()
+    n = group.order
+    rng = np.random.default_rng([n, peak])
+    x = rng.integers(-2, 3, size=n).astype(np.int16)
+    y = rng.integers(-peak, peak + 1, size=n)
+    y[rng.integers(n)] = peak
+    assert np.count_nonzero(x) > _BLOCK // n
+    for shape in [(n,), (n, 1)]:
+        got = convolve(group, x.reshape(shape), y.reshape(shape))
+        assert np.array_equal(got, reference(group, x.reshape(shape), y.reshape(shape)))
+
+
+@pytest.mark.parametrize("rows, total", [(127, 127), (128, 128)])
+def test_int8_blocks_stop_at_127_translates(rows, total):
+    # in C1021 an int8 block would hold 2 * _BLOCK // 1021 = 128 translates;
+    # with y all ones each block sum is its row count, so 128 rows in one
+    # block would wrap to -128
+    group = cyclic(1021)
+    assert 2 * _BLOCK // group.order >= 128
+    x = np.zeros(group.order, dtype=np.int16)
+    x[1:rows + 1] = 1
+    out = convolve(group, x, np.ones(group.order, dtype=np.int16))
+    assert out.dtype == np.int16 and (out == total).all()
 
 
 def test_zero_and_single_row_inputs():

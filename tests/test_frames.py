@@ -303,8 +303,9 @@ def test_cholesky_and_eigenvector_factors_agree(q):
     assert isinstance(frame, FrameVectors) and reference is not None
     v = frame.vectors
     assert np.abs(v @ v.conj().T - reference @ reference.conj().T).max() <= 10 * DEFAULT_TOL
-    # the factor keeps V V*, and verify_frame reads the same report off it
-    # as off the vectors alone
+    # the factor keeps V V* and V*V, and verify_frame reads the same report
+    # off them as off the vectors alone
+    assert frame.gram is not None and frame.column_gram is not None
     report = verify_frame(frame, cert.params)
     assert report.ok
     assert report == verify_frame(FrameVectors(n=frame.n, k=frame.k, vectors=v), cert.params)

@@ -431,6 +431,39 @@ def test_exact_matmul_falls_back_to_int64_past_the_float_bound():
     assert np.array_equal(_exact_matmul(x), (x.astype(object) @ x.T.astype(object)).astype(np.int64))
 
 
+def _object_product(x, y):
+    return np.array([a.astype(object) @ b.astype(object) for a, b in zip(x, y)]).astype(np.int64)
+
+
+@pytest.mark.parametrize("n, peak_x, peak_y", [(5, 819, 4097), (4, 2 ** 11, 2 ** 11), (8, 2 ** 25, 2 ** 25)],
+                         ids=["float32-2^24-1", "float64-2^24", "int64-2^53"])
+def test_exact_matmul_at_each_tier_bound(n, peak_x, peak_y):
+    # n * max|x| * max|y| sits on a tier bound; x @ y, x @ x.T and a
+    # (B, n, n) stack must each equal the Python-integer product
+    from frameforge.matrices import _exact_matmul
+
+    rng = np.random.default_rng(n)
+    x = rng.integers(-peak_x, peak_x + 1, size=(3, n, n), dtype=np.int64)
+    y = rng.integers(-peak_y, peak_y + 1, size=(3, n, n), dtype=np.int64)
+    x[:, 0, 0], y[:, 0, 0] = peak_x, -peak_y
+    assert n * peak_x * peak_y in (2 ** 24 - 1, 2 ** 24, 2 ** 53)
+    assert np.array_equal(_exact_matmul(x, y), _object_product(x, y))
+    assert np.array_equal(_exact_matmul(x[0], y[0]), _object_product(x[:1], y[:1])[0])
+    assert np.array_equal(_exact_matmul(x[0]), _object_product(x[:1], x[:1].transpose(0, 2, 1))[0])
+
+
+def test_exact_matmul_leaves_float32_past_its_bound():
+    # 4096^2 + 1 = 2^24 + 1 is the first integer float32 cannot hold
+    from frameforge.matrices import _exact_matmul
+
+    x = np.array([[4096, 1], [1, 4096]], dtype=np.int64)
+    exact = np.array([[2 ** 24 + 1, 8192], [8192, 2 ** 24 + 1]])
+    rounded = np.rint(x.astype(np.float32) @ x.astype(np.float32)).astype(np.int64)
+    assert not np.array_equal(rounded, exact)
+    assert np.array_equal(_exact_matmul(x, x), exact)
+    assert np.array_equal(_exact_matmul(x), exact)
+
+
 def test_certify_midsize_conference_matrix():
     # order 314 exercises the BLAS-backed exact product route
     from frameforge import generate, quasi_signature_matrix

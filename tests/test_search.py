@@ -303,6 +303,25 @@ def test_search_equals_reference_scan_past_order_20(descriptor, kind):
     assert got and got == reference_scan(group, kind)
 
 
+@pytest.mark.parametrize("descriptor", ["C5", "C13", "C27", "C3xC9"])
+def test_quasi_batches_hold_only_the_mu_band(monkeypatch, descriptor):
+    # the empty S and S = G\{e} pass the screen but not the verifier's band
+    # |3 mu| <= n - 6; in C27 and C3xC9 they were the only survivors
+    batches, verify_sets = [], sys.modules["frameforge.search"].verify_sets
+
+    def spy(group, kind, subsets):
+        batches.append(subsets)
+        return verify_sets(group, kind, subsets)
+
+    monkeypatch.setattr(sys.modules["frameforge.search"], "verify_sets", spy)
+    group = parse_group(descriptor)
+    hits = search(SearchSpec(group=group, kind="quasi", force=True))
+    n = group.order + 1
+    sizes = [s.size for batch in batches for s in batch]
+    assert all(abs(3 * (2 * size - (n - 2))) <= n - 6 for size in sizes)
+    assert len(sizes) >= len(hits) and bool(hits) == (descriptor in ("C5", "C13"))
+
+
 def test_search_refuses_a_space_past_int64_codes():
     # 2^63 quasi candidates in C127 (63 inverse pairs), 3^40 cube ones in C81
     with pytest.raises(ValueError, match="int64"):

@@ -45,13 +45,13 @@ class FrameVectors:
     <., f_i>, so V*V = I_k and the Gram matrix is V V*.  A real Gram
     matrix gives real vectors, in R^k.  `factor_gram` also keeps the
     products V V* and V*V it formed, read-only like the vectors, so that
-    `verify_frame` need not form them again."""
+    `verify_frame` need not form them again; no caller passes them."""
 
     n: int
     k: int
     vectors: np.ndarray  # (n, k): float64 from a real Gram matrix, else complex128
-    gram: np.ndarray | None = field(default=None, repr=False, compare=False)  # V V*
-    column_gram: np.ndarray | None = field(default=None, repr=False, compare=False)  # V*V
+    gram: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)  # V V*
+    column_gram: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)  # V*V
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,11 @@ def factor_gram(p: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> FrameVectors
     gram = v @ r
     if np.abs(gram - p).max(initial=0.0) > 10 * tol:
         return Rejection("factorisation-drift", "V V* strays from P beyond 10*tol")
-    for x in (v, gram, column_gram):
+    frame = FrameVectors(n=n, k=k, vectors=v)
+    for name, x in (("vectors", v), ("gram", gram), ("column_gram", column_gram)):
         x.setflags(write=False)
-    return FrameVectors(n=n, k=k, vectors=v, gram=gram, column_gram=column_gram)
+        object.__setattr__(frame, name, x)  # frozen, and the products are no arguments
+    return frame
 
 
 def _not_a_projection(p: np.ndarray, k: int) -> Rejection:

@@ -41,6 +41,7 @@ class GroupTable:
     mul: np.ndarray
     inv: np.ndarray
     labels: tuple[str, ...]
+    index_bytes = 12  # per translated entry: int32 mul[inv[a]] and take's intp copy
 
     @property
     def order(self) -> int:
@@ -179,6 +180,7 @@ class CyclicGroup(GroupTable):
     """
 
     is_abelian = True
+    index_bytes = 0
 
     def __init__(self, n: int):
         inv = -np.arange(n, dtype=np.int32) % n

@@ -34,17 +34,15 @@ from .verdicts import Rejection
 def _exact_matmul(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """x @ y for integer matrices or stacks of them, or x @ x.T for one
     matrix when y is None, which numpy forms as a symmetric product (syrk).
-    Every partial sum of an inner product is an integer bounded by
-    n * max|x| * max|y|, so BLAS is exact in float32 while that bound is
-    below 2**24 and in float64 while it is below 2**53; past that, int64."""
+    float32 BLAS is exact while n * max|x| * max|y|, which bounds every
+    partial sum of an inner product, is below 2**24; past that, int64."""
     yt = x.T if y is None else y
     n = x.shape[-1]
     bound = n * max(int(np.abs(x).max(initial=0)), 1) * max(int(np.abs(yt).max(initial=0)), 1)
-    if bound >= 2 ** 53:
+    if bound >= 2 ** 24:
         return x @ yt
-    dtype = np.float32 if bound < 2 ** 24 else np.float64
-    xf = x.astype(dtype)
-    yf = xf.T if y is None else xf if y is x else y.astype(dtype)  # x converts once
+    xf = x.astype(np.float32)
+    yf = xf.T if y is None else xf if y is x else y.astype(np.float32)  # x converts once
     return np.rint(xf @ yf).astype(np.int64)
 
 

@@ -105,6 +105,11 @@ def mu_from_k(n: int, k: int) -> MuResult:
     return MuResult((n - 2 * k) * math.sqrt((n - 1) / (k * (n - k))), None)
 
 
+def in_quasi_band(n, mu):
+    """The quasi range 2 - n/3 <= mu <= n/3 - 2, for an int or array mu."""
+    return abs(3 * mu) <= n - 6
+
+
 def feasible_mu_values(n: int, context: str = "signature") -> list[int]:
     """Even mu values that survive every exact screen for the given context.
 
@@ -124,7 +129,7 @@ def feasible_mu_values(n: int, context: str = "signature") -> list[int]:
     for mu in range(-(n - 2), n - 1):
         if mu % 2 or (n - 2 - mu) % 4:
             continue
-        if context == "quasi" and not (6 - n <= 3 * mu <= n - 6):
+        if context == "quasi" and not in_quasi_band(n, mu):
             continue
         if isinstance(params_from_mu(n, mu), Rejection):
             continue

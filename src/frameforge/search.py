@@ -22,6 +22,7 @@ import numpy as np
 
 from .cube_root import nmu_excluded, verify_pairs
 from .groups import GroupTable
+from .params import in_quasi_band
 from .quotients import Quotient, choose_quotient
 from .signature_sets import verify_sets
 from .subsets import Subset, seidel_identity
@@ -284,8 +285,8 @@ def search(spec: SearchSpec) -> list[SearchHit]:
     for codes in space.join(choose_quotient(group, spec.kind, count), spec.kind):
         a, b = space.columns(codes)
         kept, mu = seidel_identity(group, spec.kind, a, b)
-        if spec.kind == "quasi":  # the verifier's band |3 mu| <= n - 6, n = |G| + 1
-            kept &= np.abs(3 * mu) <= group.order - 5
+        if spec.kind == "quasi":  # the verifier's mu band, n = |G| + 1
+            kept &= in_quasi_band(group.order + 1, mu)
         survivors = space.decode(a[:, kept], b[:, kept] if pairs else b)
         verdicts += [v for v in verify(group, spec.kind, survivors)
                      if isinstance(v, SignatureVerdict) and spec.mu in (None, v.mu)]

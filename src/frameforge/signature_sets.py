@@ -15,7 +15,7 @@ import numpy as np
 
 from .groups import GroupTable
 from .matrices import SeidelMatrixInt, border_standard, regrep_sum
-from .params import params_from_mu
+from .params import in_quasi_band, params_from_mu
 from .subsets import (  # noqa: F401 - perfbench/tracer.py patches two of these names here
     Subset,
     complement_nonidentity,
@@ -123,7 +123,7 @@ def verify_sets(
     checks = [closure_faults(group, s, "S is not closed under inverses"),
               (off.any(axis=0), mismatch)]
     if quasi:  # ahead of both, the band of the forced mu = |S| - |T|
-        checks.insert(0, (np.abs(3 * mu) > n - 6, lambda j: Rejection(
+        checks.insert(0, (~in_quasi_band(n, mu), lambda j: Rejection(
             "mu-out-of-range", f"mu={mu[j]} outside [2-n/3, n/3-2]")))
     return accept_verdicts(group, kind, results, checks, subsets, mu, a, 0)
 

@@ -132,14 +132,12 @@ def indicator_columns(order: int, subsets: Sequence[Subset]) -> np.ndarray:
 
 #: Entries in one gathered block of translates.  A block's temporaries are
 #: its entries in y's dtype, 128 KB of int16 at the cap, and in a table group
-#: (`GroupTable.left_translates`) also the int32 row indices mul[inv[rows]]
-#: and the intp copy `take` makes of them: 12 bytes more per entry, 896 KB
-#: in all at the cap for int16.  A block summed in int8 (see `convolve`)
-#: holds 2 * _BLOCK entries, the same 128 KB, in a cyclic group, whose
-#: translates are windows with no index array; a table group keeps _BLOCK,
-#: as its index arrays dominate.  Certifying both generator tables
-#: in-process (2 cores), 2**15 int16 entries took 1.24x as long, 2**17 0.87x
-#: for twice the memory, and 2**18 1.25x.
+#: the row indices, `GroupTable.index_bytes` = 12 more per entry: 896 KB in
+#: all.  An int8 block (see `convolve`) holds 2 * _BLOCK entries, the same
+#: 128 KB, where translates need no index array (a cyclic group's are
+#: windows).  Certifying both generator tables in-process (2 cores), 2**15
+#: int16 entries took 1.24x as long, 2**17 0.87x for twice the memory, and
+#: 2**18 1.25x.
 _BLOCK = 1 << 16
 
 
@@ -160,21 +158,17 @@ def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
     total is bounded by it.  Entries in {-1, 0, 1} qualify for every order
     up to MAX_ORDER = 4096.  The quotient join passes int64 coset sums.
 
-    A one-vector x whose non-zero rows fill more than one block, with
-    max|y| <= 127, is summed in int8 instead: y is cast once, a block holds
-    at most 127 // max|y| translates and _BLOCK entries (2 * _BLOCK in a
-    cyclic group), so every partial sum of a block is at most 127 in
-    magnitude, and each block sum is widened to the output dtype before it
-    is scaled.
+    A one-vector x over several blocks is summed in int8 where blocks of
+    at most 127 // max|y| translates, so every partial sum fits, are no
+    smaller: y is cast once, and each block sum is widened before it is
+    scaled.
     """
     out = np.zeros(y.shape, dtype=np.result_type(x, y))
     step, acc = max(1, _BLOCK // max(y.size, 1)), out.dtype
     if x.size == len(x) and np.count_nonzero(x) > step:
         peak = max(int(y.max()), -int(y.min()), 1)
-        if peak <= 127:
-            from .groups import CyclicGroup  # groups imports this module
-
-            step = min(step * (2 if isinstance(group, CyclicGroup) else 1), 127 // peak)
+        if step <= 127 // peak:  # int8 holds every partial sum of a wide block
+            step = min(step * (1 if group.index_bytes else 2), 127 // peak)
             y, acc = y.astype(np.int8), np.int8
     translate = group.left_translates(y)
     for weight, rows in _blocks(x, step):

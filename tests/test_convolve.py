@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from frameforge import Subset, cyclic, direct_product, generate, parse_group, quaternion8, units_mod
+from frameforge import subsets
 from frameforge.signature_sets import verify_quasi_signature_set
 from frameforge.subsets import _BLOCK, _blocks, convolve
 
@@ -107,6 +108,22 @@ def test_int8_blocks_stop_at_127_translates(rows, total):
     x[1:rows + 1] = 1
     out = convolve(group, x, np.ones(group.order, dtype=np.int16))
     assert out.dtype == np.int16 and (out == total).all()
+
+
+@pytest.mark.parametrize("name, peak, rows", [
+    ("C400", 1, 163), ("C515", 1, 127), ("C2377", 1, 54), ("C2377", 127, 27), ("Zmult1201", 1, 54)])
+def test_int8_blocks_hold_no_fewer_translates(monkeypatch, name, peak, rows):
+    # an int8 block holds min(_BLOCK // n, 127 // max|y|) rows, doubled where
+    # the translates need no index array, and int8 is taken only when that
+    # is no fewer than the _BLOCK // n of the wide path
+    group = cyclic(int(name[1:])) if name[0] == "C" else GROUPS[name]()
+    steps = []
+    monkeypatch.setattr(subsets, "_blocks", lambda x, step: steps.append(step) or _blocks(x, step))
+    x = np.zeros(group.order, dtype=np.int16)
+    x[:2 * (_BLOCK // group.order) + 1] = 1  # several blocks, sum_a x[a] * peak < 2**15
+    y = np.full(group.order, peak, dtype=np.int16)
+    assert np.array_equal(convolve(group, x, y), reference(group, x, y))
+    assert steps == [rows] and rows >= _BLOCK // group.order
 
 
 def test_zero_and_single_row_inputs():

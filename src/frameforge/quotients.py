@@ -1,4 +1,4 @@
-"""Quotients G/H by normal subgroups, and the Seidel identity's image in them.
+"""Quotients G/H by normal subgroups, where `search` joins its candidates.
 
 The quotient map rho: G -> G/H sums a coefficient function over each coset,
 and it is a ring homomorphism of group algebras: rho(x*y) = rho(x)*rho(y).
@@ -11,7 +11,7 @@ for the others) has an image that satisfies
 
     rho(c)*rho(c) + shift * |H| * 1 = (n - 1 + shift) delta_e + mu * rho(c).
 
-`search` screens only the candidates whose image solves this small identity.
+`search` keeps the candidates whose image solves it: `seidel_identity`, h = |H|.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eisenstein import eis_product
 from .groups import CyclicGroup, GroupTable, cyclic, subgroup_generated
-from .subsets import convolve
 
 __all__ = ["Quotient", "trivial_quotient", "normal_quotients", "key_count", "choose_quotient"]
 
@@ -43,6 +41,11 @@ class Quotient:
     def order(self) -> int:
         return self.group.order
 
+    @property
+    def h(self) -> int:
+        """|H|, the size of each coset."""
+        return len(self.coset) // self.order
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """rho(x): the sums of x over each coset along the first axis, as int64."""
         out = np.zeros((self.order, *x.shape[1:]), dtype=np.int64)
@@ -50,35 +53,21 @@ class Quotient:
         return out
 
     def strides(self, cube: bool) -> list[int]:
-        """How an image packs into one integer: each coordinate (order of
-        them, or 2 * order in Z[omega]: rational parts, then omega parts) is
-        a coset sum in [-h, h], and coordinate j is weighted by
-        strides[j] = (2h + 1)^j.  The last entry bounds the packed range."""
-        span = 2 * (len(self.coset) // self.order) + 1
-        return [span ** j for j in range(self.order * (1 + cube) + 1)]
+        """`_strides` of this quotient."""
+        return _strides(self.h, self.order, cube)
 
     def unpack(self, packed: np.ndarray, cube: bool) -> tuple[np.ndarray, np.ndarray | int]:
         """The images a + b*omega, one int64 column each, of packed integers."""
-        h, stride = len(self.coset) // self.order, np.array(self.strides(cube)[:-1])
+        h, stride = self.h, np.array(self.strides(cube)[:-1])
         digits = ((packed[:, None] + h * stride.sum()) // stride % (2 * h + 1) - h).T
         return tuple(np.split(digits, 2)) if cube else (digits, 0)
 
-    def solves(self, kind: str, a: np.ndarray, b: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
-        """Whether each image column a + b*omega (int64, shape (order, B))
-        solves the quotient identity, and its mu."""
-        n, shift = len(self.coset), kind in ("quasi", "cube-quasi")
-        total = a.sum(axis=0)  # the omega part of sum c vanishes, as c(x^-1) = conj(c(x))
-        # mu from (sum c)^2 = n - 1 + mu * sum c.  The coordinates of the
-        # identity sum to that equation, so where no integer mu solves it,
-        # the comparison below fails.
-        mu = total if shift else (total * total - (n - 1)) // np.where(total == 0, 1, total)
-        sq_a, sq_b = eis_product(a, b, a, b, lambda x, y: convolve(self.group, x, y))
-        sq_a = sq_a + shift * (n // self.order)
-        sq_a[0] -= n - 1 + shift
-        holds = (sq_a == mu * a).all(axis=0)
-        if np.ndim(b):
-            holds &= (sq_b == mu * b).all(axis=0)
-        return holds, mu
+
+def _strides(h: int, order: int, cube: bool) -> list[int]:
+    """How an image in G/H, |H| = h, packs into one integer: coordinate j
+    (of order, or 2 * order in Z[omega], rational parts first) is a coset
+    sum in [-h, h] weighted by (2h + 1)^j.  The last entry bounds the range."""
+    return [(2 * h + 1) ** j for j in range(order * (1 + cube) + 1)]
 
 
 def trivial_quotient(order: int) -> Quotient:
@@ -151,9 +140,8 @@ def _quotient(group: GroupTable, mask: np.ndarray) -> Quotient:
 
 def key_count(quotient: Quotient, cube: bool) -> int:
     """`_key_bound` of a built quotient."""
-    h = len(quotient.coset) // quotient.order
     self_inverse = int((quotient.group.inv == np.arange(quotient.order)).sum())
-    return _key_bound(h, quotient.order, self_inverse, cube)
+    return _key_bound(quotient.h, quotient.order, self_inverse, cube)
 
 
 def _key_bound(h: int, order: int, self_inverse: int, cube: bool) -> int:
@@ -188,7 +176,6 @@ def choose_quotient(group: GroupTable, kind: str, candidates: int) -> Quotient:
     best, best_rank = None, (1, 0)
     for mask, h, s in zip(masks, sizes.tolist(), (masks[:, squares].sum(axis=1) // sizes).tolist()):
         rank = (n // h, _key_bound(h, n // h, s, cube))
-        packs = (2 * h + 1) ** (rank[0] * (1 + cube)) < 2 ** 62  # Quotient.strides(cube)[-1]
-        if best_rank < rank and rank[1] <= budget and packs:
+        if best_rank < rank and rank[1] <= budget and _strides(h, n // h, cube)[-1] < 2 ** 62:
             best, best_rank = mask, rank
     return trivial_quotient(n) if best is None else _quotient(group, best)

@@ -180,8 +180,8 @@ class Candidates(Sequence):
         for row in keys:
             reachable = np.sort((reachable[:, None] + row).ravel())
             reachable = reachable[np.append(True, reachable[1:] != reachable[:-1])]
-        holds = [quotient.solves(kind, *quotient.unpack(reachable[lo:lo + _CHUNK], cube))[0]
-                 for lo in range(0, len(reachable), _CHUNK)]
+        holds = [seidel_identity(quotient.group, kind, *quotient.unpack(reachable[lo:lo + _CHUNK], cube),
+                                 quotient.h)[0] for lo in range(0, len(reachable), _CHUNK)]
         solutions = reachable[np.concatenate(holds)]
 
         low, middle = _split(len(keys), radix)

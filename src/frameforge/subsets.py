@@ -222,37 +222,40 @@ def seidel_coefficients(
 
 
 def seidel_identity(
-    group: "GroupTable", kind: str, a: np.ndarray, b: np.ndarray | int
+    group: "GroupTable", kind: str, a: np.ndarray, b: np.ndarray | int, h: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each candidate's matrix satisfies Q^2 = (n-1)I + mu*Q, and
-    the mu it gives (meaningful only where the identity holds).
-
-    a and b are the candidates' coefficient columns c = a + b*omega, as
-    `seidel_coefficients(group.order, kind, candidates)` returns them or
-    `search.Candidates.columns` builds them from codes; the cube pairs must
-    satisfy S = S^-1 and V = T^-1.  With c the coefficient function of
-    Q = sum c(g) R(g), the identity reads c*c = mu*c off the identity, and
-    c*c + 1 = mu*c with mu = sum c for the bordered (quasi) kinds.  All
-    arithmetic is exact int16: every intermediate value is at most
-    5n <= 20480 < 2**15 in magnitude.
+    """Whether each column c = a + b*omega solves the Seidel identity
+    c*c + shift*h*1 = (n - 1 + shift) delta_e + mu*c, n = h * group.order,
+    on every coordinate, and the mu it gives (meaningful only where it
+    holds): sum c for the bordered (quasi) kinds, whose shift is 1, and
+    ((sum c)^2 - (n - 1)) / sum c for the others, whose shift is 0.  With
+    h = 1 the columns are candidates on G, from `seidel_coefficients` or
+    `search.Candidates.columns` (cube pairs with S = S^-1, V = T^-1), and
+    this is Q^2 = (n-1)I + mu*Q for Q = sum c(g) R(g): the search screen
+    and every verifier's oracle.  With h = |H| they are images in G/H, for
+    the join (`quotients`).  Only (sum c)^2 leaves the columns' dtype, for
+    int64; in a candidate's int16 columns every other value is at most
+    4n <= 16384 < 2**15 in magnitude, and |sum c|, |mu| <= n - 1.
     """
     shift = 1 if kind in ("quasi", "cube-quasi") else 0
-    total = a.sum(axis=0, dtype=np.int16)
-    if np.ndim(b):
-        sq_a, sq_b = eis_product(a, b, a, b, lambda x, y: convolve(group, x, y)[1:])
-        # mu = (c*c + shift) * conj(c), conj(c) = (a - b) - b*omega.  Only the
-        # rational part is compared: c(x^-1) = conj(c(x)), so the value at
-        # x^-1 is the conjugate of the value at x, and one rational part for
-        # both forces the omega parts to vanish.
-        value = (sq_a + shift) * (a - b)[1:] + sq_b * b[1:]
+    n = h * group.order
+    total = a.sum(axis=0, dtype=a.dtype)  # the omega part of sum c vanishes, as c(x^-1) = conj(c(x))
+    # (sum c)^2 = n - 1 + mu * sum c is the sum of the identity's
+    # coordinates, so where no integer mu solves it the comparison fails
+    mu = total if shift else (total.astype(np.int64) ** 2 - (n - 1)) // np.where(total == 0, 1, total)
+    mu = mu.astype(a.dtype, copy=False)  # the square is past int16 at order 4095: 4094^2
+    if np.ndim(b) or h > 1:
+        sq_a, sq_b = eis_product(a, b, a, b, lambda x, y: convolve(group, x, y))
+        sq_a += shift * h
     else:
-        # c = 2u - 1 + delta_e with u = (c + 1) >> 1 the indicator of S, so
-        # c*c = 2 u*c - sum(c) + c: convolve visits the rows of S only, all
-        # of weight 1, so for one candidate it is a plain gathered sum
-        value = (2 * convolve(group, (a + 1) >> 1, a)[1:] - total + a[1:] + shift) * a[1:]
-    # the first value, or 0 in the trivial group, fixes mu for the unbordered kinds
-    mu = total if shift else value[:1].sum(axis=0, dtype=np.int16)
-    return (value == mu).all(axis=0), mu
+        # c = +-1 off e, so c = 2u - 1 + delta_e, u = (c + 1) >> 1 the indicator of S, and
+        # c*c + shift = 2 u*c - (sum(c) - shift) + c: for one candidate a gathered sum over S
+        sq_a = 2 * convolve(group, (a + 1) >> 1, a) - (total - shift) + a
+    sq_a[0] -= n - 1 + shift
+    holds = (sq_a == mu * a).all(axis=0)
+    if np.ndim(b):
+        holds &= (sq_b == mu * b).all(axis=0)
+    return holds, mu
 
 
 def conjugate_subset(group: "GroupTable", s: Subset, t: int) -> Subset:

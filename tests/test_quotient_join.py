@@ -124,7 +124,7 @@ def brute_force_joined(space, quotient, kind):
     codes = np.arange(len(space))
     a, b = space.columns(codes)
     images = (quotient.project(a), quotient.project(b) if np.ndim(b) else 0)
-    return set(codes[quotient.solves(kind, *images)[0]].tolist())
+    return set(codes[seidel_identity(quotient.group, kind, *images, quotient.h)[0]].tolist())
 
 
 def joined(space, quotient, kind):
@@ -135,17 +135,38 @@ def joined(space, quotient, kind):
     return set(codes)
 
 
+def quotient_identity(quotient, kind, a, b):
+    """Reference: whether each image a + b*omega solves the identity on G/H,
+    and its mu, in int64 with c*c by `convolve(a, a)` in Z[omega], both
+    omega parts compared and mu from the augmentation,
+    (sum c)^2 = n - 1 + mu * sum c."""
+    n, shift = len(quotient.coset), kind in ("quasi", "cube-quasi")
+    a, b = a.astype(np.int64), b.astype(np.int64) if np.ndim(b) else 0
+    total = a.sum(axis=0)
+    mu = total if shift else (total * total - (n - 1)) // np.where(total == 0, 1, total)
+    sq_a, sq_b = eis_product(a, b, a, b, lambda x, y: convolve(quotient.group, x, y))
+    sq_a = sq_a + shift * (n // quotient.order)
+    sq_a[0] -= n - 1 + shift
+    holds = (sq_a == mu * a).all(axis=0)
+    if np.ndim(b):
+        holds &= (sq_b == mu * b).all(axis=0)
+    return holds, mu
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_identity_in_g_itself_is_the_seidel_identity(kind):
-    # H = 1: G/H is G, and the quotient identity is the screen's, mu included
+def test_seidel_identity_equals_the_quotient_reference(kind):
+    # every quotient the join can use, and H = 1, where G/H is G and the
+    # real kinds take the shortcut for c = +-1 off e
     for group in [parse_group(d) for d in supported_descriptors(16)] + [S3, D4]:
         space = Candidates(group, kind.startswith("cube"))
         a, b = space.columns(np.arange(len(space)))
-        itself = Quotient(np.arange(group.order), group)
-        holds, mu = itself.solves(kind, itself.project(a), itself.project(b) if np.ndim(b) else 0)
-        want_holds, want_mu = seidel_identity(group, kind, a, b)
-        assert np.array_equal(holds, want_holds), (group.name, kind)
-        assert np.array_equal(mu[holds], want_mu[holds]), (group.name, kind)
+        for quotient in all_quotients(group) + [Quotient(np.arange(group.order), group)]:
+            images = (quotient.project(a), quotient.project(b) if np.ndim(b) else 0)
+            holds, mu = seidel_identity(quotient.group, kind, *images, quotient.h)
+            want_holds, want_mu = quotient_identity(quotient, kind, *images)
+            where = (group.name, kind, quotient.order)
+            assert np.array_equal(holds, want_holds), where
+            assert np.array_equal(mu[holds], want_mu[holds]), where
 
 
 @pytest.mark.parametrize("kind", KINDS)

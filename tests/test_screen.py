@@ -234,6 +234,36 @@ def test_screen_above_order_63():
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_int16_identity_is_exact_at_the_top_order(kind):
+    # C4095: with S = G \ {e} or S empty, (sum c)^2 = 4094^2 overflows int16,
+    # so the int16 columns must give the int64 columns' verdicts and mu
+    order = 4095
+    group, rng = cyclic(order), np.random.default_rng(order)
+    half = np.arange(1, order // 2 + 1)  # one element of each inverse pair {x, -x}
+    full, empty = Subset.full_nonidentity(order), Subset.empty(order)
+
+    def subset(xs, ys):  # the elements x and -y for x in xs, y in ys
+        return Subset.of(order, [*xs.tolist(), *(order - ys).tolist()])
+
+    if kind.startswith("cube"):
+        # each pair {x, -x} lies in S, or x in T and -x in V, or the reverse
+        roles = [np.zeros(len(half), int), np.ones(len(half), int)]
+        roles += [rng.integers(0, 3, len(half)) for _ in range(6)]
+        chunk = [(subset(half[r == 0], half[r == 0]), subset(half[r == 1], half[r == 2])) for r in roles]
+    else:
+        picks = [half[rng.random(len(half)) < 0.5] for _ in range(6)]
+        chunk = [full, empty] + [subset(x, x) for x in picks]
+    a, b = seidel_coefficients(order, kind, chunk)
+    for cut in (slice(0, 1), slice(1, 2), slice(None)):  # convolve's vector path, then its column path
+        narrow = (a[:, cut], b[:, cut] if np.ndim(b) else 0)
+        wide = (narrow[0].astype(np.int64), narrow[1].astype(np.int64) if np.ndim(b) else 0)
+        holds, mu = seidel_identity(group, kind, *narrow)
+        want_holds, want_mu = seidel_identity(group, kind, *wide)
+        assert np.array_equal(holds, want_holds) and np.array_equal(mu[holds], want_mu[holds])
+    assert holds[0]  # S = G \ {e} solves the identity of every kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_coefficient_map_follows_its_definition(kind):
     # c = 1 / -1 on S / T for the real kinds; 1, omega, omega^2 on S, T, V
     # for the cube kinds; 0 at the identity

@@ -29,10 +29,6 @@ __all__ = [
     "generate",
 ]
 
-ALGORITHM_5MOD8 = "thm59"
-ALGORITHM_1MOD8 = "thm511"
-ALGORITHM_IDS = (ALGORITHM_5MOD8, ALGORITHM_1MOD8)
-
 
 @dataclass(frozen=True)
 class GeneratorHit:
@@ -61,7 +57,8 @@ def _quadratic_residues(p: int) -> np.ndarray:
 
 
 # algorithm id -> (p mod 8, index of <2> in (Z_p, .))
-_FAMILIES = {ALGORITHM_5MOD8: (5, 1), ALGORITHM_1MOD8: (1, 2)}
+_FAMILIES = {"thm59": (5, 1), "thm511": (1, 2)}
+ALGORITHM_IDS = tuple(_FAMILIES)
 
 
 def generate(algorithm: str, max_m: int, verify: bool = True) -> list[GeneratorHit]:

@@ -233,17 +233,18 @@ def seidel_identity(
     `search.Candidates.columns` (cube pairs with S = S^-1, V = T^-1), and
     this is Q^2 = (n-1)I + mu*Q for Q = sum c(g) R(g): the search screen
     and every verifier's oracle.  With h = |H| they are images in G/H, for
-    the join (`quotients`).  Only (sum c)^2 leaves the columns' dtype, for
-    int64; in a candidate's int16 columns every other value is at most
-    4n <= 16384 < 2**15 in magnitude, and |sum c|, |mu| <= n - 1.
+    the join (`quotients`).  Every value stays in the columns' dtype: sum c
+    divides (sum c)^2, so the unbordered mu is the floor sum c + (1 - n) //
+    sum c (1 - n at sum c = 0), and |sum c|, |mu| <= n - 1; in a candidate's
+    int16 columns every other value is at most 4n <= 16384 < 2**15 in
+    magnitude.
     """
     shift = 1 if kind in ("quasi", "cube-quasi") else 0
     n = h * group.order
     total = a.sum(axis=0, dtype=a.dtype)  # the omega part of sum c vanishes, as c(x^-1) = conj(c(x))
     # (sum c)^2 = n - 1 + mu * sum c is the sum of the identity's
     # coordinates, so where no integer mu solves it the comparison fails
-    mu = total if shift else (total.astype(np.int64) ** 2 - (n - 1)) // np.where(total == 0, 1, total)
-    mu = mu.astype(a.dtype, copy=False)  # the square is past int16 at order 4095: 4094^2
+    mu = total if shift else total + (1 - n) // np.where(total == 0, 1, total)
     if np.ndim(b) or h > 1:
         sq_a, sq_b = eis_product(a, b, a, b, lambda x, y: convolve(group, x, y))
         sq_a += shift * h
@@ -259,14 +260,12 @@ def seidel_identity(
 
 
 def conjugate_subset(group: "GroupTable", s: Subset, t: int) -> Subset:
-    """{t * x * t^-1 : x in s}; preserves cardinality and inverse closure."""
+    """{t * x * t^-1 : x in s}; preserves cardinality and inverse closure.
+    y is a member when t^-1 * y * t is in s, so one gather of the mask
+    through those products gives the conjugate's mask, as in `inverse_set`."""
     _check_group(group, s)
-    mul, inv, t = group.mul, group.inv, group.element_index(t)
-    t_inv = int(inv[t])
-    bits = 0
-    for x in s:
-        bits |= 1 << int(mul[mul[t, x], t_inv])
-    return Subset(s.order, bits)
+    mul, t = group.mul, group.element_index(t)
+    return Subset.from_mask(s.order, s.mask()[mul[mul[group.inv[t]], t]])
 
 
 def _check_group(group: "GroupTable", *subsets: Subset) -> None:

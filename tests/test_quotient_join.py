@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frameforge.groups
-from frameforge import GroupTable, SearchSpec, cyclic, direct_product, make_group, parse_group, search
+from frameforge import GroupTable, SearchSpec, Subset, cyclic, direct_product, make_group, parse_group, search
 from frameforge.eisenstein import eis_product
 from frameforge.quotients import (
     _KEYS_PER_HALF_CODE,
@@ -286,6 +286,21 @@ def test_cyclic_quotients_read_no_table(monkeypatch):
     assert [q.order for q in normal_quotients(group)] == [2, 4, 8]
     assert len(search(SearchSpec(group=group, kind="signature", force=True))) == 4
     assert "mul" not in vars(group)
+
+
+def conjugate_by_loop(group, s, t):
+    """Reference: {t * x * t^-1 : x in s}, one member at a time."""
+    t_inv = int(group.inv[t])
+    return Subset.of(s.order, [int(group.mul[group.mul[t, x], t_inv]) for x in s])
+
+
+def test_conjugate_subset_equals_the_member_loop():
+    rng = np.random.default_rng(16)
+    for group in [parse_group(d) for d in supported_descriptors(16)] + [S3, D4]:
+        for _ in range(5):
+            s = Subset.from_mask(group.order, rng.random(group.order) < 0.5)
+            for t in range(group.order):
+                assert conjugate_subset(group, s, t) == conjugate_by_loop(group, s, t), (group.name, t)
 
 
 def dedupe_by_each_conjugation(group, hits):

@@ -263,6 +263,20 @@ def test_int16_identity_is_exact_at_the_top_order(kind):
     assert holds[0]  # S = G \ {e} solves the identity of every kind
 
 
+def test_unbordered_mu_is_the_floor_of_the_int64_square_rule():
+    # every n up to one past MAX_ORDER and every sum c in [-(n-1), n-1]: the
+    # mu of sum c in int16 columns is ((sum c)^2 - (n-1)) // sum c, taken in
+    # int64, and 1 - n at sum c = 0; on the trivial group with h = n the
+    # column's one coordinate is its sum
+    trivial = cyclic(1)
+    for n in range(2, 4098):
+        total = np.arange(1 - n, n, dtype=np.int16)
+        _, mu = seidel_identity(trivial, "signature", total[None, :], 0, h=n)
+        wide = total.astype(np.int64)
+        want = (wide * wide - (n - 1)) // np.where(wide == 0, 1, wide)
+        assert mu.dtype == np.int16 and np.array_equal(mu, want), n
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_coefficient_map_follows_its_definition(kind):
     # c = 1 / -1 on S / T for the real kinds; 1, omega, omega^2 on S, T, V

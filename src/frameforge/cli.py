@@ -77,33 +77,28 @@ def _subset_arg(group: GroupTable, text: str) -> Subset:
     return group.subset(split_labels(text))
 
 
-def _verdict_payload(group: GroupTable, verdict: SignatureVerdict | Rejection,
-                     s: Subset, t: Subset | None = None) -> dict:
-    payload: dict = {
-        "group": group.name,
-        "set": sorted(s.labels(group)),
-    }
-    if t is not None:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    """`verify` checks a set S; `cube-verify` a pair S, T (args.t is not None)."""
+    group = parse_group(args.group)
+    s = _subset_arg(group, args.s)
+    payload: dict = {"group": group.name, "set": sorted(s.labels(group))}
+    if args.t is None:
+        verdict = (verify_quasi_signature_set if args.quasi else verify_signature_set)(group, s)
+    else:
+        t = _subset_arg(group, args.t)
         payload["t"] = sorted(t.labels(group))
-    if isinstance(verdict, SignatureVerdict):
-        payload.update(
-            valid=True, mu=verdict.mu, n=verdict.params.n, k=verdict.params.k
-        )
+        verdict = (verify_quasi_signature_pair if args.quasi else verify_signature_pair)(group, s, t)
+    if verdict.ok:
+        payload.update(valid=True, mu=verdict.mu, n=verdict.params.n, k=verdict.params.k)
     else:
         payload.update(valid=False, mu=None, n=None, k=None, reason=str(verdict))
-    return payload
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
-    s = _subset_arg(group, args.set)
-    verify = verify_quasi_signature_set if args.quasi else verify_signature_set
-    verdict = verify(group, s)
-    print(_dump(_verdict_payload(group, verdict, s)))
-    if isinstance(verdict, SignatureVerdict) and args.emit_matrix:
-        matrix = (
-            quasi_signature_matrix(group, s) if args.quasi else signature_matrix(group, s)
-        )
+    print(_dump(payload))
+    if verdict.ok and args.emit_matrix:
+        if args.t is None:
+            matrix = (quasi_signature_matrix if args.quasi else signature_matrix)(group, s)
+        else:
+            matrix = build_cube_matrix(group, s, t)
+            matrix = border_standard(matrix) if args.quasi else matrix
         _write_matrix(matrix, verdict.mu, args.emit_matrix)
     return 0 if verdict.ok else 1
 
@@ -138,21 +133,6 @@ def _cmd_diffset(args: argparse.Namespace) -> int:
             code = 1
     print(_dump(payload))
     return code
-
-
-def _cmd_cube_verify(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
-    s = _subset_arg(group, args.s)
-    t = _subset_arg(group, args.t) if args.t else Subset.empty(group.order)
-    verify = verify_quasi_signature_pair if args.quasi else verify_signature_pair
-    verdict = verify(group, s, t)
-    print(_dump(_verdict_payload(group, verdict, s, t)))
-    if isinstance(verdict, SignatureVerdict) and args.emit_matrix:
-        matrix = build_cube_matrix(group, s, t)
-        if args.quasi:
-            matrix = border_standard(matrix)
-        _write_matrix(matrix, verdict.mu, args.emit_matrix)
-    return 0 if verdict.ok else 1
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -265,10 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a (quasi-)signature set")
     p.add_argument("--group", required=True)
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", dest="s", metavar="SET", required=True)
     p.add_argument("--quasi", action="store_true")
     p.add_argument("--emit-matrix", metavar="PATH")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, t=None)
 
     p = sub.add_parser("diffset", help="verify a difference set")
     p.add_argument("--group", required=True)
@@ -282,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="")
     p.add_argument("--quasi", action="store_true")
     p.add_argument("--emit-matrix", metavar="PATH")
-    p.set_defaults(func=_cmd_cube_verify)
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="exhaustively search a small group")
     p.add_argument("--group", required=True)

@@ -355,7 +355,10 @@ def matrix_from_json(text: str) -> SeidelMatrix:
     from the values of the five tokens.  A matrix whose cells all have
     b = 0 is an integer matrix.
     """
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("matrix JSON nests too deeply") from None
     if not isinstance(payload, dict) or "entries" not in payload or "n" not in payload:
         raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
     entries, n = payload["entries"], payload["n"]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import CyclicGroup, GroupTable, cyclic, subgroup_generated
+from .numbertheory import prime_factors
 
 __all__ = ["Quotient", "trivial_quotient", "normal_quotients", "key_count", "choose_quotient"]
 
@@ -88,13 +89,11 @@ def _subgroup_masks(group: GroupTable) -> np.ndarray:
     In a cyclic group these are all the subgroups <p^j>, and no table is
     read.  In an abelian group the p^j-th powers already form a subgroup.
     """
-    n = group.order
-    p = next((d for d in range(2, n + 1) if n % d == 0), None)
-    if p is None:
+    n, factors = group.order, prime_factors(group.order)
+    if not factors:
         return np.zeros((0, n), dtype=bool)
-    e, top = np.arange(n), p  # top: the largest power of p that divides n
-    while n % (top * p) == 0:
-        top *= p
+    p = min(factors)
+    e, top = np.arange(n), p ** factors[p]  # top: the largest power of p that divides n
     if isinstance(group, CyclicGroup):
         d = [p ** j for j in range(1, n.bit_length()) if top % p ** j == 0 and p ** j < n]
         return e % np.array(d, dtype=int)[:, None] == 0

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import GroupTable
+from .groups import GroupTable, subgroup_generated
 from .matrices import SeidelMatrixInt, border_standard, regrep_sum
 from .params import in_quasi_band, params_from_mu
 from .subsets import (  # noqa: F401 - perfbench/tracer.py patches two of these names here
     Subset,
+    _check_group,
     complement_nonidentity,
     convolve,
     inverse_set,
@@ -130,13 +131,10 @@ def verify_sets(
 
 def index2_subgroup_set(group: GroupTable, h: Subset) -> SignatureVerdict | Rejection:
     """H\\{e} is a signature set exactly when H has index 2 (then k = 1)."""
-    if h.order != group.order:
-        raise ValueError("subset does not belong to this group")
+    _check_group(group, h)
     if not h.has_identity:
         raise ValueError("subgroup mask must contain the identity")
-    members = h.indices_array()
-    products = group.mul[np.ix_(members, members)]
-    if not np.isin(products, members).all() or not np.isin(group.inv[members], members).all():
+    if subgroup_generated(group, h.indices_array()) != h:  # a finite closed subset is a subgroup
         raise ValueError("mask is not a subgroup")
     if 2 * h.size != group.order:
         return Rejection("index-not-two", f"|H|={h.size} in a group of order {group.order}")

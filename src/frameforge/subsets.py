@@ -262,9 +262,13 @@ def seidel_identity(
 def conjugate_subset(group: "GroupTable", s: Subset, t: int) -> Subset:
     """{t * x * t^-1 : x in s}; preserves cardinality and inverse closure.
     y is a member when t^-1 * y * t is in s, so one gather of the mask
-    through those products gives the conjugate's mask, as in `inverse_set`."""
+    through those products gives the conjugate's mask, as in `inverse_set`.
+    An abelian group returns s, and a cyclic one builds no table."""
     _check_group(group, s)
-    mul, t = group.mul, group.element_index(t)
+    t = group.element_index(t)
+    if group.is_abelian:
+        return s
+    mul = group.mul
     return Subset.from_mask(s.order, s.mask()[mul[mul[group.inv[t]], t]])
 
 

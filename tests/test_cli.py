@@ -336,6 +336,18 @@ def test_frame_from_malformed_json_is_a_usage_error(tmp_path, capsys, text):
     assert "error" in err
 
 
+def test_deeply_nested_matrix_json_is_a_usage_error(tmp_path, capsys):
+    # json.loads gives up with a RecursionError long before 100,000 levels
+    text = '{"n": 1, "entries": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(ValueError, match="nests too deeply"):
+        matrix_from_json(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "frame", "--from", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: matrix JSON nests too deeply\n"
+
+
 def test_workers_is_parsed_and_validated(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--group", "C4xC4", "--kind", "signature", "--workers", "2",

@@ -288,6 +288,19 @@ def test_cyclic_quotients_read_no_table(monkeypatch):
     assert "mul" not in vars(group)
 
 
+def test_conjugate_subset_on_a_cyclic_group_reads_no_table(monkeypatch):
+    def refuse(name, *args):
+        raise AssertionError(f"built the Cayley table of {name}")
+
+    monkeypatch.setattr(frameforge.groups, "make_group", refuse)
+    group = cyclic(4096)
+    s = Subset.of(4096, [1, 5, 4091, 4095])
+    assert conjugate_subset(group, s, 3) == s
+    with pytest.raises(ValueError, match="out of range"):
+        conjugate_subset(group, s, 4096)
+    assert "mul" not in vars(group)
+
+
 def conjugate_by_loop(group, s, t):
     """Reference: {t * x * t^-1 : x in s}, one member at a time."""
     t_inv = int(group.inv[t])

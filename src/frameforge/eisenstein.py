@@ -69,11 +69,15 @@ def eis_product(a1, b1, a2, b2, op):
     """(a1 + b1 w)(a2 + b2 w) = (a1 a2 - b1 b2) + (a1 b2 + b1 a2 - b1 b2) w
     by w^2 = -1 - w, as the pair (a, b), with products under the bilinear op
     (`*` on numbers or arrays, a matrix product, a group-algebra product).
-    When both omega parts are the scalar 0 only a1 op a2 is formed."""
+    Three products suffice, as in Gauss's complex product: with aa = a1 a2,
+    bb = b1 b2 and cross = (a1 + b1)(a2 + b2), the omega part is
+    cross - aa - 2 bb.  When both omega parts are the scalar 0 only a1 op a2
+    is formed."""
     if not (np.ndim(b1) or np.ndim(b2) or b1 or b2):
         return op(a1, a2), b1
-    bb = op(b1, b2)
-    return op(a1, a2) - bb, op(a1, b2) + op(b1, a2) - bb
+    aa, bb, total = op(a1, a2), op(b1, b2), a1 + b1
+    cross = op(total, total if a2 is a1 and b2 is b1 else a2 + b2)  # a square converts one factor
+    return aa - bb, cross - aa - 2 * bb
 
 
 def _coerce(x: EisensteinInt | int) -> EisensteinInt:

@@ -58,9 +58,14 @@ class Quotient:
         return _strides(self.h, self.order, cube)
 
     def unpack(self, packed: np.ndarray, cube: bool) -> tuple[np.ndarray, np.ndarray | int]:
-        """The images a + b*omega, one int64 column each, of packed integers."""
-        h, stride = self.h, np.array(self.strides(cube)[:-1])
-        digits = ((packed[:, None] + h * stride.sum()) // stride % (2 * h + 1) - h).T
+        """The images a + b*omega, one column each, of packed integers: int16
+        when 5 * |G| * h < 2**15, else int64.  A candidate's image has coset
+        sums |a|, |b| <= h and |a + b| <= 2h, at most |G| and 2|G| over all
+        cosets, so by `convolve`'s bound the largest value `seidel_identity`
+        forms, cross - aa of `eis_product`, is below 4|G|h + |G|h."""
+        h, stride = self.h, np.array(self.strides(cube)[:-1])[:, None]
+        digits = (packed + h * int(stride.sum())) // stride % (2 * h + 1) - h
+        digits = digits.astype(np.int16 if 5 * len(self.coset) * h < 2 ** 15 else np.int64)
         return tuple(np.split(digits, 2)) if cube else (digits, 0)
 
 

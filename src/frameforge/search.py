@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,11 +96,11 @@ class Candidates(Sequence):
     """
 
     def __init__(self, group: GroupTable, cube: bool) -> None:
-        n, inv, e = group.order, group.inv, np.arange(group.order)
+        inv, e = group.inv, np.arange(group.order)
         # each orbit's least element, the involutions first for the real kinds
         leads = np.flatnonzero((e < inv) | (e == inv) & (e > 0) & (not cube))
-        leads = leads[np.argsort(inv[leads] != leads, kind="stable")]
-        self._cube, self._radix = cube, 3 if cube else 2
+        self._leads = leads[np.argsort(inv[leads] != leads, kind="stable")]
+        self._inv, self._cube, self._radix = inv, cube, 3 if cube else 2
         self._size = self._radix ** len(leads)
         if self._size > np.iinfo(np.int64).max:
             raise ValueError(f"{group.name} has {self._radix}^{len(leads)} candidates, "
@@ -109,18 +110,29 @@ class Candidates(Sequence):
         # every code; the identity and the cube kinds' involutions read it.
         self._weights = (self._radix ** np.arange(len(leads) + 1, dtype=np.uint64)).astype(
             np.min_scalar_type(self._size))[:, None]
-        self._orbit = np.full(n, len(leads))
-        self._orbit[leads] = self._orbit[inv[leads]] = np.arange(len(leads))
-        # The (element, digit) coefficient table: digit d puts an element in S, T
-        # or V (c = 1, omega, -1 - omega) by (sign * d + shift) % 3, with sign -1
-        # for a cube partner, 0 for a cube involution, else 1; shift 2, real kinds.
+
+    # The orbit map and the digit table are built on first use: a Candidates
+    # that only gives its len() builds neither.
+
+    @cached_property
+    def _orbit(self) -> np.ndarray:
+        """Each element's digit: its orbit's index, or the top digit."""
+        orbit = np.full(len(self._inv), len(self._leads))
+        orbit[self._leads] = orbit[self._inv[self._leads]] = np.arange(len(self._leads))
+        return orbit
+
+    @cached_property
+    def _table(self) -> list:
+        """The (element, digit) coefficient table: digit d puts an element in S,
+        T or V (c = 1, omega, -1 - omega) by (sign * d + shift) % 3, with sign
+        -1 for a cube partner, 0 for a cube involution, else 1; shift 2, real kinds."""
+        leads, n, cube = self._leads, len(self._inv), self._cube
         sign = np.zeros(n, dtype=np.int64)
-        sign[leads], sign[inv[leads]] = 1, -1 if cube else 1
+        sign[leads], sign[self._inv[leads]] = 1, -1 if cube else 1
         role = (sign[:, None] * np.arange(self._radix) + 2 * (not cube)) % 3
         a, b = np.array([[1, 0, -1], [0, 1, -1]], dtype=np.int16)[:, role]
         a[0] = 0  # the identity; its role 0 already gives b = 0
-        self._table = [a.ravel(), b.ravel() if cube else 0]
-        self._rows = self._radix * np.arange(n, dtype=np.int16)[:, None]
+        return [a.ravel(), b.ravel() if cube else 0]
 
     def __len__(self) -> int:
         return self._size
@@ -137,7 +149,7 @@ class Candidates(Sequence):
     def decode(self, a: np.ndarray, b: np.ndarray | int) -> list:
         """The candidates of coefficient columns: S where c = 1 (a == 1) and,
         for the cube kinds, T where c = omega (b == 1)."""
-        n, sets = len(self._orbit), []
+        n, sets = len(self._inv), []
         for x in (a, b)[: 1 + self._cube]:
             # one row of packed bits per column, read as one bytes object by a void view
             packed = np.packbits(x == 1, axis=0, bitorder="little").T.copy()
@@ -149,7 +161,8 @@ class Candidates(Sequence):
         """Each element gathers its orbit's digit, then its coefficient under it."""
         q = np.asarray(codes).astype(self._weights.dtype) // self._weights
         q[:-1] -= self._radix * q[1:]
-        index = self._rows + q.astype(np.int16)[self._orbit]
+        start = self._radix * np.arange(len(self._inv), dtype=np.int16)  # each element's table row
+        index = start[:, None] + q.astype(np.int16)[self._orbit]
         return tuple(np.take(c, index) if np.ndim(c) else c for c in self._table)
 
     def join(self, quotient: Quotient, kind: str) -> Iterator[np.ndarray]:
@@ -158,8 +171,8 @@ class Candidates(Sequence):
 
         The image is a sum of (orbit, digit) terms, each packed into one int64
         by a linear map that is injective on images.  The images every code
-        can reach are built orbit by orbit as a set, and the solutions r are
-        taken from it.  A code is split into low, middle and top digits:
+        can reach are built two orbits at a time as a set, and the solutions
+        r are taken from it.  A code is split into low, middle and top digits:
         (low, middle) pairs with key(low) + key(middle) = r - key(top) are
         found by a sorted lookup of the distinct middle keys, and only their
         codes are expanded.
@@ -177,8 +190,8 @@ class Candidates(Sequence):
         keys, fixed = keys[:-1], keys[-1, 0]
 
         reachable = np.array([fixed])
-        for row in keys:
-            reachable = np.sort((reachable[:, None] + row).ravel())
+        for lo in range(0, len(keys), 2):  # two orbits per sort, a merge of sorted runs
+            reachable = np.sort((_digit_keys(keys[lo:lo + 2])[:, None] + reachable).ravel(), kind="stable")
             reachable = reachable[np.append(True, reachable[1:] != reachable[:-1])]
         holds = [seidel_identity(quotient.group, kind, *quotient.unpack(reachable[lo:lo + _CHUNK], cube),
                                  quotient.h)[0] for lo in range(0, len(reachable), _CHUNK)]
@@ -237,8 +250,9 @@ def _digit_keys(keys: np.ndarray) -> np.ndarray:
 def _buckets(keys: np.ndarray) -> tuple[np.ndarray, ...]:
     """Codes sorted by key, the distinct keys, and where each key's codes start and how many."""
     codes = np.argsort(keys, kind="stable")
-    uniq, start, count = np.unique(keys[codes], return_index=True, return_counts=True)
-    return codes, uniq, start, count
+    ordered = keys[codes]
+    start = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
+    return codes, ordered[start], start, np.diff(start, append=len(keys))
 
 
 def enumerate_inverse_closed(group: GroupTable) -> Candidates:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import GroupTable, subgroup_generated
+from .groups import GroupTable
 from .matrices import SeidelMatrixInt, border_standard, regrep_sum
 from .params import in_quasi_band, params_from_mu
 from .subsets import (  # noqa: F401 - perfbench/tracer.py patches two of these names here
@@ -134,8 +134,10 @@ def index2_subgroup_set(group: GroupTable, h: Subset) -> SignatureVerdict | Reje
     _check_group(group, h)
     if not h.has_identity:
         raise ValueError("subgroup mask must contain the identity")
-    if subgroup_generated(group, h.indices_array()) != h:  # a finite closed subset is a subgroup
-        raise ValueError("mask is not a subgroup")
+    member, idx = h.mask(), h.indices_array()
+    for lo in range(0, len(idx), 256):  # row blocks keep the |H|^2 products small
+        if not member[group.mul[np.ix_(idx[lo:lo + 256], idx)]].all():
+            raise ValueError("mask is not a subgroup")  # a finite closed subset is a subgroup
     if 2 * h.size != group.order:
         return Rejection("index-not-two", f"|H|={h.size} in a group of order {group.order}")
     verdict = verify_signature_set(group, Subset(h.order, h.bits & ~1))

@@ -137,7 +137,9 @@ def indicator_columns(order: int, subsets: Sequence[Subset]) -> np.ndarray:
 #: 128 KB, where translates need no index array (a cyclic group's are
 #: windows).  Certifying both generator tables in-process (2 cores), 2**15
 #: int16 entries took 1.24x as long, 2**17 0.87x for twice the memory, and
-#: 2**18 1.25x.
+#: 2**18 1.25x.  A block of a column batch, k translates of an (order, B) y,
+#: holds k * order * B <= _BLOCK entries and k * order row indices, so the
+#: same bound covers it.
 _BLOCK = 1 << 16
 
 
@@ -150,13 +152,15 @@ def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
     left translates y[a^-1 g] (`GroupTable.left_translates`: gathered table
     rows, or windows of a slice in a cyclic group).  When x is one vector,
     of shape (order,) or (order, 1), the rows of one weight are gathered at
-    most _BLOCK entries at a time, summed by one reduction and scaled once;
-    with B columns of x each row has its own weights, so a block is that
-    one translate, added as it is.  Accumulation stays in the inputs'
-    dtype.  For int16 that is exact while sum_a |x[a]| * max|y| < 2**15:
-    every partial sum of a block, scaled by its weight, and every running
-    total is bounded by it.  Entries in {-1, 0, 1} qualify for every order
-    up to MAX_ORDER = 4096.  The quotient join passes int64 coset sums.
+    most _BLOCK entries at a time, summed by one reduction and scaled once.
+    With B columns of x each row has its own weights: a block of translates
+    is weighted and summed by one einsum, and where a block holds only one
+    translate, it is added as it is, a view in a cyclic group.  Accumulation
+    stays in the inputs' dtype.  For int16 that is exact while
+    sum_a |x[a]| * max|y| < 2**15: every partial sum of a block, scaled by
+    its weight, and every running total is bounded by it.  Entries in
+    {-1, 0, 1} qualify for every order up to MAX_ORDER = 4096.  The quotient
+    join passes coset sums, int16 under the rule of `Quotient.unpack`.
 
     A one-vector x over several blocks is summed in int8 where blocks of
     at most 127 // max|y| translates, so every partial sum fits, are no
@@ -172,22 +176,28 @@ def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
             y, acc = y.astype(np.int8), np.int8
     translate = group.left_translates(y)
     for weight, rows in _blocks(x, step):
-        # one expression, so no gathered translate outlives its term
-        out += weight * (
-            translate(rows).sum(axis=0, dtype=acc).astype(out.dtype, copy=False)
-            if rows.ndim else translate(rows)
-        )
+        # one expression each, so no gathered translate outlives its term
+        if not rows.ndim:
+            out += weight * translate(rows)
+        elif weight.ndim:  # each translate with its own column weights
+            out += np.einsum("kb,kgb->gb", weight, translate(rows))
+        else:
+            out += weight * translate(rows).sum(axis=0, dtype=acc).astype(out.dtype, copy=False)
     return out
 
 
 def _blocks(x: np.ndarray, step: int) -> Iterable[tuple]:
     """The blocks of `convolve`: (weight, rows) with x[a] = weight for every
-    a in rows.  rows is an index array of at most step entries when x is one
-    vector, and a single row (an integer scalar) when x has several columns.
+    a in rows, rows an index array of at most step entries.  When x has
+    several columns, weight is x[rows], one row of weights per translate,
+    and a step of 1 gives each row a as an integer scalar with weight x[a].
     A vector with one non-zero weight, such as a 0/1 indicator, is cut into
     blocks as it is, with no sort."""
     if x.size != len(x):
-        return ((x[a], a) for a in np.flatnonzero(x.any(axis=1)))
+        rows = np.flatnonzero(x.any(axis=1))
+        if step == 1:
+            return ((x[a], a) for a in rows)
+        return ((x[rows[a:a + step]], rows[a:a + step]) for a in range(0, len(rows), step))
     x = x.reshape(len(x))
     rows = x.nonzero()[0]
     weights = x[rows]
@@ -236,8 +246,8 @@ def seidel_identity(
     the join (`quotients`).  Every value stays in the columns' dtype: sum c
     divides (sum c)^2, so the unbordered mu is the floor sum c + (1 - n) //
     sum c (1 - n at sum c = 0), and |sum c|, |mu| <= n - 1; in a candidate's
-    int16 columns every other value is at most 4n <= 16384 < 2**15 in
-    magnitude.
+    int16 columns every other value is at most 5n <= 20480 < 2**15 in
+    magnitude, the largest being cross - aa of `eis_product`, as |a + b| <= 2.
     """
     shift = 1 if kind in ("quasi", "cube-quasi") else 0
     n = h * group.order

@@ -10,6 +10,7 @@ import pytest
 
 from frameforge import Subset, cyclic, direct_product, generate, parse_group, quaternion8, units_mod
 from frameforge import subsets
+from frameforge.quotients import normal_quotients
 from frameforge.signature_sets import verify_quasi_signature_set
 from frameforge.subsets import _BLOCK, _blocks, convolve
 
@@ -66,18 +67,44 @@ def test_large_orders_span_several_blocks(name):
 def test_block_temporaries_stay_within_the_stated_bound(name, index_bytes):
     # the _BLOCK comment: 2 bytes per gathered int16 entry, and 12 more in a
     # table group for the int32 row indices and their intp copy; the rest
-    # (argsort, weights, output, cyclic windows) is O(order)
+    # (argsort, weights, output, cyclic windows) is O(y.size).  A batch of 8
+    # columns gathers 6 translates of 8 * 1201 entries per block.
     group = GROUPS[name]()
     n = group.order
-    x, y = np.random.default_rng(n).integers(-2, 3, size=(2, n)).astype(np.int16)
-    convolve(group, x, y)  # builds the group's lazy tables outside the trace
-    tracemalloc.start()
-    try:
-        convolve(group, x, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (2 + index_bytes) * _BLOCK + 32 * n
+    for shape in [(n,), (n, 8)]:
+        x, y = np.random.default_rng(n).integers(-2, 3, size=(2, *shape)).astype(np.int16)
+        assert _BLOCK // y.size == (54 if y.ndim == 1 else 6)
+        convolve(group, x, y)  # builds the group's lazy tables outside the trace
+        tracemalloc.start()
+        try:
+            convolve(group, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 + index_bytes) * _BLOCK + 32 * y.size, shape
+
+
+def quotient_group():
+    """C4xC8/H, |H| = 4: a table group built by `quotients`, not by `make_group`."""
+    return max(normal_quotients(parse_group("C4xC8")), key=lambda q: q.order).group
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("name", ["C7", "C4xC4", "Q8", "quotient"])
+def test_column_batches_match_the_definition(name, dtype):
+    # B from 1 to a few hundred, and the widths where a block holds exactly
+    # one translate (kept row by row) and exactly two (the first summed block)
+    group = quotient_group() if name == "quotient" else GROUPS[name]()
+    n = group.order
+    one, two = _BLOCK // n, _BLOCK // (2 * n)
+    assert _BLOCK // (n * one) == 1 and _BLOCK // (n * two) == 2
+    rng = np.random.default_rng([n, dtype(0).itemsize])
+    for width in [1, 2, 3, 7, 64, 255, 300, two, two + 1, one]:
+        x, y = rng.integers(-2, 3, size=(2, n, width)).astype(dtype)
+        x[rng.random(n) < 0.3] = 0  # rows of x that are all zero, never visited
+        x[0] = 0
+        got = convolve(group, x, y)
+        assert got.dtype == dtype and np.array_equal(got, reference(group, x, y)), width
 
 
 @pytest.mark.parametrize("peak", [1, 2, 127, 128])

@@ -3,6 +3,7 @@ import operator
 import numpy as np
 import pytest
 
+from frameforge import cyclic
 from frameforge.eisenstein import (
     CUBE_ROOTS,
     OMEGA,
@@ -14,6 +15,8 @@ from frameforge.eisenstein import (
     unit_from_token,
     unit_to_token,
 )
+from frameforge.matrices import _exact_matmul
+from frameforge.subsets import convolve
 
 
 def test_omega_squared():
@@ -102,3 +105,48 @@ def test_eis_product_with_scalar_zero_omega_parts_forms_one_product():
     zero = np.zeros((), dtype=np.int64)
     prod_a, prod_b = eis_product(a, zero, a, zero, op)
     assert len(calls) == 1 and np.array_equal(prod_a, a @ a) and prod_b == 0
+
+
+def four_products(a1, b1, a2, b2, op):
+    """The schoolbook product: (a1 a2 - b1 b2) + (a1 b2 + b1 a2 - b1 b2) w."""
+    bb = op(b1, b2)
+    return op(a1, a2) - bb, op(a1, b2) + op(b1, a2) - bb
+
+
+C4096 = cyclic(4096)
+PRODUCTS = {
+    "multiply": (np.multiply, (64, 3)),
+    "convolve": (lambda x, y: convolve(C4096, x, y), (4096, 2)),
+    "matmul": (_exact_matmul, (48, 48)),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_three_products_equal_the_four_product_formula(name):
+    # entries in {-1, 0, 1} as int16 columns, for a square and for two factors,
+    # against the schoolbook formula in int64
+    op, shape = PRODUCTS[name]
+    rng = np.random.default_rng(len(name))
+    x_a, x_b, y_a, y_b = rng.integers(-1, 2, size=(4, *shape)).astype(np.int16)
+    for a1, b1, a2, b2 in [(x_a, x_b, x_a, x_b), (x_a, x_b, y_a, y_b)]:
+        want = four_products(*(v.astype(np.int64) for v in (a1, b1, a2, b2)), op)
+        got = eis_product(a1, b1, a2, b2, op)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_three_products_at_the_bound():
+    # convolve in int16 on C4096: a + b = +-2 everywhere makes the cross
+    # product +-4n = +-16384, and cross - aa reaches 3n; _exact_matmul at its
+    # float32 tier's edge: n * max|a1 + b1| * max|a2 + b2| is just below 2**24
+    # (m = 511), or exactly 2**24 (m = 512), where the cross product takes int64
+    ones = np.ones((4096, 1), dtype=np.int16)
+    op = PRODUCTS["convolve"][0]
+    for a1, b1, a2, b2 in [(ones, ones, ones, ones), (ones, ones, -ones, -ones), (ones, -ones, ones, ones)]:
+        want = four_products(*(v.astype(np.int64) for v in (a1, b1, a2, b2)), op)
+        assert all(np.array_equal(g, w) for g, w in zip(eis_product(a1, b1, a2, b2, op), want))
+    rng = np.random.default_rng(7)
+    for m in (511, 512):
+        a1, b1, a2, b2 = rng.choice([-m, m], size=(4, 16, 16))
+        b1[0, 0], b2[0, 0] = a1[0, 0], a2[0, 0]  # max|a + b| = 2m
+        want = four_products(a1, b1, a2, b2, np.matmul)
+        assert all(np.array_equal(g, w) for g, w in zip(eis_product(a1, b1, a2, b2, _exact_matmul), want))

@@ -169,6 +169,42 @@ def test_seidel_identity_equals_the_quotient_reference(kind):
             assert np.array_equal(mu[holds], want_mu[holds]), where
 
 
+def unpack_edges(cube):
+    """(order, h) of the quotient G/H with the largest |G| * h whose images
+    `Quotient.unpack` gives as int16, 5 |G| h < 2**15, and of the one with
+    the smallest |G| * h past that rule, among those whose images pack into
+    one int64, |G| <= MAX_ORDER."""
+    fit = [(order * h * h, order, h) for order in range(1, 65) for h in range(1, 4096 // order + 1)
+           if (2 * h + 1) ** (order * (1 + cube)) < 2 ** 62]
+    return (max(p for p in fit if 5 * p[0] < 2 ** 15)[1:],
+            min(p for p in fit if 5 * p[0] >= 2 ** 15)[1:])
+
+
+@pytest.mark.parametrize("kind", ["quasi", "cube-pair"])
+def test_unpacked_images_at_the_int16_edge_give_the_int64_identity(kind):
+    # G = C(order * h) and H = <order>; the columns are S = G\{e}, which
+    # solves every kind's identity, the cube kind's all-T and all-V, whose
+    # images have the largest coset sums, and random coefficient columns
+    cube = kind.startswith("cube")
+    assert unpack_edges(cube) == (((6, 33), (1, 81)), ((2, 57), (1, 81)))[cube]
+    units = np.array([[1, 0, -1], [0, 1, -1]] if cube else [[1, -1], [0, 0]])
+    for (order, h), dtype in zip(unpack_edges(cube), (np.int16, np.int64)):
+        n = order * h
+        quotient = Quotient(np.arange(n) % order, cyclic(order))
+        rng = np.random.default_rng(n)
+        fixed = np.arange(1 + 2 * cube).repeat(n).reshape(-1, n)  # all S, then all T and all V
+        roles = np.vstack([fixed, rng.integers(0, 2 + cube, (5, n))])
+        a, b = units[:, roles.T]
+        a[0] = b[0] = 0
+        images = [quotient.project(a), quotient.project(b) if cube else 0]
+        packed = np.tensordot(quotient.strides(cube)[:-1], np.concatenate(images[: 1 + cube]), axes=1)
+        unpacked = quotient.unpack(packed, cube)
+        assert unpacked[0].dtype == dtype and all(np.array_equal(u, i) for u, i in zip(unpacked, images))
+        holds, mu = seidel_identity(quotient.group, kind, *unpacked, h)
+        want_holds, want_mu = quotient_identity(quotient, kind, *images)
+        assert holds[0] and np.array_equal(holds, want_holds) and np.array_equal(mu, want_mu), (order, h)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_join_equals_the_brute_force_filter(kind):
     for group in [parse_group(d) for d in supported_descriptors(16)] + [S3, D4]:

@@ -19,8 +19,9 @@ from frameforge import (
     verify_signature_pair,
     verify_signature_set,
 )
+from frameforge.quotients import choose_quotient
 from frameforge.search import KINDS, Candidates
-from frameforge.subsets import seidel_coefficients
+from frameforge.subsets import seidel_coefficients, seidel_identity
 from frameforge.verdicts import SignatureVerdict
 
 from conftest import (
@@ -328,6 +329,28 @@ def test_search_refuses_a_space_past_int64_codes():
         search(SearchSpec(group=cyclic(127), kind="quasi", force=True))
     with pytest.raises(ValueError, match="int64"):
         search(SearchSpec(group=cyclic(81), kind="cube-quasi", force=True))
+
+
+@pytest.mark.parametrize("cube", [False, True])
+def test_a_count_only_candidates_builds_no_table(cube):
+    # search builds a second Candidates only for its len(); the orbit map and
+    # the digit table wait for the first columns, decode or join
+    group = parse_group("C3xC6")
+    counted = Candidates(group, cube)
+    assert len(counted) == (3 ** 8 if cube else 2 ** 9)
+    assert not {"_orbit", "_table"} & set(vars(counted))
+    assert list(counted) == [reference_candidate(group, cube, code) for code in range(len(counted))]
+    # the join of a count-only Candidates gives every code whose image
+    # solves the quotient identity
+    kind = "cube-quasi" if cube else "signature"
+    quotient = choose_quotient(group, kind, len(counted))
+    fresh = Candidates(group, cube)
+    got = np.concatenate(list(fresh.join(quotient, kind)))
+    codes = np.arange(len(fresh))
+    a, b = fresh.columns(codes)
+    images = (quotient.project(a), quotient.project(b) if cube else 0)
+    holds = seidel_identity(quotient.group, kind, *images, quotient.h)[0]
+    assert sorted(got.tolist()) == codes[holds].tolist()
 
 
 def reference_candidate(group, cube, code):

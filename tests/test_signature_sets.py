@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from frameforge import (
@@ -9,6 +10,7 @@ from frameforge import (
     cyclic,
     direct_product,
     index2_subgroup_set,
+    parse_group,
     quasi_signature_matrix,
     quaternion8,
     signature_matrix,
@@ -19,6 +21,8 @@ from frameforge import (
     verify_signature_set,
 )
 from frameforge.verdicts import Rejection
+
+from conftest import supported_descriptors
 
 
 def axis_set(group, n):
@@ -200,6 +204,51 @@ def test_index2_rejects_non_subgroup():
         index2_subgroup_set(g, Subset.of(6, [0, 1, 2]))
     with pytest.raises(ValueError):
         index2_subgroup_set(g, Subset.of(6, [2, 4]))
+
+
+def reference_index2(group, h):
+    """index2_subgroup_set as it decided subgroups by `subgroup_generated`:
+    the verdict's (mu, k), the Rejection's reason, or the ValueError's text."""
+    if subgroup_generated(group, h.indices_array()) != h:
+        return "mask is not a subgroup"
+    if 2 * h.size != group.order:
+        return "index-not-two"
+    verdict = verify_signature_set(group, Subset(h.order, h.bits & ~1))
+    return verdict.mu, verdict.params.k
+
+
+def test_index2_equals_the_generated_subgroup_rule_through_order_8():
+    # every identity-holding mask of every supported descriptor of order <= 8
+    for descriptor in supported_descriptors(8):
+        group = parse_group(descriptor)
+        for bits in range(1, 1 << group.order, 2):
+            h = Subset(group.order, bits)
+            try:
+                got = index2_subgroup_set(group, h)
+                got = (got.mu, got.params.k) if got.ok else got.reason
+            except ValueError as exc:
+                got = str(exc)
+            assert got == reference_index2(group, h), (descriptor, bits)
+
+
+def test_index2_of_a_large_subgroup_gathers_in_row_blocks(monkeypatch):
+    # the even residues of C4096 and one non-member swapped in; the closure
+    # test reads mul in blocks of 256 rows, never the whole |H|^2 gather
+    group = cyclic(4096)
+    mul = group.mul
+    shapes = []
+
+    class Recording(np.ndarray):
+        def __getitem__(self, key):
+            shapes.append(np.broadcast_shapes(*(np.shape(k) for k in key)))
+            return np.asarray(self)[key]
+
+    monkeypatch.setitem(vars(group), "mul", mul.view(Recording))
+    verdict = index2_subgroup_set(group, Subset.of(4096, range(0, 4096, 2)))
+    assert verdict.ok and verdict.mu == 4094
+    assert max(shapes) == (256, 2048) and len(shapes) == 8
+    with pytest.raises(ValueError, match="mask is not a subgroup"):
+        index2_subgroup_set(group, Subset.of(4096, [*range(0, 4094, 2), 4095]))
 
 
 def test_verdict_matches_matrix_certificate(c4xc4):

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +52,8 @@ def _dump(payload: dict) -> str:
 
 
 def split_labels(text: str) -> list[str]:
-    """Split a comma-separated label list, honouring parenthesised labels."""
+    """Split a comma-separated label list, honouring parenthesised labels.
+    Blank text is the empty list; an empty or a repeated label is a ValueError."""
     out, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":
@@ -67,10 +69,14 @@ def split_labels(text: str) -> list[str]:
             cur.append(ch)
     if depth:
         raise ValueError("unbalanced parentheses in label list")
-    tail = "".join(cur).strip()
-    if tail:
-        out.append(tail)
-    return [lab for lab in out if lab]
+    out.append("".join(cur).strip())
+    if out == [""]:
+        return []
+    if "" in out:
+        raise ValueError(f"empty label in label list {text!r}")
+    if repeated := [lab for lab, count in Counter(out).items() if count > 1]:
+        raise ValueError(f"label {repeated[0]!r} repeated in label list")
+    return out
 
 
 def _subset_arg(group: GroupTable, text: str) -> Subset:

@@ -4,17 +4,16 @@ A pair (S, T) splits G\\{e} into S, T and V = (S u T)^c\\{e}, weighted
 1, omega, omega^2 in the regular-representation sum.  Hermiticity forces
 S = S^-1 and V = T^-1; acceptance is the exact matrix identity
 Q^2 = (n-1)I + mu*Q with rational mu, cross-checked against the same
-identity in group-algebra form (`seidel_identity`).
+identity in group-algebra form (`seidel_identity`), both in
+`signature_sets.verify_batch`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .groups import GroupTable
-from .matrices import SeidelMatrixEis, certify_columns, regrep_sum
+from .matrices import SeidelMatrixEis, regrep_sum
 from .numbertheory import is_perfect_square
-from .signature_sets import accept_verdicts, closure_faults, screen_members
+from .signature_sets import screen_members, verify_batch
 from .subsets import Subset, seidel_coefficients
 from .verdicts import Rejection, SignatureVerdict
 
@@ -45,7 +44,7 @@ def verify_signature_pair(
     group: GroupTable, s: Subset, t: Subset
 ) -> SignatureVerdict | Rejection:
     """Decide whether (S, T) is a cube-root signature pair on n = |G|."""
-    return verify_pairs(group, "cube-pair", [(s, t)])[0]
+    return verify_batch(group, "cube-pair", [(s, t)])[0]
 
 
 def verify_quasi_signature_pair(
@@ -53,26 +52,7 @@ def verify_quasi_signature_pair(
 ) -> SignatureVerdict | Rejection:
     """Decide whether (S, T) is a cube-root quasi-signature pair; the
     bordered matrix has size n = |G| + 1 and mu must equal |S| - |T|."""
-    return verify_pairs(group, "cube-quasi", [(s, t)])[0]
-
-
-def verify_pairs(
-    group: GroupTable, kind: str, pairs: list[tuple[Subset, Subset]]
-) -> list[SignatureVerdict | Rejection]:
-    """The verdict or Rejection the kind's verifier ("cube-pair" or
-    "cube-quasi") gives each pair alone.  S = S^-1 and V = T^-1, masks on
-    the columns of the pairs past the member screen, make a matrix
-    self-adjoint; all are certified in one batch before `accept_verdicts`."""
-    results = [screen_members(group, s, t) for s, t in pairs]
-    a, b = seidel_coefficients(group.order, kind, [p for p, r in zip(pairs, results) if r is None])
-    # c = 1, w, w^2 = -1 - w on S, T, V: (a, b) = (1, 0), (0, 1), (-1, -1)
-    v_open = ((b[group.inv] == 1) != (a == -1)).any(axis=0)  # T^-1 != V
-    mus = certify_columns(group, a, b, bordered=kind == "cube-quasi")
-    checks = [closure_faults(group, a == 1, "S must be closed under inverses"),
-              (v_open, lambda j: Rejection("v-neq-t-inverse", "V must equal T^-1")),
-              (np.array([isinstance(m, Rejection) for m in mus], dtype=bool), mus.__getitem__)]
-    mu = np.array([0 if isinstance(m, Rejection) else m for m in mus], dtype=np.int64)
-    return accept_verdicts(group, kind, results, checks, pairs, mu, a, b)
+    return verify_batch(group, "cube-quasi", [(s, t)])[0]
 
 
 def cube_necessary_conditions(n: int, mu: int, quasi: bool = False) -> tuple[bool, list[str]]:

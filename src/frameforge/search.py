@@ -5,12 +5,16 @@ Candidates are numbered by mixed-radix codes over inverse-closure orbits.
 A join on a quotient G/H (`quotients.choose_quotient`) picks out the codes
 whose image solves the Seidel identity of G/H; only these become coefficient
 columns by array gathers and pass an exact batched screen on the group
-algebra, and only the survivors become `Subset`s and reach the verifiers,
-one batch per chunk, which decide acceptance.  The join and the screen test
-identities that every accepted candidate satisfies, exactly in integers, so
-they only discard candidates the verifiers would reject, and the hit set
-equals that of a naive scan of all subset assignments.  Results come back
-in a deterministic order.
+algebra, and only the survivors become `Subset`s and reach the verifier
+(`signature_sets.verify_batch`), one batch per chunk, which decides
+acceptance.  The join and the screen test identities that every accepted
+candidate satisfies, exactly in integers, so they only discard candidates
+the verifier would reject, and the hit set equals that of a naive scan of
+all subset assignments.  Every survivor also solves the identity on G, with
+S = S^-1 and V = T^-1 by construction and the quasi band applied, so every
+survivor must verify: a Rejection there is a bug, a hard error, as an
+oracle disagreement is inside the verifier.  Results come back in a
+deterministic order.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .cube_root import nmu_excluded, verify_pairs
+from .cube_root import nmu_excluded
 from .groups import GroupTable
 from .params import in_quasi_band
 from .quotients import Quotient, choose_quotient
-from .signature_sets import verify_sets
+from .signature_sets import verify_batch
 from .subsets import Subset, seidel_identity
 from .verdicts import SignatureVerdict
 
@@ -284,8 +288,9 @@ def search(spec: SearchSpec) -> list[SearchHit]:
         )
 
     pairs = spec.kind.startswith("cube")
-    if not pairs and (group.order + (spec.kind == "quasi")) % 2:
-        return []  # the frame size, |G| or |G|+1 for the quasi kind, must be even
+    n = group.order + (spec.kind in ("quasi", "cube-quasi"))  # the frame size
+    if n < 2 or (n % 2 and not pairs):
+        return []  # no frame has one vector, and a real frame has an even size
     if spec.kind == "cube-pair" and spec.mu is not None:
         if nmu_excluded(group.order, spec.mu, group.is_abelian):
             return []
@@ -295,15 +300,19 @@ def search(spec: SearchSpec) -> list[SearchHit]:
     # wrapper of it sees the scan, and only for the candidate count.
     space = Candidates(group, pairs)  # refuses a space past int64 codes
     count = len((cube_candidates if pairs else enumerate_inverse_closed)(group))
-    verdicts, verify = [], verify_pairs if pairs else verify_sets
+    verdicts = []
     for codes in space.join(choose_quotient(group, spec.kind, count), spec.kind):
         a, b = space.columns(codes)
         kept, mu = seidel_identity(group, spec.kind, a, b)
-        if spec.kind == "quasi":  # the verifier's mu band, n = |G| + 1
-            kept &= in_quasi_band(group.order + 1, mu)
-        survivors = space.decode(a[:, kept], b[:, kept] if pairs else b)
-        verdicts += [v for v in verify(group, spec.kind, survivors)
-                     if isinstance(v, SignatureVerdict) and spec.mu in (None, v.mu)]
+        if spec.kind == "quasi":  # the verifier's mu band
+            kept &= in_quasi_band(n, mu)
+        if spec.mu is not None:
+            kept &= mu == spec.mu
+        if kept.any():
+            batch = verify_batch(group, spec.kind, space.decode(a[:, kept], b[:, kept] if pairs else b))
+            if rejected := [v for v in batch if not v.ok]:
+                raise RuntimeError(f"internal: a screen survivor failed its verifier: {rejected[0]}")
+            verdicts += batch
 
     hits = sorted((SearchHit(v, _canonical_key(group, v.subset, v.t_subset)) for v in verdicts),
                   key=lambda h: h.canonical_key)

@@ -1,12 +1,14 @@
-"""Verify signature sets and quasi-signature sets by exact pair counting.
+"""Verify signature sets and quasi-signature sets by exact pair counting,
+and the one batch verifier, `verify_batch`, of these and the cube-root pairs.
 
 A subset S of G\\{e} (with T the complementary non-identity elements) is a
 signature set when the +-1 regular-representation sum is a two-eigenvalue
 Seidel matrix; it is a quasi-signature set when the bordered (standard-form)
-matrix is.  Both are decided here by the single-count criteria, checked
-against the group-algebra form of the matrix identity (`seidel_identity`)
-as a mutual oracle; the matrix identity itself is exercised by the test
-suite and by the certificate invariant of every verdict.
+matrix is.  Both are decided here by the single-count criteria, the pairs by
+the exact matrix certificate, and each is checked against the group-algebra
+form of the matrix identity (`seidel_identity`) as a mutual oracle; the
+matrix identity itself is exercised by the test suite and by the
+certificate invariant of every verdict.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import GroupTable
-from .matrices import SeidelMatrixInt, border_standard, regrep_sum
+from .matrices import SeidelMatrixInt, border_standard, certify_columns, regrep_sum
 from .params import in_quasi_band, params_from_mu
 from .subsets import (  # noqa: F401 - perfbench/tracer.py patches two of these names here
     Subset,
@@ -66,7 +68,7 @@ def verify_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict | Rej
     Odd group order is rejected outright (no signature set exists there).
     For even n, mu = n-2-4N is even and N <= min(|S|, |T|) <= (n-2)/2.
     """
-    return verify_sets(group, "signature", [s])[0]
+    return verify_batch(group, "signature", [s])[0]
 
 
 def verify_quasi_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict | Rejection:
@@ -77,56 +79,87 @@ def verify_quasi_signature_set(group: GroupTable, s: Subset) -> SignatureVerdict
     within the admissible band 2 - n/3 <= mu <= n/3 - 2 (which excludes the
     trivial all-or-nothing subsets).
     """
-    return verify_sets(group, "quasi", [s])[0]
+    return verify_batch(group, "quasi", [s])[0]
 
 
-def verify_sets(
-    group: GroupTable, kind: str, subsets: list[Subset]
-) -> list[SignatureVerdict | Rejection]:
-    """The verdict or Rejection the kind's verifier ("signature" or "quasi")
-    gives each subset alone.  Its checks are masks on the columns of all the
-    subsets past the member screen, all pair counts from one `convolve`
-    (single-vector for one subset), and `accept_verdicts` applies them."""
-    results = [screen_members(group, s) for s in subsets]
-    quasi = kind == "quasi"
+def verify_batch(group: GroupTable, kind: str, candidates: list) -> list[SignatureVerdict | Rejection]:
+    """The verdict or Rejection the kind's verifier gives each candidate
+    alone: a `Subset` S for "signature" and "quasi", an (S, T) pair for
+    "cube-pair" and "cube-quasi".  A candidate past the member screen becomes
+    a column of `seidel_coefficients`, and every later check is a mask on
+    the columns: the quasi band, S = S^-1 and the pair counts (one
+    `convolve`) for the real kinds; S = S^-1, V = T^-1 and the certificate
+    (`certify_columns`) for the cube kinds.  A column gets the Rejection of
+    the first check it fails, in that order.  On the rest, one
+    `seidel_identity` call must give the mu the kind's own criterion fixed,
+    and `params_from_mu`, once per distinct mu, feasible parameters (n = |G|,
+    plus one when bordered).  Either failing is a bug, a hard error."""
+    cube, quasi = kind.startswith("cube"), kind in ("quasi", "cube-quasi")
+    results = [screen_members(group, *(c if cube else (c,))) for c in candidates]
     n = group.order + quasi
-    if n % 2:  # covers the degenerate one-element group as well
+    if n % 2 and not cube:  # covers the degenerate one-element group as well
         odd = (Rejection("odd-frame-size", f"|G|+1 = {n} is odd") if quasi
                else Rejection("odd-order", f"group order {n} is odd"))
         return [fault or odd for fault in results]
-    a, _ = seidel_coefficients(group.order, kind, [x for x, r in zip(subsets, results) if r is None])
-    s = (a + 1) >> 1  # the indicator of S; a is 1 on S, -1 on T and 0 at e
-    mu = 2 * s.sum(axis=0) - (group.order - 1)  # |S| - |T|, the quasi kind's mu
-    counts = convolve(group, s, s if quasi else (1 - a) >> 1)  # N_(S,S) or N_(S,T)
-    if quasi:
-        # 1_T = 1 - delta_e - 1_S and |S| - |T| = mu give N_(T,T) = N_(S,S) - 1 - mu,
-        # so 4 N_(T,T) = n-3mu-6 on T reads 4 N_(S,S) = n-2+mu there
-        need = (n + 3 * mu - 6, n - 2 + mu)
-        texts = (("S,S", "(n+3mu-6)/4"), ("T,T", "(n-3mu-6)/4"))
-    else:  # the first member of S fixes mu; an empty S gives -(n-2)
-        mu = np.where(s.any(axis=0), n - 2 - 4 * counts[s.argmax(axis=0), range(s.shape[1])], 2 - n)
-        need = (n - 2 - mu, n - 2 + mu)
-        texts = (("S,T", "(n-2-mu)/4"), ("S,T", "(n-2+mu)/4"))
-    on_s = a > 0  # members of S; a < 0 on T
-    off = (a != 0) & (4 * counts != np.where(on_s, *need))
+    live = [k for k, fault in enumerate(results) if fault is None]
+    a, b = seidel_coefficients(group.order, kind, [candidates[k] for k in live])
+    s = (a + 1) >> 1  # the indicator of S: a is 1 on S, 0 or -1 on the rest
+    outside = s[group.inv] > s  # y^-1 in S, y not in S; the rest of G\{e} then is closed too
+    closure = "S must be closed under inverses" if cube else "S is not closed under inverses"
+    checks = [(outside.any(axis=0), lambda j: Rejection(
+        "s-not-inverse-closed", closure, witness=group.labels[outside[:, j].argmax()]))]
+    if cube:
+        # c = 1, w, w^2 = -1 - w on S, T, V: (a, b) = (1, 0), (0, 1), (-1, -1)
+        certified = certify_columns(group, a, b, bordered=quasi)
+        checks += [(((b[group.inv] == 1) != (a == -1)).any(axis=0),  # T^-1 != V
+                    lambda j: Rejection("v-neq-t-inverse", "V must equal T^-1")),
+                   (np.array([isinstance(m, Rejection) for m in certified], dtype=bool),
+                    certified.__getitem__)]
+        mu = np.array([0 if isinstance(m, Rejection) else m for m in certified], dtype=np.int64)
+    else:
+        mu = 2 * s.sum(axis=0) - (group.order - 1)  # |S| - |T|, the quasi kind's mu
+        counts = convolve(group, s, s if quasi else (1 - a) >> 1)  # N_(S,S) or N_(S,T)
+        if quasi:
+            # 1_T = 1 - delta_e - 1_S and |S| - |T| = mu give N_(T,T) = N_(S,S) - 1 - mu,
+            # so 4 N_(T,T) = n-3mu-6 on T reads 4 N_(S,S) = n-2+mu there
+            need = (n + 3 * mu - 6, n - 2 + mu)
+            texts = (("S,S", "(n+3mu-6)/4"), ("T,T", "(n-3mu-6)/4"))
+        else:  # the first member of S fixes mu; an empty S gives -(n-2)
+            mu = np.where(s.any(axis=0), n - 2 - 4 * counts[s.argmax(axis=0), range(s.shape[1])], 2 - n)
+            need = (n - 2 - mu, n - 2 + mu)
+            texts = (("S,T", "(n-2-mu)/4"), ("S,T", "(n-2+mu)/4"))
+        on_s = a > 0  # members of S; a < 0 on T
+        off = (a != 0) & (4 * counts != np.where(on_s, *need))
 
-    def mismatch(j: int) -> Rejection:
-        # the first member of S whose count is off, or else the first of T
-        on_t = not (off[:, j] & on_s[:, j]).any()
-        g = int((off[:, j] & (on_s[:, j] != on_t)).argmax())
-        (label, formula), witness = texts[on_t], group.labels[g]
-        count = counts[g, j] - on_t * quasi * (1 + mu[j])
-        detail = f"N_({label}) at {witness} is {count}, need {formula}"
-        if on_t:
-            return Rejection("count-mismatch-on-t", detail, witness=witness)
-        return Rejection("count-mismatch-on-s", detail, witness=witness)
+        def mismatch(j: int) -> Rejection:
+            # the first member of S whose count is off, or else the first of T
+            on_t = not (off[:, j] & on_s[:, j]).any()
+            g = int((off[:, j] & (on_s[:, j] != on_t)).argmax())
+            (label, formula), witness = texts[on_t], group.labels[g]
+            count = counts[g, j] - on_t * quasi * (1 + mu[j])
+            detail = f"N_({label}) at {witness} is {count}, need {formula}"
+            if on_t:
+                return Rejection("count-mismatch-on-t", detail, witness=witness)
+            return Rejection("count-mismatch-on-s", detail, witness=witness)
 
-    checks = [closure_faults(group, s, "S is not closed under inverses"),
-              (off.any(axis=0), mismatch)]
-    if quasi:  # ahead of both, the band of the forced mu = |S| - |T|
-        checks.insert(0, (~in_quasi_band(n, mu), lambda j: Rejection(
-            "mu-out-of-range", f"mu={mu[j]} outside [2-n/3, n/3-2]")))
-    return accept_verdicts(group, kind, results, checks, subsets, mu, a, 0)
+        checks.append((off.any(axis=0), mismatch))
+        if quasi:  # ahead of both, the band of the forced mu = |S| - |T|
+            checks.insert(0, (~in_quasi_band(n, mu), lambda j: Rejection(
+                "mu-out-of-range", f"mu={mu[j]} outside [2-n/3, n/3-2]")))
+    passed = ~np.logical_or.reduce([failed for failed, _ in checks])
+    for j in (~passed).nonzero()[0]:
+        results[live[j]] = next(rejection(j) for failed, rejection in checks if failed[j])
+    holds, identity_mu = seidel_identity(group, kind, a[:, passed], b[:, passed] if cube else b)
+    if not holds.all() or (identity_mu != mu[passed]).any():
+        raise RuntimeError("internal: the counting criterion and the matrix identity disagree")
+    mus = mu[passed].tolist()
+    params = {m: params_from_mu(n, m) for m in dict.fromkeys(mus)}
+    if infeasible := [p for p in params.values() if isinstance(p, Rejection)]:
+        raise RuntimeError(f"internal: a matrix satisfying the identity got {infeasible[0]}")
+    for k, m in zip([k for k in live if results[k] is None], mus):
+        subset, t = candidates[k] if cube else (candidates[k], None)
+        results[k] = SignatureVerdict(kind=kind, params=params[m], mu=m, subset=subset, t_subset=t)
+    return results
 
 
 def index2_subgroup_set(group: GroupTable, h: Subset) -> SignatureVerdict | Rejection:
@@ -159,42 +192,3 @@ def screen_members(group: GroupTable, s: Subset, t: Subset | None = None) -> Rej
     if t is not None and not s.isdisjoint(t):
         return Rejection("overlapping-sets", "S and T must be disjoint")
     return None
-
-
-def closure_faults(group: GroupTable, s: np.ndarray, detail: str) -> tuple:
-    """Which indicator columns s fail S = S^-1, and column -> its Rejection,
-    witnessed by the first element of S^-1 minus S.  A complement of S in
-    G\\{e} then is closed too, as inversion is a bijection that fixes e."""
-    outside = s[group.inv] > s  # y^-1 in S, y not in S
-    return outside.any(axis=0), lambda j: Rejection(
-        "s-not-inverse-closed", detail, witness=group.labels[outside[:, j].argmax()]
-    )
-
-
-def accept_verdicts(
-    group: GroupTable, kind: str, results: list, checks: list, candidates: list,
-    mu: np.ndarray, a: np.ndarray, b: np.ndarray | int,
-) -> list[SignatureVerdict | Rejection]:
-    """The end of every verifier.  checks lists (failed mask, j -> Rejection)
-    in the verifier's order; the masks, mu and the columns (a, b) cover the
-    candidates that passed the member screen (results[k] is None), and each
-    gets the Rejection of the first check it fails.  On the rest, one
-    `seidel_identity` call must give the mu the verifier fixed, and
-    `params_from_mu`, once per distinct mu, feasible parameters (n = |G|,
-    plus one when bordered).  Either failing is a bug, a hard error."""
-    live = [k for k, fault in enumerate(results) if fault is None]
-    passed = ~np.logical_or.reduce([failed for failed, _ in checks])
-    for j in (~passed).nonzero()[0]:
-        results[live[j]] = next(rejection(j) for failed, rejection in checks if failed[j])
-    mu, a = mu[passed], a[:, passed]
-    holds, identity_mu = seidel_identity(group, kind, a, b[:, passed] if np.ndim(b) else b)
-    if not holds.all() or (identity_mu != mu).any():
-        raise RuntimeError("internal: the counting criterion and the matrix identity disagree")
-    n, mus = group.order + (kind in ("quasi", "cube-quasi")), mu.tolist()
-    params = {m: params_from_mu(n, m) for m in dict.fromkeys(mus)}
-    if infeasible := [p for p in params.values() if isinstance(p, Rejection)]:
-        raise RuntimeError(f"internal: a matrix satisfying the identity got {infeasible[0]}")
-    for k, m in zip([k for k in live if results[k] is None], mus):
-        s, t = candidates[k] if kind.startswith("cube") else (candidates[k], None)
-        results[k] = SignatureVerdict(kind=kind, params=params[m], mu=m, subset=s, t_subset=t)
-    return results

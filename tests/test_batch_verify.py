@@ -1,7 +1,7 @@
-"""Batch verification: `signature_sets.verify_sets` and `cube_root.verify_pairs`.
+"""Batch verification: `signature_sets.verify_batch`.
 
-`search` passes each chunk's survivors to one batch per family, and the four
-public verifiers are batches of one.  A batch must give every candidate the
+`search` passes each chunk's survivors to one batch, and the four public
+verifiers are batches of one.  A batch must give every candidate the
 verdict, or the Rejection with the same reason, detail and witness, that the
 candidate gets alone; the mutual oracle must still raise inside a batch.
 """
@@ -34,8 +34,7 @@ from frameforge import (
     verify_signature_set,
 )
 from frameforge.cli import main
-from frameforge.cube_root import verify_pairs
-from frameforge.signature_sets import verify_sets
+from frameforge.signature_sets import verify_batch
 from frameforge.verdicts import SignatureVerdict
 
 from conftest import all_nonidentity_subsets, supported_descriptors
@@ -48,18 +47,13 @@ SINGLE = {
 }
 
 
-def batch(group, kind, candidates):
-    verify = verify_pairs if kind.startswith("cube") else verify_sets
-    return verify(group, kind, candidates)
-
-
 def alone(group, kind, candidate):
     args = candidate if kind.startswith("cube") else (candidate,)
     return SINGLE[kind](group, *args)
 
 
 def assert_batch_equals_single(group, kind, candidates):
-    got = batch(group, kind, candidates)
+    got = verify_batch(group, kind, candidates)
     assert len(got) == len(candidates)
     for candidate, result in zip(candidates, got):
         assert str(result) == str(alone(group, kind, candidate)), (group.name, kind, candidate)
@@ -86,7 +80,7 @@ def test_exhaustive_tally_of_the_set_batches():
         for kind in TALLY:
             tally[kind].update(
                 "accept" if isinstance(r, SignatureVerdict) else r.reason
-                for r in verify_sets(group, kind, subsets)
+                for r in verify_batch(group, kind, subsets)
             )
     assert {kind: dict(counts) for kind, counts in tally.items()} == TALLY
 
@@ -151,7 +145,7 @@ QUASI_DIGESTS = {
 @pytest.mark.parametrize("descriptor", sorted(QUASI_DIGESTS))
 def test_quasi_batch_of_every_closed_subset_is_pinned(descriptor):
     group = parse_group(descriptor)
-    results = verify_sets(group, "quasi", list(enumerate_inverse_closed(group)))
+    results = verify_batch(group, "quasi", list(enumerate_inverse_closed(group)))
     digest = hashlib.sha256("\n".join(map(str, results)).encode()).hexdigest()
     assert digest == QUASI_DIGESTS[descriptor]
 
@@ -167,9 +161,9 @@ def test_results_do_not_depend_on_the_stack_size(monkeypatch):
     # cut a batch into stacks of one matrix each: the results stay the same
     group = direct_product(cyclic(3), cyclic(3))
     pairs = list(cube_candidates(group))
-    want = [str(r) for r in verify_pairs(group, "cube-quasi", pairs)]
+    want = [str(r) for r in verify_batch(group, "cube-quasi", pairs)]
     monkeypatch.setattr(sys.modules["frameforge.matrices"], "_STACK", 1)
-    assert [str(r) for r in verify_pairs(group, "cube-quasi", pairs)] == want
+    assert [str(r) for r in verify_batch(group, "cube-quasi", pairs)] == want
 
 
 # The mutual oracle survives batching: with the verifiers' `seidel_identity`
@@ -211,7 +205,7 @@ def test_oracle_disagreement_in_search_is_a_hard_error(kind, monkeypatch):
         search(spec)
     candidates = [(v.subset, v.t_subset) if kind.startswith("cube") else v.subset for v in hits]
     with pytest.raises(RuntimeError, match="disagree"):
-        batch(group, kind, candidates * 2)
+        verify_batch(group, kind, candidates * 2)
 
 
 def cli_stdout(argv):

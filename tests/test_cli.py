@@ -26,6 +26,26 @@ def test_split_labels():
         split_labels("(1,0),(0,1")
 
 
+@pytest.mark.parametrize("text", ["1,,4", "1,4,", ",1", " , ", "1,1,4", "(1,0),(0,1),(1,0)"])
+def test_split_labels_refuses_empty_and_repeated_labels(text):
+    with pytest.raises(ValueError, match="empty label|repeated"):
+        split_labels(text)
+    assert split_labels(" ") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "C5", "--set", "1,,4"],
+    ["verify", "--group", "C5", "--set", "1,1,4"],
+    ["cube-verify", "--group", "Q8", "--s=-1", "--t", "i,j,i"],
+    ["cube-verify", "--group", "Q8", "--s=-1,", "--t", "i,j,k"],
+    ["diffset", "--group", "C11", "--set", "1,3,4,5,9,9"],
+])
+def test_an_empty_or_repeated_label_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_verify_c4xc4(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--group", "C4xC4",

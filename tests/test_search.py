@@ -22,7 +22,7 @@ from frameforge import (
 from frameforge.quotients import choose_quotient
 from frameforge.search import KINDS, Candidates
 from frameforge.subsets import seidel_coefficients, seidel_identity
-from frameforge.verdicts import SignatureVerdict
+from frameforge.verdicts import Rejection, SignatureVerdict
 
 from conftest import (
     all_cube_assignments,
@@ -133,11 +133,34 @@ def test_search_quasi_2p_frame_sizes_give_k_p():
     assert len(hits) == 6 and {h.verdict.params.k for h in hits} == {5}
 
 
-def test_search_mu_filter():
+#: A group with hits per kind, and a mu that none of them has
+MU_FILTER_CASES = {"signature": ("C6", 0), "quasi": ("C3xC3", 1),
+                   "cube-pair": ("C9", 1), "cube-quasi": ("Q8", 1)}
+
+
+def test_search_mu_filter(monkeypatch):
     hits = search(SearchSpec(group=cyclic(6), kind="signature", mu=4))
     assert hits and all(h.verdict.mu == 4 for h in hits)
     # no (6,3) signature set exists in C6: the mu=0 slice is empty
     assert search(SearchSpec(group=cyclic(6), kind="signature", mu=0)) == []
+    # in every kind the mu slice is the filtered full search, and the screen
+    # applies mu, so no chunk sends the verifier an empty batch
+    batches, verify_batch = [], sys.modules["frameforge.search"].verify_batch
+
+    def spy(group, kind, candidates):
+        batches.append(len(candidates))
+        return verify_batch(group, kind, candidates)
+
+    monkeypatch.setattr(sys.modules["frameforge.search"], "verify_batch", spy)
+    for kind, (descriptor, missing) in MU_FILTER_CASES.items():
+        group = parse_group(descriptor)
+        full = search(SearchSpec(group=group, kind=kind))
+        mus = sorted({h.verdict.mu for h in full})
+        assert mus and missing not in mus
+        for m in mus + [missing]:
+            got = search(SearchSpec(group=group, kind=kind, mu=m))
+            assert got == [h for h in full if h.verdict.mu == m], (descriptor, kind, m)
+    assert batches and all(batches)
 
 
 def test_search_limit_and_order():
@@ -308,19 +331,45 @@ def test_search_equals_reference_scan_past_order_20(descriptor, kind):
 def test_quasi_batches_hold_only_the_mu_band(monkeypatch, descriptor):
     # the empty S and S = G\{e} pass the screen but not the verifier's band
     # |3 mu| <= n - 6; in C27 and C3xC9 they were the only survivors
-    batches, verify_sets = [], sys.modules["frameforge.search"].verify_sets
+    batches, verify_batch = [], sys.modules["frameforge.search"].verify_batch
 
     def spy(group, kind, subsets):
         batches.append(subsets)
-        return verify_sets(group, kind, subsets)
+        return verify_batch(group, kind, subsets)
 
-    monkeypatch.setattr(sys.modules["frameforge.search"], "verify_sets", spy)
+    monkeypatch.setattr(sys.modules["frameforge.search"], "verify_batch", spy)
     group = parse_group(descriptor)
     hits = search(SearchSpec(group=group, kind="quasi", force=True))
     n = group.order + 1
     sizes = [s.size for batch in batches for s in batch]
     assert all(abs(3 * (2 * size - (n - 2))) <= n - 6 for size in sizes)
     assert len(sizes) >= len(hits) and bool(hits) == (descriptor in ("C5", "C13"))
+
+
+def test_a_real_survivor_the_verifier_rejects_is_a_hard_error(monkeypatch):
+    # the pair counts at the last element, in S or in T, skewed by one fail
+    # every survivor of the (untouched) screen, the full S included
+    module = sys.modules["frameforge.signature_sets"]
+    convolve = module.convolve
+
+    def skewed(group, x, y):
+        counts = convolve(group, x, y)
+        counts[-1] += 1
+        return counts
+
+    monkeypatch.setattr(module, "convolve", skewed)
+    for kind, descriptor in (("signature", "C4xC4"), ("quasi", "C5")):
+        with pytest.raises(RuntimeError, match="survivor failed its verifier: count-mismatch"):
+            search(SearchSpec(group=parse_group(descriptor), kind=kind))
+
+
+def test_a_cube_survivor_the_verifier_rejects_is_a_hard_error(monkeypatch):
+    refused = Rejection("not-two-eigenvalue", "refused by the test")
+    monkeypatch.setattr(sys.modules["frameforge.signature_sets"], "certify_columns",
+                        lambda group, a, b, bordered: [refused] * a.shape[1])
+    for kind, descriptor in (("cube-pair", "C3"), ("cube-quasi", "Q8")):
+        with pytest.raises(RuntimeError, match="survivor failed its verifier: not-two-eigenvalue"):
+            search(SearchSpec(group=parse_group(descriptor), kind=kind))
 
 
 def test_search_refuses_a_space_past_int64_codes():

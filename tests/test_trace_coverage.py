@@ -49,8 +49,8 @@ def search_candidates(seed):
 
 
 #: Spans of per-candidate calls that batch verification no longer makes.
-#: `search` verifies each chunk's survivors in one batch per family
-#: (`signature_sets.verify_sets`, `cube_root.verify_pairs`), and the
+#: `search` verifies each chunk's survivors in one batch
+#: (`signature_sets.verify_batch`), and the
 #: one-candidate verifier `generate` calls is a batch of one: its closure
 #: check is a mask and its pair counts one `convolve`, and a cube batch is
 #: certified by one stacked product with no `SeidelMatrix` per candidate.

@@ -137,9 +137,9 @@ def indicator_columns(order: int, subsets: Sequence[Subset]) -> np.ndarray:
 #: 128 KB, where translates need no index array (a cyclic group's are
 #: windows).  Certifying both generator tables in-process (2 cores), 2**15
 #: int16 entries took 1.24x as long, 2**17 0.87x for twice the memory, and
-#: 2**18 1.25x.  A block of a column batch, k translates of an (order, B) y,
-#: holds k * order * B <= _BLOCK entries and k * order row indices, so the
-#: same bound covers it.
+#: 2**18 1.25x.  A block of k translates of an (order,) or (order, B) y
+#: holds k * y.size <= _BLOCK entries and k * order row indices, so one
+#: bound covers every branch.
 _BLOCK = 1 << 16
 
 
@@ -150,64 +150,40 @@ def convolve(group: "GroupTable", x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x and y are integer arrays of shape (order,) or (order, B) for B columns
     at once.  Only the rows a where x is non-zero are visited, in blocks of
     left translates y[a^-1 g] (`GroupTable.left_translates`: gathered table
-    rows, or windows of a slice in a cyclic group).  When x is one vector,
-    of shape (order,) or (order, 1), the rows of one weight are gathered at
-    most _BLOCK entries at a time, summed by one reduction and scaled once.
-    With B columns of x each row has its own weights: a block of translates
-    is weighted and summed by one einsum, and where a block holds only one
-    translate, it is added as it is, a view in a cyclic group.  Accumulation
-    stays in the inputs' dtype.  For int16 that is exact while
-    sum_a |x[a]| * max|y| < 2**15: every partial sum of a block, scaled by
-    its weight, and every running total is bounded by it.  Entries in
-    {-1, 0, 1} qualify for every order up to MAX_ORDER = 4096.  The quotient
-    join passes coset sums, int16 under the rule of `Quotient.unpack`.
-
-    A one-vector x over several blocks is summed in int8 where blocks of
-    at most 127 // max|y| translates, so every partial sum fits, are no
-    smaller: y is cast once, and each block sum is widened before it is
-    scaled.
+    rows, or windows of a slice in a cyclic group) sized by _BLOCK.  A
+    vector x, of shape (order,) or (order, 1), whose non-zero entries share
+    one weight sums each block by one reduction and scales it once; over
+    several blocks it sums in int8 where blocks of at most 127 // max|y|
+    translates, so every partial sum fits, are no smaller, casting y once
+    and widening each block sum.  Where a block holds one translate it is
+    weighted and added as it is, a view in a cyclic group.  Every other
+    block, of a column batch or of a vector with several weights, is
+    weighted and summed by one einsum.  Accumulation stays in the inputs'
+    dtype.  For int16 that is exact while sum_a |x[a]| * max|y| < 2**15:
+    every partial sum of a block, scaled by its weights, and every running
+    total is bounded by it.  Entries in {-1, 0, 1} qualify for every order
+    up to MAX_ORDER = 4096.  The quotient join passes coset sums, int16
+    under the rule of `Quotient.unpack`.
     """
     out = np.zeros(y.shape, dtype=np.result_type(x, y))
     step, acc = max(1, _BLOCK // max(y.size, 1)), out.dtype
-    if x.size == len(x) and np.count_nonzero(x) > step:
+    vector = x.size == len(x)
+    rows = np.flatnonzero(x if vector else x.any(axis=1))
+    one_weight = vector and not np.count_nonzero(x[rows] != x[rows[:1]])
+    if one_weight and len(rows) > step:
         peak = max(int(y.max()), -int(y.min()), 1)
         if step <= 127 // peak:  # int8 holds every partial sum of a wide block
             step = min(step * (1 if group.index_bytes else 2), 127 // peak)
             y, acc = y.astype(np.int8), np.int8
     translate = group.left_translates(y)
-    for weight, rows in _blocks(x, step):
-        # one expression each, so no gathered translate outlives its term
-        if not rows.ndim:
-            out += weight * translate(rows)
-        elif weight.ndim:  # each translate with its own column weights
-            out += np.einsum("kb,kgb->gb", weight, translate(rows))
+    for a in range(0, len(rows), step):  # one expression each, so no gathered block outlives its term
+        if one_weight:
+            out += x[rows[0]] * translate(rows[a:a + step]).sum(axis=0, dtype=acc).astype(out.dtype, copy=False)
+        elif step == 1:
+            out += x[rows[a]] * translate(rows[a])
         else:
-            out += weight * translate(rows).sum(axis=0, dtype=acc).astype(out.dtype, copy=False)
+            out += np.einsum("k...,kg...->g...", x[rows[a:a + step]], translate(rows[a:a + step]))
     return out
-
-
-def _blocks(x: np.ndarray, step: int) -> Iterable[tuple]:
-    """The blocks of `convolve`: (weight, rows) with x[a] = weight for every
-    a in rows, rows an index array of at most step entries.  When x has
-    several columns, weight is x[rows], one row of weights per translate,
-    and a step of 1 gives each row a as an integer scalar with weight x[a].
-    A vector with one non-zero weight, such as a 0/1 indicator, is cut into
-    blocks as it is, with no sort."""
-    if x.size != len(x):
-        rows = np.flatnonzero(x.any(axis=1))
-        if step == 1:
-            return ((x[a], a) for a in rows)
-        return ((x[rows[a:a + step]], rows[a:a + step]) for a in range(0, len(rows), step))
-    x = x.reshape(len(x))
-    rows = x.nonzero()[0]
-    weights = x[rows]
-    if not np.count_nonzero(weights != weights[:1]):
-        return [(weights[0], rows[a:a + step]) for a in range(0, len(rows), step)]
-    rows = rows[np.argsort(weights)]  # the rows of one weight side by side
-    weights = x[rows]
-    cuts = [0, *(np.flatnonzero(weights[1:] != weights[:-1]) + 1).tolist(), len(rows)]
-    return [(weights[lo], rows[a:min(a + step, hi)])
-            for lo, hi in zip(cuts, cuts[1:]) for a in range(lo, hi, step)]
 
 
 def seidel_coefficients(

@@ -178,18 +178,14 @@ ORACLE_CASES = {
 
 
 def off_by_three(monkeypatch):
-    patched = 0
-    for name in ("frameforge.signature_sets", "frameforge.cube_root"):
-        module = sys.modules[name]
-        if hasattr(module, "seidel_identity"):
-            real = module.seidel_identity
+    # the oracle of `verify_batch`, for all four kinds; no guard, so a move
+    # of the oracle fails here instead of patching nothing
+    real = sys.modules["frameforge.signature_sets"].seidel_identity
 
-            def wrong(group, kind, a, b, real=real):
-                holds, mu = real(group, kind, a, b)
-                return holds, mu + 3
-            monkeypatch.setattr(module, "seidel_identity", wrong)
-            patched += 1
-    assert patched
+    def wrong(group, kind, a, b):
+        holds, mu = real(group, kind, a, b)
+        return holds, mu + 3
+    monkeypatch.setattr("frameforge.signature_sets.seidel_identity", wrong)
 
 
 @pytest.mark.parametrize("kind", sorted(SINGLE))

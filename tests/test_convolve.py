@@ -3,16 +3,19 @@ read straight off the Cayley table: every group kind, every input shape, and
 orders where the non-zero rows of x fill several gathered blocks."""
 
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frameforge import Subset, cyclic, direct_product, generate, parse_group, quaternion8, units_mod
-from frameforge import subsets
 from frameforge.quotients import normal_quotients
 from frameforge.signature_sets import verify_quasi_signature_set
-from frameforge.subsets import _BLOCK, _blocks, convolve
+from frameforge.subsets import _BLOCK, convolve
+
+from conftest import small_groups_to_order_8
 
 GROUPS = {
     "C7": lambda: cyclic(7),
@@ -36,6 +39,19 @@ def reference(group, x, y):
     return out
 
 
+def spy_translates(monkeypatch, group):
+    """Record each translate `convolve` takes in group: (y's dtype, number
+    of rows), the rows of a block or 1 for a single row."""
+    calls = []
+    real = type(group).left_translates
+
+    def left_translates(self, y):
+        translate = real(self, y)
+        return lambda a: calls.append((y.dtype, np.size(a))) or translate(a)
+    monkeypatch.setattr(type(group), "left_translates", left_translates)
+    return calls
+
+
 @pytest.mark.parametrize("dtypes", DTYPES, ids=lambda d: f"{d[0].__name__}-{d[1].__name__}")
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("name", GROUPS)
@@ -53,22 +69,24 @@ def test_convolve_matches_the_definition(name, shape, dtypes):
 
 @pytest.mark.parametrize("name", ["C1201", "C2377", "Zmult1201"])
 def test_large_orders_span_several_blocks(name):
-    # each of the four non-zero weights of a vector x fills more than one
-    # block, so the differential test above crosses block boundaries
+    # the vectors x of the differential test above, drawn from its seeds,
+    # have several weights and more non-zero rows than one block holds, so
+    # their einsum crosses block boundaries
     n = GROUPS[name]().order
-    x = np.random.default_rng(n).integers(-2, 3, size=n)
-    blocks = _blocks(x, _BLOCK // n)
-    assert all(len(rows) <= _BLOCK // n for _, rows in blocks)
-    per_weight = Counter(int(w) for w, _ in blocks)
-    assert sorted(per_weight) == [-2, -1, 1, 2] and min(per_weight.values()) > 1
+    for shape in ["vector", "column"]:
+        for itemsize in [2, 8]:
+            x = np.random.default_rng([n, len(SHAPES[shape]), itemsize]).integers(-2, 3, size=(n, *SHAPES[shape]))
+            assert len(np.unique(x[x != 0])) > 1 and np.count_nonzero(x) > _BLOCK // n
 
 
 @pytest.mark.parametrize("name, index_bytes", [("C1201", 0), ("Zmult1201", 12)])
 def test_block_temporaries_stay_within_the_stated_bound(name, index_bytes):
     # the _BLOCK comment: 2 bytes per gathered int16 entry, and 12 more in a
     # table group for the int32 row indices and their intp copy; the rest
-    # (argsort, weights, output, cyclic windows) is O(y.size).  A batch of 8
-    # columns gathers 6 translates of 8 * 1201 entries per block.
+    # (non-zero rows, their weights, output, cyclic windows) is O(y.size).
+    # x has several weights, so the (n,) vector takes the einsum as a batch
+    # does, 54 translates per block; a batch of 8 columns gathers 6
+    # translates of 8 * 1201 entries per block.
     group = GROUPS[name]()
     n = group.order
     for shape in [(n,), (n, 8)]:
@@ -109,19 +127,23 @@ def test_column_batches_match_the_definition(name, dtype):
 
 @pytest.mark.parametrize("peak", [1, 2, 127, 128])
 @pytest.mark.parametrize("name", ["C1021", "C2377", "Zmult1201"])
-def test_int8_block_sums_match_the_definition(name, peak):
-    # a one-vector x over several blocks: max|y| <= 127 sums each block in
-    # int8, 128 keeps the wide path; y holds +peak, which int8 cannot hold at 128
+def test_int8_block_sums_match_the_definition(monkeypatch, name, peak):
+    # a one-weight vector x over several blocks sums in int8 where 127 //
+    # max|y| is at least _BLOCK // n (peak 1, and 2 outside C1021); 127 and
+    # 128 keep the wide sum, and y holds +peak, which int8 cannot hold at 128
     group = GROUPS[name]()
     n = group.order
     rng = np.random.default_rng([n, peak])
-    x = rng.integers(-2, 3, size=n).astype(np.int16)
+    x = -2 * rng.integers(0, 2, size=n).astype(np.int16)
     y = rng.integers(-peak, peak + 1, size=n)
     y[rng.integers(n)] = peak
     assert np.count_nonzero(x) > _BLOCK // n
+    calls = spy_translates(monkeypatch, group)
     for shape in [(n,), (n, 1)]:
+        calls.clear()
         got = convolve(group, x.reshape(shape), y.reshape(shape))
         assert np.array_equal(got, reference(group, x.reshape(shape), y.reshape(shape)))
+        assert (calls[0][0] == np.int8) == (127 // peak >= _BLOCK // n)
 
 
 @pytest.mark.parametrize("rows, total", [(127, 127), (128, 128)])
@@ -144,13 +166,45 @@ def test_int8_blocks_hold_no_fewer_translates(monkeypatch, name, peak, rows):
     # the translates need no index array, and int8 is taken only when that
     # is no fewer than the _BLOCK // n of the wide path
     group = cyclic(int(name[1:])) if name[0] == "C" else GROUPS[name]()
-    steps = []
-    monkeypatch.setattr(subsets, "_blocks", lambda x, step: steps.append(step) or _blocks(x, step))
+    calls = spy_translates(monkeypatch, group)
     x = np.zeros(group.order, dtype=np.int16)
     x[:2 * (_BLOCK // group.order) + 1] = 1  # several blocks, sum_a x[a] * peak < 2**15
     y = np.full(group.order, peak, dtype=np.int16)
     assert np.array_equal(convolve(group, x, y), reference(group, x, y))
-    assert steps == [rows] and rows >= _BLOCK // group.order
+    assert calls[0][1] == rows and rows >= _BLOCK // group.order
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("name", ["C2377", "Zmult1201", "C4xC4"])
+def test_several_weights_sum_their_one_weight_parts(name, dtype):
+    # x of several weights takes the einsum, as a vector and as an (n, 1)
+    # column; each one-weight part is summed (past one block, in int8)
+    group = GROUPS[name]()
+    n = group.order
+    rng = np.random.default_rng([n, dtype(0).itemsize, 2])
+    x, y = rng.integers(-2, 3, size=(2, n)).astype(dtype)
+    parts = [np.where(x == w, x, 0) for w in (-2, -1, 1, 2)]
+    if n > 16:  # every part fills several blocks
+        assert min(np.count_nonzero(part) for part in parts) > _BLOCK // n
+    whole = convolve(group, x, y)
+    assert whole.dtype == dtype and np.array_equal(whole, reference(group, x, y))
+    assert np.array_equal(whole, sum(convolve(group, part, y) for part in parts))
+    assert np.array_equal(whole, convolve(group, x[:, None], y[:, None])[:, 0])
+
+
+SMALL_GROUPS = small_groups_to_order_8() + [GROUPS["C4xC4"]()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), group=st.sampled_from(SMALL_GROUPS), width=st.sampled_from([(), (1,), (2,), (5,)]),
+       palette=st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+def test_convolve_is_associative(data, group, width, palette):
+    # (x*y)*z == x*(y*z) in int64: x drawn from a palette such as {0, 2} is
+    # one-weight, and the product x*y of several weights feeds the einsum
+    shape = (group.order, *width)
+    x = data.draw(arrays(np.int64, shape, elements=st.sampled_from(palette)))
+    y, z = (data.draw(arrays(np.int64, shape, elements=st.integers(-3, 3))) for _ in "yz")
+    assert np.array_equal(convolve(group, convolve(group, x, y), z), convolve(group, x, convolve(group, y, z)))
 
 
 def test_zero_and_single_row_inputs():

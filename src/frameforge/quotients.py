@@ -24,7 +24,7 @@ import numpy as np
 from .groups import CyclicGroup, GroupTable, cyclic, subgroup_generated
 from .numbertheory import prime_factors
 
-__all__ = ["Quotient", "trivial_quotient", "normal_quotients", "key_count", "choose_quotient"]
+__all__ = ["Quotient", "normal_quotients", "key_count", "choose_quotient"]
 
 #: Distinct images a chosen quotient may allow per code of a join half table.
 _KEYS_PER_HALF_CODE = 16
@@ -53,9 +53,14 @@ class Quotient:
         np.add.at(out, self.coset, x)
         return out
 
-    def strides(self, cube: bool) -> list[int]:
-        """`_strides` of this quotient."""
-        return _strides(self.h, self.order, cube)
+    def pack(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
+        """Each element's term, along the first axis, of the packed image of
+        a + b*omega (b = 0 for the real kinds): stride[coset] * a +
+        stride[order + coset] * b in int64.  `unpack` reads their sum."""
+        cube = np.ndim(b) > 0
+        stride = np.array(_strides(self.h, self.order, cube)[:-1])
+        # transposed, the element axis comes last, where the strides broadcast
+        return (stride[self.coset] * a.T + (stride[self.order + self.coset] * b.T if cube else 0)).T
 
     def unpack(self, packed: np.ndarray, cube: bool) -> tuple[np.ndarray, np.ndarray | int]:
         """The images a + b*omega, one column each, of packed integers: int16
@@ -63,7 +68,7 @@ class Quotient:
         sums |a|, |b| <= h and |a + b| <= 2h, at most |G| and 2|G| over all
         cosets, so by `convolve`'s bound the largest value `seidel_identity`
         forms, cross - aa of `eis_product`, is below 4|G|h + |G|h."""
-        h, stride = self.h, np.array(self.strides(cube)[:-1])[:, None]
+        h, stride = self.h, np.array(_strides(self.h, self.order, cube)[:-1])[:, None]
         digits = (packed + h * int(stride.sum())) // stride % (2 * h + 1) - h
         digits = digits.astype(np.int16 if 5 * len(self.coset) * h < 2 ** 15 else np.int64)
         return tuple(np.split(digits, 2)) if cube else (digits, 0)
@@ -74,11 +79,6 @@ def _strides(h: int, order: int, cube: bool) -> list[int]:
     (of order, or 2 * order in Z[omega], rational parts first) is a coset
     sum in [-h, h] weighted by (2h + 1)^j.  The last entry bounds the range."""
     return [(2 * h + 1) ** j for j in range(order * (1 + cube) + 1)]
-
-
-def trivial_quotient(order: int) -> Quotient:
-    """G/G: one coset, whose key is the total sum c."""
-    return Quotient(np.zeros(order, dtype=np.intp), cyclic(1))
 
 
 def normal_quotients(group: GroupTable) -> list[Quotient]:
@@ -126,7 +126,7 @@ def _subgroup_masks(group: GroupTable) -> np.ndarray:
 
 
 def _quotient(group: GroupTable, mask: np.ndarray) -> Quotient:
-    """G/H for the normal subgroup H with this membership mask."""
+    """G/H for the normal subgroup H with this membership mask (H = G: G/G)."""
     n = group.order
     if isinstance(group, CyclicGroup):
         d = n // int(mask.sum())
@@ -137,7 +137,7 @@ def _quotient(group: GroupTable, mask: np.ndarray) -> Quotient:
     coset = np.zeros(n, dtype=np.intp)
     coset[reps] = np.arange(len(reps))
     coset = coset[coset_min]
-    table = coset[mul[reps][:, reps]]  # a group table because H is normal
+    table = coset[mul[reps][:, reps]]  # a group table because H is normal: not checked again
     labels = tuple(f"{group.labels[r]}H" for r in reps)
     return Quotient(coset, GroupTable(f"{group.name}/H", table, np.argmin(table, axis=1), labels))
 
@@ -166,7 +166,7 @@ def choose_quotient(group: GroupTable, kind: str, candidates: int) -> Quotient:
     bound is at most _KEYS_PER_HALF_CODE times the square root of the
     candidate count (the size of each half table of the join) and whose
     images pack into one int64, the one with the most cosets, then the
-    largest bound, then the first; G/G when there is none.
+    largest bound, then the first; else G/G, the `_quotient` of G itself.
 
     The subgroups are ranked before any quotient is built: |H| gives the
     order and the packed range, and the self-inverse cosets qH, those with
@@ -177,9 +177,9 @@ def choose_quotient(group: GroupTable, kind: str, candidates: int) -> Quotient:
     masks = _subgroup_masks(group)
     squares = 2 * e % n if isinstance(group, CyclicGroup) else group.mul[e, e]
     sizes = masks.sum(axis=1)
-    best, best_rank = None, (1, 0)
+    best, best_rank = np.ones(n, dtype=bool), (1, 0)  # G/G, one coset
     for mask, h, s in zip(masks, sizes.tolist(), (masks[:, squares].sum(axis=1) // sizes).tolist()):
         rank = (n // h, _key_bound(h, n // h, s, cube))
         if best_rank < rank and rank[1] <= budget and _strides(h, n // h, cube)[-1] < 2 ** 62:
             best, best_rank = mask, rank
-    return trivial_quotient(n) if best is None else _quotient(group, best)
+    return _quotient(group, best)

@@ -136,7 +136,7 @@ class Candidates(Sequence):
         role = (sign[:, None] * np.arange(self._radix) + 2 * (not cube)) % 3
         a, b = np.array([[1, 0, -1], [0, 1, -1]], dtype=np.int16)[:, role]
         a[0] = 0  # the identity; its role 0 already gives b = 0
-        return [a.ravel(), b.ravel() if cube else 0]
+        return [a, b if cube else 0]
 
     def __len__(self) -> int:
         return self._size
@@ -174,23 +174,18 @@ class Candidates(Sequence):
         batches of at most _CHUNK.
 
         The image is a sum of (orbit, digit) terms, each packed into one int64
-        by a linear map that is injective on images.  The images every code
-        can reach are built two orbits at a time as a set, and the solutions
-        r are taken from it.  A code is split into low, middle and top digits:
-        (low, middle) pairs with key(low) + key(middle) = r - key(top) are
-        found by a sorted lookup of the distinct middle keys, and only their
-        codes are expanded.
+        by `Quotient.pack`, which `Quotient.unpack` inverts.  The images every
+        code can reach are built two orbits at a time as a set, and the
+        solutions r are taken from it.  A code is split into low, middle and
+        top digits: (low, middle) pairs with key(low) + key(middle) = r -
+        key(top) are found by a sorted lookup of the distinct middle keys, and
+        only their codes are expanded.
         """
         radix, cube = self._radix, self._cube
-        stride = np.array(quotient.strides(cube)[:-1])
         # keys[i, d]: the packed image of orbit i under digit d; the last row
         # holds the identity and the elements no digit moves, under digit 0
-        images = []
-        for table in self._table[: 1 + cube]:
-            by_orbit = np.zeros((len(self._orbit), len(self._weights), radix), dtype=np.int64)
-            by_orbit[np.arange(len(self._orbit)), self._orbit] = table.reshape(-1, radix)
-            images.append(quotient.project(by_orbit))
-        keys = np.tensordot(stride, np.concatenate(images), axes=1)
+        keys = np.zeros((len(self._weights), radix), dtype=np.int64)
+        np.add.at(keys, self._orbit, quotient.pack(*self._table))
         keys, fixed = keys[:-1], keys[-1, 0]
 
         reachable = np.array([fixed])

@@ -24,10 +24,11 @@ from frameforge.eisenstein import eis_product
 from frameforge.quotients import (
     _KEYS_PER_HALF_CODE,
     Quotient,
+    _quotient,
+    _strides,
     choose_quotient,
     key_count,
     normal_quotients,
-    trivial_quotient,
 )
 from frameforge.search import KINDS, Candidates
 from frameforge.subsets import conjugate_subset, convolve, seidel_identity
@@ -80,7 +81,9 @@ def test_hit_sets_match_the_full_scan(descriptor, kind, count, digest):
 
 
 def all_quotients(group):
-    return [trivial_quotient(group.order)] + normal_quotients(group)
+    """G/G as `choose_quotient` builds it (cyclic(1) for a cyclic group, else
+    a 1x1 table), then `normal_quotients`."""
+    return [_quotient(group, np.ones(group.order, dtype=bool))] + normal_quotients(group)
 
 
 QUOTIENT_GROUPS = {name: parse_group(name) for name in
@@ -197,12 +200,38 @@ def test_unpacked_images_at_the_int16_edge_give_the_int64_identity(kind):
         a, b = units[:, roles.T]
         a[0] = b[0] = 0
         images = [quotient.project(a), quotient.project(b) if cube else 0]
-        packed = np.tensordot(quotient.strides(cube)[:-1], np.concatenate(images[: 1 + cube]), axes=1)
-        unpacked = quotient.unpack(packed, cube)
+        unpacked = quotient.unpack(quotient.pack(a, b if cube else 0).sum(axis=0), cube)
         assert unpacked[0].dtype == dtype and all(np.array_equal(u, i) for u, i in zip(unpacked, images))
         holds, mu = seidel_identity(quotient.group, kind, *unpacked, h)
         want_holds, want_mu = quotient_identity(quotient, kind, *images)
         assert holds[0] and np.array_equal(holds, want_holds) and np.array_equal(mu, want_mu), (order, h)
+
+
+def test_pack_sums_to_the_strided_images_and_unpacks_to_them():
+    # the reference packs the coset sums, coordinate j weighted by stride j
+    for group in [parse_group(d) for d in supported_descriptors(16)] + [S3, D4]:
+        for cube in (False, True):
+            space = Candidates(group, cube)
+            a, b = space.columns(np.arange(len(space)))
+            for quotient in all_quotients(group):
+                images = [quotient.project(x) for x in (a, b)[: 1 + cube]]
+                want = np.tensordot(_strides(quotient.h, quotient.order, cube)[:-1], np.concatenate(images),
+                                    axes=1)
+                packed = quotient.pack(a, b).sum(axis=0)
+                where = (group.name, cube, quotient.order)
+                assert packed.dtype == np.int64 and np.array_equal(packed, want), where
+                unpacked = quotient.unpack(packed, cube)
+                assert all(np.array_equal(u, i) for u, i in zip(unpacked, images)), where
+
+
+def test_nothing_admitted_joins_through_one_coset():
+    # C4xC4's quotients of 2-power order all exceed a budget of 16 keys
+    group = parse_group("C4xC4")
+    quotient = choose_quotient(group, "signature", 1)
+    assert quotient.order == 1 and not quotient.coset.any() and quotient.group.mul.tolist() == [[0]]
+    assert not isinstance(quotient.group, frameforge.groups.CyclicGroup)
+    space = Candidates(group, False)
+    assert joined(space, quotient, "signature") == brute_force_joined(space, quotient, "signature")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -296,6 +325,12 @@ def every_quotient(group):
     return out
 
 
+def whole_quotient(group):
+    """Reference G/G: every element in the one coset of a 1x1 table."""
+    one = GroupTable("G/G", np.zeros((1, 1), dtype=np.intp), np.zeros(1, dtype=np.intp), ("G",))
+    return Quotient(np.zeros(group.order, dtype=np.intp), one)
+
+
 def test_ranked_choice_equals_building_every_quotient():
     # of the quotients within the key budget whose images fit in an int64:
     # the most cosets, then the largest key bound, then the first
@@ -304,9 +339,9 @@ def test_ranked_choice_equals_building_every_quotient():
             cube = kind.startswith("cube")
             candidates = len(Candidates(group, cube))
             budget = _KEYS_PER_HALF_CODE * math.isqrt(candidates)
-            want = max([trivial_quotient(group.order)] + [
+            want = max([whole_quotient(group)] + [
                 q for q in every_quotient(group)
-                if key_count(q, cube) <= budget and q.strides(cube)[-1] < 2 ** 62
+                if key_count(q, cube) <= budget and _strides(q.h, q.order, cube)[-1] < 2 ** 62
             ], key=lambda q: (q.order, key_count(q, cube)))
             got = choose_quotient(group, kind, candidates)
             assert np.array_equal(got.coset, want.coset), (group.name, kind)

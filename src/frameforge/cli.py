@@ -43,6 +43,10 @@ from .subsets import Subset
 from .verdicts import Rejection, SignatureVerdict
 
 
+#: Rows of the frame vector file formatted per write.
+_ROWS = 64
+
+
 def _fmt_float(x: float) -> float:
     return float(format(x, ".12g"))
 
@@ -210,15 +214,16 @@ def _cmd_frame(args: argparse.Namespace) -> int:
     if args.out:
         # one re,im pair of cells per component; + 0.0 drops negative zero.
         # "%.12g" % x is the text of format(x, ".12g"), one template per row.
+        # A real frame formats only its real parts: every imaginary cell is 0.
         v = frame.vectors
-        if np.iscomplexobj(v):
-            cells = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64) + 0.0
-            pair = "%.12g,%.12g"
-        else:  # a real frame formats only its real parts: every imaginary cell is 0
-            cells, pair = v + 0.0, "%.12g,0"
-        line = ",".join([pair] * v.shape[1]) + "\n"
+        real = not np.iscomplexobj(v)
+        line = ",".join(["%.12g,0" if real else "%.12g,%.12g"] * v.shape[1]) + "\n"
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("".join(line % tuple(row) for row in cells.tolist()))
+            for lo in range(0, len(v), _ROWS):
+                block = v[lo:lo + _ROWS]
+                if not real:
+                    block = np.ascontiguousarray(block, np.complex128).view(np.float64)
+                fh.write("".join(line % tuple(row) for row in (block + 0.0).tolist()))
     payload = {
         "valid": report.ok,
         "n": params.n,

@@ -120,7 +120,9 @@ def factor_gram(p: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> FrameVectors
         raise ValueError("Gram matrix must be square")
     if not np.isfinite(p).all():  # NaN would pass every comparison with tol
         raise ValueError("Gram matrix must be finite")
-    if np.abs(p - p.conj().T).max(initial=0.0) > tol:
+    # a P built from a certified Q is exactly self-adjoint: tol > 0, so the
+    # exact test first gives the same verdict without the n x n difference
+    if not np.array_equal(p, p.conj().T) and np.abs(p - p.conj().T).max(initial=0.0) > tol:
         return Rejection("not-hermitian", "Gram matrix is not self-adjoint within tol")
     d = np.real(np.diagonal(p)).copy()
     r = np.empty((k, n), dtype=p.dtype)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -319,42 +319,109 @@ def is_conference(m: np.ndarray) -> bool:
 
 # -- serialisation ----------------------------------------------------------
 
+#: Rows per block of matrix_to_json's text.
+_ROWS = 64
 
-def _cell_tokens(q: SeidelMatrix) -> np.ndarray:
-    """(n, n) object array of cell tokens, gathered from a 3x3 table indexed
-    by the components (a, b) of each cell a + b*omega; the index -1 reads
-    the last row or column."""
-    grid = np.full((3, 3), None, dtype=object)
+_TOKENS = np.array(CELL_TOKENS, dtype=object)
+
+#: Cell codes by the two bytes after a token's opening quote, both ASCII; a
+#: one-byte token is followed by its closing quote.
+_CODE_TABLE = np.zeros((128, 128), dtype=np.int8)
+_CODE_TABLE[
+    [ord(t[0]) for t in CELL_TOKENS], [ord((t + '"')[1]) for t in CELL_TOKENS]
+] = np.arange(len(CELL_TOKENS))
+
+
+def _cell_codes(q: SeidelMatrix) -> np.ndarray:
+    """(n, n) int8 array of each cell's place in CELL_TOKENS, gathered from
+    a 3x3 table indexed by the components (a, b) of each cell a + b*omega;
+    the index -1 reads the last row or column."""
+    grid = np.zeros((3, 3), dtype=np.int8)
     for z in (ZERO, -ONE, *CUBE_ROOTS):  # every value a cell can hold
-        grid[z.a, z.b] = unit_to_token(z)
+        grid[z.a, z.b] = CELL_TOKENS.index(unit_to_token(z))
     return grid[q.a, q.b]
 
 
 def matrix_to_csv(q: SeidelMatrix) -> str:
     """One row per line, cells comma-separated, no header."""
-    return "\n".join(",".join(row) for row in _cell_tokens(q).tolist()) + "\n"
+    return "\n".join(",".join(row) for row in _TOKENS[_cell_codes(q)].tolist()) + "\n"
+
+
+def _json_chunks(cells: np.ndarray, mu: int | None) -> Iterator[str]:
+    """matrix_to_json's text for the (n, n) cell codes, in pieces: the head,
+    blocks of _ROWS rows and the tail.  The entries are joined row by row:
+    no cell token needs escaping, and "entries" sorts before the keys
+    json.dumps still writes."""
+    n = len(cells)
+    rest = {"n": n} if mu is None else {"mu": mu, "n": n}
+    yield '{"entries": ['
+    for lo in range(0, n, _ROWS):
+        rows = _TOKENS[cells[lo:lo + _ROWS]].tolist()
+        yield ", " * bool(lo) + ", ".join('["' + '", "'.join(row) + '"]' for row in rows)
+    yield "], " + json.dumps(rest, sort_keys=True)[1:]
 
 
 def matrix_to_json(q: SeidelMatrix, mu: int | None = None) -> str:
     """The text of json.dumps({"entries": tokens, "mu": mu, "n": n},
-    sort_keys=True), with "mu" left out when it is None.  The entries are
-    joined row by row: no cell token needs escaping, and "entries" sorts
-    before the keys json.dumps still writes."""
-    rest: dict = {"n": q.n}
-    if mu is not None:
-        rest["mu"] = mu
-    rows = ", ".join('["' + '", "'.join(row) + '"]' for row in _cell_tokens(q).tolist())
-    return '{"entries": [' + rows + "], " + json.dumps(rest, sort_keys=True)[1:]
+    sort_keys=True), with "mu" left out when it is None."""
+    return "".join(_json_chunks(_cell_codes(q), mu))
 
 
 def matrix_from_json(text: str) -> SeidelMatrix:
     """Parse matrix_to_json output; every schema fault raises ValueError.
 
-    Each cell is looked up once in a token -> code dict, the code being the
-    token's place in CELL_TOKENS; the components a and b are then gathered
-    from the values of the five tokens.  A matrix whose cells all have
-    b = 0 is an integer matrix.
+    A text that is matrix_to_json(q, mu) for an integer mu or none, with
+    at most one "\n" after it, is read from its bytes (`_emitted_cells`).
+    Every other text goes through json.loads (`_loaded_cells`), which
+    gives the same matrix or the same error on the emitted texts as well.
+    Each cell is a code, the token's place in CELL_TOKENS; the components
+    a and b are gathered from the values of the five tokens.  A matrix
+    whose cells all have b = 0 is an integer matrix.
     """
+    cells = _emitted_cells(text)
+    if cells is None:
+        cells = _loaded_cells(text)
+    units = [unit_from_token(token) for token in CELL_TOKENS]
+    b = np.array([z.b for z in units])[cells]
+    a = np.array([z.a for z in units])[cells]
+    return SeidelMatrixEis(a, b) if b.any() else SeidelMatrixInt(a)
+
+
+def _emitted_cells(text: str) -> np.ndarray | None:
+    """The (n, n) cell codes when text is matrix_to_json(q, mu) for an
+    integer mu or none, with at most one "\n" after it; None otherwise.
+
+    The tail after the last "]], " is read by json.loads.  Each cell's code
+    is looked up from the two bytes after every other quote of the entries.
+    The codes are trusted only once `_json_chunks` has written the text
+    back from them, chunk by chunk, without building it whole."""
+    head = '{"entries": ['
+    end = text.rfind("]], ")
+    if end < 0 or not text.isascii() or not text.startswith(head + "["):
+        return None
+    try:
+        rest = json.loads("{" + text[end + 4:])  # a dict, if anything
+    except (ValueError, RecursionError):
+        return None
+    n, mu = rest.get("n"), rest.get("mu")
+    if type(n) is not int or n < 1 or type(mu) not in (int, type(None)):
+        return None
+    data = np.frombuffer(text[len(head):end + 2].encode("ascii"), dtype=np.uint8)
+    opening = np.flatnonzero(data[:-2] == ord('"'))[::2]
+    cells = _CODE_TABLE[data[opening + 1], data[opening + 2]]
+    if cells.size != n * n:
+        return None
+    cells = cells.reshape(n, n)
+    pos = 0
+    for chunk in _json_chunks(cells, mu):
+        if not text.startswith(chunk, pos):
+            return None
+        pos += len(chunk)
+    return cells if text[pos:] in ("", "\n") else None
+
+
+def _loaded_cells(text: str) -> np.ndarray:
+    """The (n, n) cell codes of any matrix JSON, through json.loads."""
     try:
         payload = json.loads(text)
     except RecursionError:
@@ -371,14 +438,10 @@ def matrix_from_json(text: str) -> SeidelMatrix:
         raise ValueError("entry grid does not match declared size")
     code = {token: i for i, token in enumerate(CELL_TOKENS)}
     try:
-        cells = np.fromiter(
+        return np.fromiter(
             map(code.__getitem__, chain.from_iterable(entries)), dtype=np.int8, count=n * n
         ).reshape(n, n)
     except KeyError as exc:  # also an int 1 in place of "1": 1 is not a key
         raise ValueError(f"unknown Eisenstein cell token {exc.args[0]!r}") from None
     except TypeError:  # an unhashable token such as a list or an object
         raise ValueError("matrix cells must be token strings") from None
-    units = [unit_from_token(token) for token in CELL_TOKENS]
-    b = np.array([z.b for z in units])[cells]
-    a = np.array([z.a for z in units])[cells]
-    return SeidelMatrixEis(a, b) if b.any() else SeidelMatrixInt(a)

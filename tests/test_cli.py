@@ -290,6 +290,34 @@ def test_frame_vector_file(tmp_path, capsys, emit):
     assert "-0," not in text and "-0\n" not in text
 
 
+@pytest.mark.parametrize("emit", [
+    ["tables", "--algorithm", "thm59", "--max-m", "6", "--emit-matrix", "6"],  # n = 54
+    ["cube-verify", "--group", "Q8", "--s", "-1", "--t", "i,j,k", "--quasi", "--emit-matrix"],
+], ids=["thm59_m6", "q8_cube"])
+def test_frame_reads_emitted_and_reindented_json_alike(tmp_path, capsys, emit):
+    emitted = tmp_path / "matrix.json"
+    if emit[0] == "tables":
+        code, out, _ = run_cli(capsys, *emit)
+        emitted.write_text(out)
+    else:
+        code, out, _ = run_cli(capsys, *emit, str(emitted))
+    assert code == 0
+    text = emitted.read_text()
+    reindented = tmp_path / "indented.json"
+    reindented.write_text(json.dumps(json.loads(text), indent=2))
+    results = []
+    for path in (emitted, reindented):
+        vectors = path.with_suffix(".csv")
+        results.append((*run_cli(capsys, "frame", "--from", str(path), "--out", str(vectors)),
+                        vectors.read_bytes()))
+    assert results[0] == results[1] and results[0][0] == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"1"', '"q"', 1))
+    assert run_cli(capsys, "frame", "--from", str(bad)) == (
+        2, "", "error: unknown Eisenstein cell token 'q'\n"
+    )
+
+
 def test_frame_rejects_a_matrix_with_more_than_two_eigenvalues(tmp_path, capsys):
     # eigenvalues -sqrt(5), -1, 1, sqrt(5)
     path = tmp_path / "matrix.json"

@@ -19,6 +19,7 @@ from frameforge import (
     direct_product,
     is_conference,
     is_hadamard,
+    matrices,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
@@ -34,6 +35,7 @@ from frameforge.eisenstein import (
     OMEGA2,
     ONE,
     EisensteinInt,
+    unit_from_token,
     unit_to_token,
 )
 from frameforge.verdicts import Rejection
@@ -628,3 +630,134 @@ def test_json_mu_goes_through_json_dumps():
     )
     with pytest.raises(TypeError):
         matrix_to_json(q, mu=object())
+
+
+def _reference_from_json(text):
+    """The json.loads decoder: one dict lookup per cell of the parsed grid."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("matrix JSON nests too deeply") from None
+    if not isinstance(payload, dict) or "entries" not in payload or "n" not in payload:
+        raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
+    entries, n = payload["entries"], payload["n"]
+    if type(n) is not int or n < 1 or not isinstance(entries, list) or not all(
+        isinstance(row, list) for row in entries
+    ):
+        raise ValueError("'n' must be a positive integer and 'entries' a list of rows")
+    if len(entries) != n or any(len(row) != n for row in entries):
+        raise ValueError("entry grid does not match declared size")
+    code = {token: i for i, token in enumerate(CELL_TOKENS)}
+    try:
+        cells = np.array([code[token] for row in entries for token in row]).reshape(n, n)
+    except KeyError as exc:
+        raise ValueError(f"unknown Eisenstein cell token {exc.args[0]!r}") from None
+    except TypeError:
+        raise ValueError("matrix cells must be token strings") from None
+    units = [unit_from_token(token) for token in CELL_TOKENS]
+    b = np.array([z.b for z in units])[cells]
+    a = np.array([z.a for z in units])[cells]
+    return SeidelMatrixEis(a, b) if b.any() else SeidelMatrixInt(a)
+
+
+def _assert_reads_like_reference(text):
+    try:
+        want = _reference_from_json(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            matrix_from_json(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = matrix_from_json(text)
+        assert type(got) is type(want) and got == want
+
+
+@st.composite
+def _emitted_texts(draw):
+    """The layout matrix_to_json writes, a diagonal of "0" not always
+    among it: json.dumps of a token grid with sorted keys."""
+    n = draw(st.integers(1, 6))
+    tokens = draw(st.sampled_from([("1", "-1"), ("1", "w", "w2"), CELL_TOKENS]))
+    zero_diagonal = draw(st.booleans())
+    rows = [[draw(st.sampled_from(tokens)) for _ in range(n)] for _ in range(n)]
+    for i in range(n if zero_diagonal else 0):
+        rows[i][i] = "0"
+    payload = {"n": n, "entries": rows}
+    mu = draw(st.sampled_from([None, 0, -2, 5]))
+    if mu is not None:
+        payload["mu"] = mu
+    return json.dumps(payload, sort_keys=True) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def _mutated_emissions(draw):
+    """An emitted text with one character replaced, inserted or deleted."""
+    text = draw(_emitted_texts())
+    i = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(list('"[], 0125-wmnu:{}\n\\q') + ["\ud800", "\u00e9"]))
+    return draw(st.sampled_from([
+        text[:i] + char + text[i + 1:], text[:i] + char + text[i:], text[:i] + text[i + 1:],
+    ]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _matrix_payloads().map(lambda text: json.dumps(json.loads(text), sort_keys=True)),
+    _emitted_texts(),
+    _mutated_emissions(),
+))
+def test_matrix_from_json_matches_the_json_loads_reference(text):
+    _assert_reads_like_reference(text)
+
+
+_EMITTED = matrix_to_json(SeidelMatrixInt(golden.CONFERENCE_6), mu=0)
+_EMITTED_EIS = matrix_to_json(eis_from_tokens(golden.CUBE_ROOT_9_TOKENS), mu=-2)
+_TARGETED = {
+    "indent=1": json.dumps(json.loads(_EMITTED), indent=1),
+    "unquoted 1": _EMITTED.replace('"1"', "1", 1),
+    "-1 in an omega matrix": _EMITTED_EIS.replace('"w"', '"-1"', 1),
+    "escaped token": _EMITTED.replace('"0"', '"\\u0030"', 1),
+    "duplicate n": _EMITTED.replace('"n": 6}', '"n": 6, "n": 6}'),
+    "n twice, the first wrong": _EMITTED.replace('"n": 6}', '"n": 5, "n": 6}'),
+    "float mu": _EMITTED.replace('"mu": 0', '"mu": 0.0'),
+    "bool mu": _EMITTED.replace('"mu": 0', '"mu": false'),
+    "null mu": _EMITTED.replace('"mu": 0', '"mu": null'),
+    "missing mu": _EMITTED.replace('"mu": 0, ', ""),
+    "keys reordered": _EMITTED.replace('"mu": 0, "n": 6', '"n": 6, "mu": 0'),
+    "extra key after": _EMITTED[:-1] + ', "x": "]], "}',
+    "extra key before": _EMITTED.replace('"mu"', '"a": "]], ", "mu"'),
+    # the last "]], " closes the extra key, and the cells' quotes still count 36
+    "extra key posing as the end": _EMITTED.replace(', "0"]], "mu"', ']], "a": [[]], "mu"'),
+    "trailing spaces": _EMITTED + "  ",
+    "two newlines": _EMITTED + "\n\n",
+    "newline then space": _EMITTED + "\n ",
+    "lone surrogate": _EMITTED[:-1] + ', "x": "\ud800"}',
+    "escaped lone surrogate": _EMITTED[:-1] + ', "x": "\\ud800"}',
+    "non-zero diagonal": _EMITTED.replace('"0"', '"1"', 1),
+    "true n": '{"entries": [["0"]], "n": true}',
+    "empty row": '{"entries": [[]], "n": 1}',
+    "omega matrix": _EMITTED_EIS + "\n",
+}
+
+
+@pytest.mark.parametrize("text", list(_TARGETED.values()), ids=list(_TARGETED))
+def test_matrix_from_json_matches_the_reference_on_near_misses(text):
+    _assert_reads_like_reference(text)
+
+
+@pytest.mark.parametrize("text, emitted", [
+    (_EMITTED, True), (_EMITTED + "\n", True), (_EMITTED_EIS, True),
+    (matrix_to_json(SeidelMatrixInt(golden.CONFERENCE_6)), True),
+    (_TARGETED["indent=1"], False), (_TARGETED["float mu"], False),
+    (_TARGETED["two newlines"], False), (_TARGETED["duplicate n"], False),
+])
+def test_only_emitted_text_is_read_from_its_bytes(monkeypatch, text, emitted):
+    def refuse(text):
+        raise AssertionError("json.loads path taken")
+
+    monkeypatch.setattr(matrices, "_loaded_cells", refuse)
+    if emitted:
+        assert matrix_from_json(text) == _reference_from_json(text)
+    else:
+        with pytest.raises(AssertionError, match="json.loads path"):
+            matrix_from_json(text)

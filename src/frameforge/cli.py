@@ -102,15 +102,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         payload.update(valid=True, mu=verdict.mu, n=verdict.params.n, k=verdict.params.k)
     else:
         payload.update(valid=False, mu=None, n=None, k=None, reason=str(verdict))
-    print(_dump(payload))
-    if verdict.ok and args.emit_matrix:
-        if args.t is None:
-            matrix = (quasi_signature_matrix if args.quasi else signature_matrix)(group, s)
-        else:
-            matrix = build_cube_matrix(group, s, t)
-            matrix = border_standard(matrix) if args.quasi else matrix
-        _write_matrix(matrix, verdict.mu, args.emit_matrix)
-    return 0 if verdict.ok else 1
+    if not (verdict.ok and args.emit_matrix):
+        print(_dump(payload))
+        return 0 if verdict.ok else 1
+    if args.t is None:
+        matrix = (quasi_signature_matrix if args.quasi else signature_matrix)(group, s)
+    else:
+        matrix = build_cube_matrix(group, s, t)
+        matrix = border_standard(matrix) if args.quasi else matrix
+    # opened before the verdict is printed: an unwritable path exits 2 with nothing on stdout
+    with open(args.emit_matrix, "w", encoding="utf-8") as fh:
+        print(_dump(payload))
+        csv = args.emit_matrix.endswith(".csv")  # matrix_to_csv ends its last line
+        fh.write(matrix_to_csv(matrix) if csv else matrix_to_json(matrix, mu=verdict.mu) + "\n")
+    return 0
 
 
 def _cmd_diffset(args: argparse.Namespace) -> int:
@@ -174,6 +179,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    if args.emit_matrix is not None and args.emit_matrix < 0:
+        raise ValueError(f"--emit-matrix must be non-negative, got {args.emit_matrix}")
     try:
         hits = generators.generate(args.algorithm, args.max_m, verify=args.emit_matrix is None)
     except RuntimeError as exc:  # a listed row failed its certificate
@@ -205,8 +212,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_frame(args: argparse.Namespace) -> int:
     with open(args.source, "r", encoding="utf-8") as fh:
-        matrix = matrix_from_json(fh.read())
-    result = frame_from_matrix(matrix, tol=args.tol)
+        # no name keeps the text or the matrix: each is freed once it is used
+        result = frame_from_matrix(matrix_from_json(fh.read()), tol=args.tol)
     if isinstance(result, Rejection):
         print(_dump({"valid": False, "reason": str(result)}))
         return 1
@@ -236,12 +243,6 @@ def _cmd_frame(args: argparse.Namespace) -> int:
     }
     print(_dump(payload))
     return 0 if report.ok else 1
-
-
-def _write_matrix(matrix, mu: int, path: str) -> None:
-    text = matrix_to_csv(matrix) if path.endswith(".csv") else matrix_to_json(matrix, mu=mu)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 @functools.cache

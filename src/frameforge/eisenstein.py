@@ -45,11 +45,6 @@ class EisensteinInt:
     def conjugate(self) -> EisensteinInt:
         return EisensteinInt(self.a - self.b, -self.b)
 
-    @property
-    def is_rational(self) -> bool:
-        """True when the omega component vanishes (an ordinary integer)."""
-        return self.b == 0
-
     def norm(self) -> int:
         """Field norm z * conj(z) = a^2 - a*b + b^2 (a non-negative integer)."""
         return self.a * self.a - self.a * self.b + self.b * self.b

@@ -142,13 +142,26 @@ def factor_gram(p: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> FrameVectors
     if d.max(initial=0.0) > tol or np.abs(column_gram - np.eye(k)).max(initial=0.0) > tol:
         return _not_a_projection(p, k)
     gram = v @ r
-    if np.abs(gram - p).max(initial=0.0) > 10 * tol:
+    if _drift(gram, p) > 10 * tol:
         return Rejection("factorisation-drift", "V V* strays from P beyond 10*tol")
     frame = FrameVectors(n=n, k=k, vectors=v)
     for name, x in (("vectors", v), ("gram", gram), ("column_gram", column_gram)):
         x.setflags(write=False)
         object.__setattr__(frame, name, x)  # frozen, and the products are no arguments
     return frame
+
+
+def _drift(gram: np.ndarray, p: np.ndarray) -> float:
+    """max |gram - P| by blocks of 64 rows, which is the whole array's, NaN included."""
+    return np.max([np.abs(gram[lo:lo + 64] - p[lo:lo + 64]).max(initial=0.0)
+                   for lo in range(0, len(p), 64)], initial=0.0)
+
+
+def _angle_deviation(gram: np.ndarray, c: float) -> np.ndarray:
+    """| |gram| - c | entrywise, formed in one array."""
+    dev = np.abs(gram)
+    dev -= c
+    return np.abs(dev, out=dev)
 
 
 def _not_a_projection(p: np.ndarray, k: int) -> Rejection:
@@ -174,7 +187,7 @@ def verify_frame(
     tightness = float(np.abs(column_gram - np.eye(k)).max())
     norms = np.real(np.diagonal(gram))
     uniformity = float(np.abs(norms - k / n).max())
-    dev = np.abs(np.abs(gram) - params.c_value)
+    dev = _angle_deviation(gram, params.c_value)
     np.fill_diagonal(dev, 0.0)  # every deviation is >= 0 and n >= 2: the max is kept
     equiangularity = float(dev.max())
     return FrameCheckReport(
@@ -188,13 +201,17 @@ def verify_frame(
 def frame_from_matrix(
     q: SeidelMatrix, tol: float = DEFAULT_TOL
 ) -> tuple[FrameVectors, FrameCheckReport, FrameParams] | Rejection:
-    """Certify, build the Gram matrix, factor it, and verify, in one step."""
+    """Certify, build the Gram matrix, factor it, and verify, in one step.
+    Q and its certificate are let go once P is formed, and P once it is
+    factored, so a caller that passes Q on without keeping it frees them."""
     _check_tol(tol)
     cert = certify_two_eigenvalue(q)
     if isinstance(cert, Rejection):
         return cert
-    gram = gram_from_certificate(cert)
-    frame = factor_gram(gram, cert.params.k, tol=tol)
+    params, gram = cert.params, gram_from_certificate(cert)
+    del q, cert
+    frame = factor_gram(gram, params.k, tol=tol)
+    del gram
     if isinstance(frame, Rejection):
         return frame
-    return frame, verify_frame(frame, cert.params, tol=tol), cert.params
+    return frame, verify_frame(frame, params, tol=tol), params

@@ -37,14 +37,15 @@ def _exact_matmul(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     float32 BLAS is exact while n * max|x| * max|y|, which bounds every
     partial sum of an inner product, is below 2**24; past that, int64."""
     yt = x.T if y is None else y
-    n = x.shape[-1]
-    bound = n * max(int(np.abs(x).max(initial=0)), 1) * max(int(np.abs(yt).max(initial=0)), 1)
+    bound = x.shape[-1]
+    for m in (x, yt):  # max(max|m|, 1), read off the extremes: no |m| copy
+        bound *= max(int(m.max(initial=0)), -int(m.min(initial=0)), 1)
     if bound >= 2 ** 24:
         return x @ yt
     xf = x.astype(np.float32)
     yf = xf.T if y is None else xf if y is x else y.astype(np.float32)  # x converts once
-    return np.rint(xf @ yf).astype(np.int64)
-
+    z = xf @ yf
+    return np.rint(z, out=z).astype(np.int64)
 
 def _integer_array(x) -> np.ndarray:
     """x as a C-contiguous int64 array.  A non-integer dtype raises
@@ -107,9 +108,8 @@ class SeidelMatrix:
 
     def is_hermitian(self) -> bool:
         # conj(a + b w) = (a - b) - b w, so Q* = Q when b^T = -b and a^T = a - b
-        return bool(
-            np.array_equal(self.b.T, -self.b) and np.array_equal(self.a.T, self.a - self.b)
-        )
+        a_conj = self.a - self.b if self.b.ndim else self.a  # no copy when b is the scalar 0
+        return bool(np.array_equal(self.b.T, -self.b) and np.array_equal(self.a.T, a_conj))
 
     def square(self) -> tuple[np.ndarray, np.ndarray]:
         """Q^2 as its components (a, b); one product when b is the scalar 0."""
@@ -154,9 +154,11 @@ def regrep_sum(group: GroupTable, coeffs: Sequence[int] | np.ndarray) -> np.ndar
     M[r, c] = coeffs[r^-1 * c], which is the layout that makes the
     group-subset constructions print in their standard form.  The identity
     coefficient must be 0 so the diagonal vanishes.  Columns of shape
-    (order, B) give a (B, order, order) stack, one matrix per column.
+    (order, B) give a (B, order, order) stack, one matrix per column, in
+    the coefficients' integer dtype (int64 for a list).
     """
-    c = _integer_array(coeffs)
+    c = np.asarray(coeffs)
+    c = c if c.dtype.kind in "iu" else _integer_array(c)
     if c.shape[:1] != (group.order,) or c.ndim > 2:
         raise ValueError("need one coefficient per group element")
     if c[0].any():
@@ -254,10 +256,11 @@ def _identity_mu(a, b, sq_a, sq_b) -> list[int | Rejection]:
 
 def border_standard(q: SeidelMatrix) -> SeidelMatrix:
     """Prepend an all-ones first row and column (0 in the corner); a scalar
-    omega part, the 0 of an integer matrix, stays a scalar."""
-    a = np.pad(q.a, ((1, 0), (1, 0)), constant_values=1)
+    omega part, the 0 of an integer matrix, stays a scalar.  A unit's
+    components fit in int8, so the constructor's is the one int64 copy."""
+    a = np.pad(q.a.astype(np.int8), ((1, 0), (1, 0)), constant_values=1)
     a[0, 0] = 0
-    return type(q)(a, np.pad(q.b, ((1, 0), (1, 0))) if q.b.ndim else q.b)
+    return type(q)(a, np.pad(q.b.astype(np.int8), ((1, 0), (1, 0))) if q.b.ndim else q.b)
 
 
 def switch(
@@ -382,8 +385,8 @@ def matrix_from_json(text: str) -> SeidelMatrix:
     if cells is None:
         cells = _loaded_cells(text)
     units = [unit_from_token(token) for token in CELL_TOKENS]
-    b = np.array([z.b for z in units])[cells]
-    a = np.array([z.a for z in units])[cells]
+    b = np.array([z.b for z in units], dtype=np.int8)[cells]
+    a = np.array([z.a for z in units], dtype=np.int8)[cells]
     return SeidelMatrixEis(a, b) if b.any() else SeidelMatrixInt(a)
 
 
@@ -392,7 +395,8 @@ def _emitted_cells(text: str) -> np.ndarray | None:
     integer mu or none, with at most one "\n" after it; None otherwise.
 
     The tail after the last "]], " is read by json.loads.  Each cell's code
-    is looked up from the two bytes after every other quote of the entries.
+    is looked up from the two bytes after its opening quote, a quote that
+    follows "[" or a space.
     The codes are trusted only once `_json_chunks` has written the text
     back from them, chunk by chunk, without building it whole."""
     head = '{"entries": ['
@@ -407,8 +411,11 @@ def _emitted_cells(text: str) -> np.ndarray | None:
     if type(n) is not int or n < 1 or type(mu) not in (int, type(None)):
         return None
     data = np.frombuffer(text[len(head):end + 2].encode("ascii"), dtype=np.uint8)
-    opening = np.flatnonzero(data[:-2] == ord('"'))[::2]
-    cells = _CODE_TABLE[data[opening + 1], data[opening + 2]]
+    at = data[:-3] == ord(" ")  # at[j]: data[j + 1] is an opening quote
+    at |= data[:-3] == ord("[")
+    at &= data[1:-2] == ord('"')
+    at = np.flatnonzero(at)
+    cells = _CODE_TABLE[data[2:][at], data[3:][at]]
     if cells.size != n * n:
         return None
     cells = cells.reshape(n, n)

@@ -24,7 +24,7 @@ import numpy as np
 from .groups import CyclicGroup, GroupTable, cyclic, subgroup_generated
 from .numbertheory import prime_factors
 
-__all__ = ["Quotient", "normal_quotients", "key_count", "choose_quotient"]
+__all__ = ["Quotient", "normal_quotients", "choose_quotient"]
 
 #: Distinct images a chosen quotient may allow per code of a join half table.
 _KEYS_PER_HALF_CODE = 16
@@ -46,12 +46,6 @@ class Quotient:
     def h(self) -> int:
         """|H|, the size of each coset."""
         return len(self.coset) // self.order
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """rho(x): the sums of x over each coset along the first axis, as int64."""
-        out = np.zeros((self.order, *x.shape[1:]), dtype=np.int64)
-        np.add.at(out, self.coset, x)
-        return out
 
     def pack(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
         """Each element's term, along the first axis, of the packed image of
@@ -140,12 +134,6 @@ def _quotient(group: GroupTable, mask: np.ndarray) -> Quotient:
     table = coset[mul[reps][:, reps]]  # a group table because H is normal: not checked again
     labels = tuple(f"{group.labels[r]}H" for r in reps)
     return Quotient(coset, GroupTable(f"{group.name}/H", table, np.argmin(table, axis=1), labels))
-
-
-def key_count(quotient: Quotient, cube: bool) -> int:
-    """`_key_bound` of a built quotient."""
-    self_inverse = int((quotient.group.inv == np.arange(quotient.order)).sum())
-    return _key_bound(quotient.h, quotient.order, self_inverse, cube)
 
 
 def _key_bound(h: int, order: int, self_inverse: int, cube: bool) -> int:

@@ -52,10 +52,6 @@ class Subset:
         packed = np.packbits(mask, bitorder="little").tobytes()
         return cls(order, int.from_bytes(packed, "little"))
 
-    @classmethod
-    def full_nonidentity(cls, order: int) -> Subset:
-        return cls(order, (1 << order) - 2)
-
     @property
     def size(self) -> int:
         return self.bits.bit_count()
@@ -87,10 +83,6 @@ class Subset:
     @property
     def has_identity(self) -> bool:
         return bool(self.bits & 1)
-
-    def union(self, other: Subset) -> Subset:
-        self._check_owner(other)
-        return Subset(self.order, self.bits | other.bits)
 
     def difference(self, other: Subset) -> Subset:
         self._check_owner(other)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -45,6 +46,19 @@ def all_cube_assignments(group: GroupTable):
             elif digit == 1:
                 t_bits |= 1 << x
         yield Subset(n, s_bits), Subset(n, t_bits)
+
+
+def full_nonidentity(order: int) -> Subset:
+    """Every element but the identity."""
+    return Subset(order, (1 << order) - 2)
+
+
+def project(quotient, x: np.ndarray) -> np.ndarray:
+    """rho(x) for a `quotients.Quotient`: the sums of x over each coset
+    along the first axis, as int64."""
+    out = np.zeros((quotient.order, *x.shape[1:]), dtype=np.int64)
+    np.add.at(out, quotient.coset, x)
+    return out
 
 
 def supported_descriptors(max_order: int) -> list[str]:

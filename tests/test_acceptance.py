@@ -291,7 +291,7 @@ def test_criterion_7_property_suites():
     # counting-form vs matrix-form agreement, cube kinds
     for g in (cyclic(3), cyclic(5), direct_product(cyclic(2), cyclic(2))):
         for s, t in all_cube_assignments(g):
-            v = complement_nonidentity(s.union(t))
+            v = complement_nonidentity(s).difference(t)
             if inverse_set(g, s) != s or inverse_set(g, t) != v:
                 continue
             core = build_cube_matrix(g, s, t)

@@ -207,6 +207,31 @@ def test_tables_emit_matrix_without_a_hit_exits_1(capsys):
     assert err == "no hit at m=2\n"
 
 
+@pytest.mark.parametrize("m", ["-2", "-1"])
+def test_tables_negative_emit_matrix_is_a_usage_error(capsys, m):
+    code, out, err = run_cli(
+        capsys, "tables", "--algorithm", "thm59", "--max-m", "3", "--emit-matrix", m,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --emit-matrix must be non-negative, got {m}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "C5", "--set", "1,4", "--quasi"],
+    ["cube-verify", "--group", "Q8", "--s=-1", "--t=i,j,k", "--quasi"],
+])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_emit_matrix_to_an_unwritable_path_prints_no_verdict(tmp_path, capsys, argv, where):
+    path = tmp_path / "missing" / "m.json" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--emit-matrix", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    # a rejected verdict writes no matrix, so the path is never opened
+    code, out, err = run_cli(capsys, "verify", "--group", "C9", "--set", "1,2",
+                             "--emit-matrix", str(path))
+    assert code == 1 and not json.loads(out)["valid"] and err == ""
+
+
 def test_tables_emit_matrix(capsys):
     code, out, _ = run_cli(
         capsys, "tables", "--algorithm", "thm59", "--max-m", "0", "--emit-matrix", "0",

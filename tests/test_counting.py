@@ -14,13 +14,18 @@ from frameforge import (
     units_mod,
 )
 
-from conftest import all_nonidentity_subsets, brute_count_pair, small_groups_to_order_8
+from conftest import (
+    all_nonidentity_subsets,
+    brute_count_pair,
+    full_nonidentity,
+    small_groups_to_order_8,
+)
 
 
 def test_count_pair_empty_set():
     g = cyclic(7)
     empty = Subset.empty(7)
-    full = Subset.full_nonidentity(7)
+    full = full_nonidentity(7)
     table = pair_count_table(g, empty, full)
     for target in range(7):
         assert table[target] == brute_count_pair(g, empty, full, target) == 0

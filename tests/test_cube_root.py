@@ -24,7 +24,7 @@ from frameforge.subsets import (
 )
 from frameforge.verdicts import Rejection
 
-from conftest import all_cube_assignments
+from conftest import all_cube_assignments, full_nonidentity
 from test_matrices import eis_from_tokens
 
 
@@ -105,7 +105,7 @@ def test_quasi_pair_quaternion(q8):
 def test_quasi_pair_trivial_border():
     for g in (cyclic(3), cyclic(5), quaternion8()):
         verdict = verify_quasi_signature_pair(
-            g, Subset.full_nonidentity(g.order), Subset.empty(g.order)
+            g, full_nonidentity(g.order), Subset.empty(g.order)
         )
         assert verdict.ok
         assert verdict.mu == g.order - 1  # n - 2 with n = |G| + 1
@@ -179,7 +179,7 @@ def test_counting_identities_on_acceptances():
         for hit in search(SearchSpec(group=g, kind="cube-pair")):
             s, t = hit.verdict.subset, hit.verdict.t_subset
             n, mu = hit.verdict.params.n, hit.verdict.mu
-            v = complement_nonidentity(s.union(t))
+            v = complement_nonidentity(s).difference(t)
             ct = {
                 (x, y): pair_count_table(g, xs, ys)
                 for x, xs in (("s", s), ("t", t), ("v", v))
@@ -205,7 +205,7 @@ def test_matrix_and_counting_criteria_agree_everywhere():
         for s, t in all_cube_assignments(g):
             from frameforge import inverse_set
 
-            v = complement_nonidentity(s.union(t))
+            v = complement_nonidentity(s).difference(t)
             if inverse_set(g, s) != s or inverse_set(g, t) != v:
                 continue
             matrix_cert = certify_two_eigenvalue(build_cube_matrix(g, s, t))

@@ -44,11 +44,6 @@ def test_conjugation():
         assert u.norm() == 1
 
 
-def test_rationality_flag():
-    assert EisensteinInt(4, 0).is_rational
-    assert not OMEGA.is_rational
-
-
 def test_complex_embedding():
     z = OMEGA.to_complex()
     assert z.real == pytest.approx(-0.5)

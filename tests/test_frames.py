@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +21,10 @@ from frameforge import (
     quaternion8,
     verify_frame,
 )
-from frameforge.frames import DEFAULT_TOL, FrameVectors
+from frameforge.cli import main
+from frameforge.frames import DEFAULT_TOL, FrameVectors, _angle_deviation, _drift
 from frameforge.generators import generate
-from frameforge.matrices import border_standard
+from frameforge.matrices import border_standard, matrix_from_json, matrix_to_json
 from frameforge.cube_root import build_cube_matrix
 from frameforge.verdicts import Rejection
 
@@ -338,3 +342,82 @@ def test_largest_bench_frame_deviations():
     frame, report, params = frame_from_matrix(thm59_matrix(99))
     assert (params.n, params.k) == (798, 399)
     assert max(report.tightness_dev, report.uniformity_dev, report.equiangularity_dev) <= 1e-12
+
+
+def traced_peak(f, *args):
+    """The most memory that tracemalloc sees one call hold, in bytes, above
+    what was allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_the_frame_path_holds_few_n_by_n_arrays(tmp_path, capsys):
+    # thm59 m = 48, n = 390; one unit is an n x n float64 or int64 array
+    q = thm59_matrix(48)
+    text = matrix_to_json(q, mu=0)
+    unit = 8 * q.n ** 2
+    # the reader holds the text's bytes, a mask of them and one comparison
+    # (each len(text) long), an int64 index of the n^2 opening quotes (1
+    # unit), then the int64 matrix with its int8 gathers; an index of all
+    # 2n^2 quotes would be 2 units on its own
+    assert traced_peak(matrix_from_json, text) < len(text) + 2 * unit
+    # the factor holds P, V V*, R = V* (k = n/2) and V*V, 2.75 units, and
+    # one row block of the drift; a whole |V V* - P| adds 2 units, and
+    # keeping P through the frame check 1 more (Q was built untraced)
+    assert traced_peak(frame_from_matrix, q) < 3.5 * unit
+    # `frame --from` frees the text once it is read, and Q once P is formed:
+    # certifying holds Q, Q^2 and mu*Q, 3 units; Q kept to the end adds 1,
+    # as it does before Python 3.11, where a caller's stack holds each
+    # argument until the call returns
+    source = tmp_path / "m.json"
+    source.write_text(text + "\n", encoding="utf-8")
+    argv = ["frame", "--from", str(source), "--out", str(tmp_path / "v.csv")]
+    del q, text
+    assert traced_peak(main, argv) < (3.6 + (sys.version_info < (3, 11))) * unit
+    assert json.loads(capsys.readouterr().out)["valid"]
+
+
+def assert_same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_whole_array_forms(gram, p, c):
+    assert_same_bits(_drift(gram, p), np.abs(gram - p).max(initial=0.0))
+    assert_same_bits(_angle_deviation(gram, c), np.abs(np.abs(gram) - c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 200), st.booleans())
+def test_blocked_drift_and_in_place_deviation_on_random_input(seed, n, complex_):
+    rng = np.random.default_rng(seed)
+    gram, p = rng.normal(size=(2, n, n)) + (1j * rng.normal(size=(2, n, n)) if complex_ else 0)
+    assert_whole_array_forms(gram, p, rng.random())
+
+
+def test_blocked_drift_sees_every_row_and_a_nan():
+    p = np.zeros((150, 150))
+    for i in range(150):  # one entry stands out, in each row in turn
+        gram = p.copy()
+        gram[i, 7 * i % 150] = -1.0 - i
+        assert _drift(gram, p) == 1.0 + i
+    gram[3, 5] = np.nan
+    assert np.isnan(_drift(gram, p)) and np.isnan(np.abs(gram - p).max())
+
+
+@pytest.mark.parametrize("q", [pytest.param(q, id=name) for name, q in certified_frames()]
+                         + [pytest.param(thm59_matrix(48), id="thm59_m48")])
+def test_blocked_drift_and_in_place_deviation_on_certified_grams(q):
+    cert = certify_two_eigenvalue(q)
+    p = gram_from_certificate(cert)
+    frame = factor_gram(p, cert.params.k)
+    assert_whole_array_forms(frame.gram, p, cert.params.c_value)

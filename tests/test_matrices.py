@@ -40,6 +40,8 @@ from frameforge.eisenstein import (
 )
 from frameforge.verdicts import Rejection
 
+from conftest import full_nonidentity
+
 
 def eis_from_tokens(tokens):
     table = {"0": (0, 0), "1": (1, 0), "w": (0, 1), "w2": (-1, -1)}
@@ -359,7 +361,7 @@ def test_hermitian_iff_closure_conditions():
         t_idx = [i + 1 for i, d in enumerate(digits) if d == 1]
         s = Subset.of(8, s_idx)
         t = Subset.of(8, t_idx)
-        v = Subset.full_nonidentity(8).difference(s).difference(t)
+        v = full_nonidentity(8).difference(s).difference(t)
         m = build_cube_matrix(g, s, t)
         closed = inverse_set(g, s) == s and inverse_set(g, t) == v
         assert m.is_hermitian() == closed

@@ -24,16 +24,16 @@ from frameforge.eisenstein import eis_product
 from frameforge.quotients import (
     _KEYS_PER_HALF_CODE,
     Quotient,
+    _key_bound,
     _quotient,
     _strides,
     choose_quotient,
-    key_count,
     normal_quotients,
 )
 from frameforge.search import KINDS, Candidates
 from frameforge.subsets import conjugate_subset, convolve, seidel_identity
 
-from conftest import supported_descriptors
+from conftest import project, supported_descriptors
 
 SEARCH = sys.modules["frameforge.search"]  # the package's `search` attribute is the function
 
@@ -100,9 +100,9 @@ def test_quotient_map_is_a_ring_homomorphism(name, seed, width):
     x_a, x_b, y_a, y_b = rng.integers(-3, 4, size=(4, group.order, width), dtype=np.int16)
     product = eis_product(x_a, x_b, y_a, y_b, lambda x, y: convolve(group, x, y))
     for quotient in all_quotients(group):
-        image = eis_product(*map(quotient.project, (x_a, x_b, y_a, y_b)),
+        image = eis_product(*(project(quotient, x) for x in (x_a, x_b, y_a, y_b)),
                             lambda x, y: convolve(quotient.group, x, y))
-        assert all(np.array_equal(quotient.project(p), q) for p, q in zip(product, image)), name
+        assert all(np.array_equal(project(quotient, p), q) for p, q in zip(product, image)), name
 
 
 def test_cosets_multiply_by_the_quotient_table():
@@ -126,7 +126,7 @@ def brute_force_joined(space, quotient, kind):
     """Every code whose image in the quotient solves the quotient identity."""
     codes = np.arange(len(space))
     a, b = space.columns(codes)
-    images = (quotient.project(a), quotient.project(b) if np.ndim(b) else 0)
+    images = (project(quotient, a), project(quotient, b) if np.ndim(b) else 0)
     return set(codes[seidel_identity(quotient.group, kind, *images, quotient.h)[0]].tolist())
 
 
@@ -164,7 +164,7 @@ def test_seidel_identity_equals_the_quotient_reference(kind):
         space = Candidates(group, kind.startswith("cube"))
         a, b = space.columns(np.arange(len(space)))
         for quotient in all_quotients(group) + [Quotient(np.arange(group.order), group)]:
-            images = (quotient.project(a), quotient.project(b) if np.ndim(b) else 0)
+            images = (project(quotient, a), project(quotient, b) if np.ndim(b) else 0)
             holds, mu = seidel_identity(quotient.group, kind, *images, quotient.h)
             want_holds, want_mu = quotient_identity(quotient, kind, *images)
             where = (group.name, kind, quotient.order)
@@ -199,7 +199,7 @@ def test_unpacked_images_at_the_int16_edge_give_the_int64_identity(kind):
         roles = np.vstack([fixed, rng.integers(0, 2 + cube, (5, n))])
         a, b = units[:, roles.T]
         a[0] = b[0] = 0
-        images = [quotient.project(a), quotient.project(b) if cube else 0]
+        images = [project(quotient, a), project(quotient, b) if cube else 0]
         unpacked = quotient.unpack(quotient.pack(a, b if cube else 0).sum(axis=0), cube)
         assert unpacked[0].dtype == dtype and all(np.array_equal(u, i) for u, i in zip(unpacked, images))
         holds, mu = seidel_identity(quotient.group, kind, *unpacked, h)
@@ -214,7 +214,7 @@ def test_pack_sums_to_the_strided_images_and_unpacks_to_them():
             space = Candidates(group, cube)
             a, b = space.columns(np.arange(len(space)))
             for quotient in all_quotients(group):
-                images = [quotient.project(x) for x in (a, b)[: 1 + cube]]
+                images = [project(quotient, x) for x in (a, b)[: 1 + cube]]
                 want = np.tensordot(_strides(quotient.h, quotient.order, cube)[:-1], np.concatenate(images),
                                     axes=1)
                 packed = quotient.pack(a, b).sum(axis=0)
@@ -274,6 +274,12 @@ def test_rule_picks(descriptor, kind, order, self_inverse):
     assert int((quotient.group.inv == np.arange(order)).sum()) == self_inverse
 
 
+def key_count(quotient, cube):
+    """`_key_bound` of a built quotient."""
+    self_inverse = int((quotient.group.inv == np.arange(quotient.order)).sum())
+    return _key_bound(quotient.h, quotient.order, self_inverse, cube)
+
+
 def test_key_bound_covers_the_images():
     for descriptor in supported_descriptors(16):
         group = parse_group(descriptor)
@@ -281,9 +287,9 @@ def test_key_bound_covers_the_images():
             space = Candidates(group, cube)
             a, b = space.columns(np.arange(len(space)))
             for quotient in all_quotients(group):
-                image = quotient.project(a)
+                image = project(quotient, a)
                 if cube:
-                    image = np.vstack([image, quotient.project(b)])
+                    image = np.vstack([image, project(quotient, b)])
                 distinct = len(np.unique(image, axis=1).T)
                 assert distinct <= key_count(quotient, cube), (descriptor, cube, quotient.order)
 

@@ -42,6 +42,7 @@ from frameforge.verdicts import Rejection, SignatureVerdict
 from conftest import (
     all_nonidentity_subsets,
     brute_count_pair,
+    full_nonidentity,
     small_groups_to_order_8,
     supported_descriptors,
 )
@@ -226,7 +227,7 @@ def test_screen_above_order_63():
     assert list(screen(group, "quasi", chunk)) == [True, True, False]
     assert [accepts(group, "quasi", s) for s in chunk] == [True, True, False]
 
-    full = Subset.full_nonidentity(73)
+    full = full_nonidentity(73)
     empty = Subset.empty(73)
     pairs = [(full, empty), (Subset.of(73, [1, 72]), Subset.of(73, range(2, 37)))]
     assert list(screen(group, "cube-pair", pairs)) == [True, False]
@@ -240,7 +241,7 @@ def test_int16_identity_is_exact_at_the_top_order(kind):
     order = 4095
     group, rng = cyclic(order), np.random.default_rng(order)
     half = np.arange(1, order // 2 + 1)  # one element of each inverse pair {x, -x}
-    full, empty = Subset.full_nonidentity(order), Subset.empty(order)
+    full, empty = full_nonidentity(order), Subset.empty(order)
 
     def subset(xs, ys):  # the elements x and -y for x in xs, y in ys
         return Subset.of(order, [*xs.tolist(), *(order - ys).tolist()])

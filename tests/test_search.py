@@ -27,6 +27,8 @@ from frameforge.verdicts import Rejection, SignatureVerdict
 from conftest import (
     all_cube_assignments,
     all_nonidentity_subsets,
+    full_nonidentity,
+    project,
     small_groups_to_order_8,
     supported_descriptors,
 )
@@ -64,7 +66,7 @@ def test_cube_candidates_klein():
     got = list(cube_candidates(g))
     assert len(got) == 1
     s, t = got[0]
-    assert s == Subset.full_nonidentity(4) and not t
+    assert s == full_nonidentity(4) and not t
 
 
 def test_cube_candidates_quaternion(q8):
@@ -397,7 +399,7 @@ def test_a_count_only_candidates_builds_no_table(cube):
     got = np.concatenate(list(fresh.join(quotient, kind)))
     codes = np.arange(len(fresh))
     a, b = fresh.columns(codes)
-    images = (quotient.project(a), quotient.project(b) if cube else 0)
+    images = (project(quotient, a), project(quotient, b) if cube else 0)
     holds = seidel_identity(quotient.group, kind, *images, quotient.h)[0]
     assert sorted(got.tolist()) == codes[holds].tolist()
 

@@ -22,7 +22,7 @@ from frameforge import (
 )
 from frameforge.verdicts import Rejection
 
-from conftest import supported_descriptors
+from conftest import full_nonidentity, supported_descriptors
 
 
 def axis_set(group, n):
@@ -68,7 +68,7 @@ def test_c4xc4_axis_diag_set(c4xc4):
 
 def test_trivial_full_set():
     g = cyclic(8)
-    verdict = verify_signature_set(g, Subset.full_nonidentity(8))
+    verdict = verify_signature_set(g, full_nonidentity(8))
     assert verdict.ok and verdict.mu == 6 and verdict.params.k == 1
 
 
@@ -137,7 +137,7 @@ def test_quasi_c5xc5_axis_diag():
 def test_quasi_rejects_trivial_subsets():
     g = cyclic(5)
     assert verify_quasi_signature_set(g, Subset.empty(5)).reason == "mu-out-of-range"
-    assert verify_quasi_signature_set(g, Subset.full_nonidentity(5)).reason == "mu-out-of-range"
+    assert verify_quasi_signature_set(g, full_nonidentity(5)).reason == "mu-out-of-range"
 
 
 def test_quasi_rejects_even_group_order():
@@ -154,7 +154,7 @@ def test_quasi_cardinality_law():
 
 def test_complement_set_examples():
     g = cyclic(5)
-    assert complement_set(g, Subset.empty(5)) == Subset.full_nonidentity(5)
+    assert complement_set(g, Subset.empty(5)) == full_nonidentity(5)
     assert complement_set(g, Subset.of(5, [1, 4])) == Subset.of(5, [2, 3])
     s = Subset.of(5, [2, 3])
     assert complement_set(g, complement_set(g, s)) == s
@@ -254,7 +254,7 @@ def test_index2_of_a_large_subgroup_gathers_in_row_blocks(monkeypatch):
 def test_verdict_matches_matrix_certificate(c4xc4):
     cases = [
         (c4xc4, axis_set(c4xc4, 4), False),
-        (cyclic(8), Subset.full_nonidentity(8), False),
+        (cyclic(8), full_nonidentity(8), False),
         (cyclic(5), Subset.of(5, [1, 4]), True),
         (cyclic(13), Subset.of(13, [1, 3, 4, 9, 10, 12]), True),
     ]

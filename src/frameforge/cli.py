@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 from collections import Counter
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -43,8 +43,135 @@ from .subsets import Subset
 from .verdicts import Rejection, SignatureVerdict
 
 
-#: Rows of the frame vector file formatted per write.
-_ROWS = 64
+#: Most cells of the frame vector file formatted per block, in whole rows;
+#: the formatter's temporaries take about 200 bytes a cell.
+_CELLS = 1 << 13
+#: Byte columns of one cell in the formatter's grid: an 8-byte prefix
+#: ("-0.000" or "-D."), 12 digits, "e-XX", then the third exponent digit
+#: and the tail (",0," real, "," complex).
+_WIDTH = 28
+
+
+@functools.cache
+def _g12_tables() -> tuple:
+    """The lookup tables of `_g12_cells`, built by array arithmetic on first
+    use: correctly rounded 10^0..10^301; the ASCII word of each 4-digit group
+    and its count of trailing zeros; per exponent 10^-1..10^-290 the form,
+    the "e-XX" word and, under its last digit, the word of the third
+    exponent digit and the tail; per cell code the prefix and the keep mask.
+    The tail words and the keep masks are pairs, complex then real.
+
+    A code is (form, sign, leading digit, digits kept); the forms are 0 for
+    zero, 1..4 for "0." and 0..3 more zeros, 5 and 6 for scientific text
+    with a two- and a three-digit exponent.  Prefixes end at byte 8, where
+    the 12 digits start; scientific text has its leading digit in the prefix
+    ("-d."), so it keeps the digits from byte 9, and no "." without them."""
+    p10 = np.array([float(f"1e{k}") for k in range(302)])
+    quad = np.arange(10000)
+    digits = np.empty((10000, 4), np.uint8)
+    for col, scale in enumerate((1000, 100, 10, 1)):
+        digits[:, col] = quad // scale % 10 + 48
+    zeros = (quad == 0).astype(np.intp) + (quad % 10 == 0) + (quad % 100 == 0) + (quad % 1000 == 0)
+    xe = np.arange(291)
+    three = xe >= 100  # "e-" and two digits, the first two of three from 100 on
+    forms = np.where(xe < 5, xe, 5 + three)
+    exp = np.empty((291, 4), np.uint8)
+    exp[:, :2] = bytearray(b"e-")
+    exp[:, 2] = 48 + np.where(three, xe // 100, xe // 10)
+    exp[:, 3] = 48 + np.where(three, xe // 10 % 10, xe % 10)
+    tail = np.zeros((2, 10, 4), np.uint8)
+    tail[..., 0] = 48 + np.arange(10)
+    tail[0, :, 1], tail[1, :, 1:] = ord(","), bytearray(b",0,")
+    prefix = np.zeros((7, 2, 10, 8), np.uint8)
+    for form, text in enumerate(["0", "0.", "0.0", "0.00", "0.000", "0.", "0."]):
+        for neg in (0, 1):
+            signed = "-" * (neg and form > 0) + text
+            prefix[form, neg, :, 8 - len(signed):] = bytearray(signed, "ascii")
+    prefix[5:, :, :, 6] = 48 + np.arange(10)  # the leading digit, in "-d."
+    keep = np.zeros((2, 7, 2, 10, 13, _WIDTH), bool)
+    keep[..., :8] = prefix[:, :, :, None] != 0
+    kept = np.arange(13)[:, None]
+    keep[:, 1:5, ..., 8:20] = np.arange(12) < kept
+    keep[:, 5:, ..., 9:20] = np.arange(1, 12) < kept
+    keep[:, 5:, ..., :2, 7] = False
+    keep[:, 5:, ..., 20:24] = True
+    keep[:, 6, ..., 24] = True
+    keep[0, ..., 25] = keep[1, ..., 25:28] = True
+    prefix = np.broadcast_to(prefix[:, :, :, None], keep.shape[1:5] + (8,)).reshape(-1, 8)
+    tables = (p10, _words(digits), zeros, forms, _words(exp), _words(tail),
+              _words(prefix).T.copy(), _words(keep.reshape(2, -1, _WIDTH)))
+    for table in tables:  # shared by every call
+        table.setflags(write=False)
+    return tables
+
+
+def _words(x: np.ndarray) -> np.ndarray:
+    """Bytes, a multiple of 4 along the last axis, as uint32 words in memory
+    order; a last axis of one word is dropped."""
+    words = np.ascontiguousarray(x).view(np.uint32)
+    return words[..., 0] if words.shape[-1] == 1 else words
+
+
+def _write_vectors(fh: BinaryIO, v: np.ndarray) -> None:
+    """Write the frame vectors V, one row per vector, as the vector CSV: one
+    re,im pair of "%.12g" cells per component.  A real frame formats only
+    its real parts, as every imaginary cell is 0."""
+    real = not np.iscomplexobj(v)
+    step = max(1, _CELLS // (v.shape[1] * (1 if real else 2)))
+    for lo in range(0, len(v), step):
+        block = np.ascontiguousarray(v[lo:lo + step])
+        fh.write(_g12_cells(block if real else block.view(np.float64), real))
+
+
+def _g12_cells(cells: np.ndarray, real: bool) -> bytes:
+    """The text "%.12g" % x of each float64 x of a (rows, cols) block, row by
+    row, each followed by its tail: ",0," (",0\n" ending a row) for the real
+    parts of a real frame, "," ("\n") for the re,im cells of a complex one.
+
+    The 12 digits are d = rint(|x| 10^(11-e)) with e = floor(log10|x|) and a
+    correctly rounded power, so the product y is within 2.3e-4 of the exact
+    |x| 10^(11-e) below 1e12: d is the correctly rounded digit string unless
+    y - d is within 1e-3 of +-1/2.  Such a cell, one with d outside
+    (1e11, 1e12), which a log10 rounded up across a power of ten can give at
+    the bound 1e11, and every x that is neither 0 nor in [1e-290, 1) is
+    formatted by "%.12g" itself.  The rest are laid out as fixed ("0.000ddd")
+    or scientific ("d.ddde-XX") text in a grid of 28-byte cells, gathered as
+    4-digit ASCII words, and cut by one keep mask that strips the trailing
+    zeros.  Zero, negative zero too, is "0"."""
+    p10, word, zeros, forms, exp, tail, prefix, keep = _g12_tables()
+    tail, keep = tail[int(real)], keep[int(real)]
+    rows, cols = cells.shape
+    x = cells.ravel()
+    mag = np.abs(x)
+    fast = (mag >= 1e-290) & (mag < 1.0)
+    mag = np.where(fast, mag, 0.5)
+    e = np.floor(np.log10(mag)).astype(np.intp)
+    np.clip(e, -290, -1, out=e)
+    y = mag * p10[11 - e]
+    d = np.rint(y)
+    fast &= (np.abs(y - d) < 0.499) & (d > 1e11) & (d < 1e12)
+    g = np.minimum(d, 1e12 - 1).astype(np.intp)  # a slow cell's digits are not kept
+    hi = g // 10000
+    g0 = hi // 10000
+    g1, g2 = hi - g0 * 10000, g - hi * 10000
+    tz = zeros[g2]  # a 4-digit group is rarely 0: the rest only where it is
+    at = np.flatnonzero(g2 == 0)
+    tz[at] += zeros[g1[at]] + (g1[at] == 0) * zeros[g0[at]]
+    xe = -e
+    code = ((forms[xe] * 2 + (x < 0)) * 10 + g0 // 1000) * 13 + 12 - tz
+    code[x == 0] = 0
+    out = np.empty((len(x), _WIDTH // 4), np.uint32)
+    for col, table, index in ((0, prefix[0], code), (1, prefix[1], code), (2, word, g0),
+                              (3, word, g1), (4, word, g2), (5, exp, xe), (6, tail, xe % 10)):
+        out[:, col] = table.take(index)
+    grid, mask = out.view(np.uint8), keep.take(code, axis=0).view(bool)
+    grid.reshape(rows, cols, _WIDTH)[:, -1, 27 if real else 25] = ord("\n")
+    slow = np.flatnonzero(~fast & (x != 0))
+    if len(slow):
+        text = np.array(["%.12g" % v for v in x[slow].tolist()], "S25").view(np.uint8)
+        grid[slow, :25] = text.reshape(-1, 25)
+        mask[slow, :25] = grid[slow, :25] != 0
+    return grid[mask].tobytes()
 
 
 def _fmt_float(x: float) -> float:
@@ -217,20 +344,12 @@ def _cmd_frame(args: argparse.Namespace) -> int:
     if isinstance(result, Rejection):
         print(_dump({"valid": False, "reason": str(result)}))
         return 1
-    frame, report, params = result
+    v = result[0].vectors
+    report, params = result[1:]
+    del result  # the frame's V V* and V*V go with it: V is the one array left
     if args.out:
-        # one re,im pair of cells per component; + 0.0 drops negative zero.
-        # "%.12g" % x is the text of format(x, ".12g"), one template per row.
-        # A real frame formats only its real parts: every imaginary cell is 0.
-        v = frame.vectors
-        real = not np.iscomplexobj(v)
-        line = ",".join(["%.12g,0" if real else "%.12g,%.12g"] * v.shape[1]) + "\n"
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for lo in range(0, len(v), _ROWS):
-                block = v[lo:lo + _ROWS]
-                if not real:
-                    block = np.ascontiguousarray(block, np.complex128).view(np.float64)
-                fh.write("".join(line % tuple(row) for row in (block + 0.0).tolist()))
+        with open(args.out, "wb") as fh:
+            _write_vectors(fh, v)
     payload = {
         "valid": report.ok,
         "n": params.n,

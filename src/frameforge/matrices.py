@@ -45,6 +45,7 @@ def _exact_matmul(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     xf = x.astype(np.float32)
     yf = xf.T if y is None else xf if y is x else y.astype(np.float32)  # x converts once
     z = xf @ yf
+    del xf, yf  # the int64 result is made after the float32 factors are freed
     return np.rint(z, out=z).astype(np.int64)
 
 def _integer_array(x) -> np.ndarray:
@@ -88,12 +89,22 @@ class SeidelMatrix:
     def check(cls, a, b=0) -> tuple[np.ndarray, np.ndarray]:
         """The components as int64 arrays; ValueError unless they have an
         integer dtype and make a square matrix of this kind."""
-        a, b = _integer_array(a), _integer_array(b)
+        raw_a, raw_b = np.asarray(a), np.asarray(b)
+        a, b = _integer_array(raw_a), _integer_array(raw_b)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape not in ((), a.shape):
             raise ValueError("matrix components must be square and congruent")
-        if a.diagonal().any() or np.broadcast_to(b, a.shape).diagonal().any():
+        # the diagonal and unit checks read the caller's (often int8) arrays where
+        # the int64 cast keeps every value, as it does for every integer dtype but uint64
+        raw_a, raw_b = (raw if np.can_cast(raw.dtype, np.int64) else cast
+                        for raw, cast in ((raw_a, a), (raw_b, b)))
+        if raw_a.diagonal().any() or np.broadcast_to(raw_b, a.shape).diagonal().any():
             raise ValueError("diagonal entries must be 0")
-        unit = np.logical_or.reduce([(a == z.a) & (b == z.b) for z in cls.UNITS])
+        unit = np.zeros(a.shape, bool)
+        for z in cls.UNITS:
+            if raw_b.ndim:
+                unit |= (raw_a == z.a) & (raw_b == z.b)
+            elif raw_b == z.b:  # a scalar omega part: no n x n comparison with it
+                unit |= raw_a == z.a
         np.fill_diagonal(unit, True)
         if not unit.all():
             raise ValueError(f"off-diagonal entries must be {cls.UNITS_TEXT}")
@@ -228,25 +239,40 @@ def certify_columns(
 
 def _identity_mu(a, b, sq_a, sq_b) -> list[int | Rejection]:
     """Per Q = a + b*omega of a (B, n, n) stack, given Q^2 (b, sq_b may be
-    the scalar 0): mu with Q^2 = (n-1)I + mu*Q, read off entry (0, 1), or the Rejection."""
+    the scalar 0): mu with Q^2 = (n-1)I + mu*Q, read off entry (0, 1), or the
+    Rejection.  (n-1)I + mu*Q is formed 64 rows at a time, never whole."""
     count, n = len(a), a.shape[-1]
     if n < 2:
         return [Rejection("matrix-too-small", f"n={n} admits no frame")] * count
     a01, b01, sq_a01, sq_b01 = (x[:, 0, 1] if x.ndim else x for x in (a, b, sq_a, sq_b))
     # divide by the unit Q[0, 1]: multiply by conj(a + bw) = (a - b) - bw
     mu, mu_b = eis_product(sq_a01, sq_b01, a01 - b01, -b01, np.multiply)
-    exp_a, exp_b = mu[:, None, None] * a, mu[:, None, None] * b
-    exp_a[:, np.arange(n), np.arange(n)] = n - 1
-    off = sq_a != exp_a
-    off |= sq_b != exp_b
+    scale = mu[:, None, None]
+    first = np.full(count, -1)  # per matrix, the flat index of its first entry that is off
+    for lo in range(0, n, 64):
+        qa, qb, sqa, sqb = (x[:, lo:lo + 64] if x.ndim else x for x in (a, b, sq_a, sq_b))
+        exp_a = np.multiply(scale, qa, order="C")  # C order: its reshape is a view
+        exp_a.reshape(count, -1)[:, lo::n + 1] = n - 1  # the diagonal of rows lo, lo + 1, ...
+        off = sqa != exp_a
+        if qb.ndim or sqb.ndim:  # an integer Q's omega parts are scalar 0s
+            off |= sqb != scale * qb
+        if off.any():
+            off = off.reshape(count, qa.shape[1] * n)
+            at = off.argmax(axis=1)
+            new = (first < 0) & off[np.arange(count), at]
+            first[new] = lo * n + at[new]
+            if (first >= 0).all():
+                break
     out = []
-    for k, (m, m_b) in enumerate(zip(mu.tolist(), np.broadcast_to(mu_b, mu.shape).tolist())):
+    for k, (m, m_b, f) in enumerate(zip(mu.tolist(), np.broadcast_to(mu_b, mu.shape).tolist(),
+                                        first.tolist())):
         if m_b:
             out.append(Rejection("mu-not-real", f"entry (0,1) gives mu = {EisensteinInt(m, m_b)}"))
-        elif off[k].any():
-            i, j = divmod(int(off[k].argmax()), n)  # the first entry that is off, row by row
-            got, need = (_cell(x[k], y[k] if y.ndim else y, i, j)
-                         for x, y in ((sq_a, sq_b), (exp_a, exp_b)))
+        elif f >= 0:
+            i, j = divmod(f, n)  # the first entry that is off, row by row
+            got = _cell(sq_a[k], sq_b[k] if sq_b.ndim else sq_b, i, j)
+            q = _cell(a[k], b[k] if b.ndim else b, i, j)
+            need = EisensteinInt(n - 1 if i == j else q.a * m, q.b * m)
             out.append(Rejection("not-two-eigenvalue",
                                  f"entry ({i},{j}): got {got}, need {need} for mu={m}"))
         else:

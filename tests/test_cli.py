@@ -1,13 +1,16 @@
+import io
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameforge import cli, generators, parse_group
 from frameforge.cli import main, split_labels
 from frameforge.frames import frame_from_matrix
-from frameforge.matrices import matrix_from_json
+from frameforge.matrices import SeidelMatrixInt, matrix_from_json, matrix_to_json
 from frameforge.verdicts import Rejection
 
 
@@ -272,6 +275,15 @@ def test_frame_pipeline(tmp_path, capsys):
     assert len(rows[0].split(",")) == 6  # 3 components as re,im pairs
 
 
+def assert_same_lines(got, want):
+    """got == want, reporting the first line that differs: a diff of two
+    whole vector files would take pytest minutes."""
+    if got != want:
+        pairs = enumerate(zip(got.splitlines(), want.splitlines()))
+        row = next((row for row, (line, expected) in pairs if line != expected), None)
+        pytest.fail("the line counts or line ends differ" if row is None else f"row {row} differs")
+
+
 def _per_cell_csv(vectors):
     """The vector file written one cell at a time, as re,im pairs."""
     lines = []
@@ -287,8 +299,9 @@ def _per_cell_csv(vectors):
 @pytest.mark.parametrize("emit", [
     ["tables", "--algorithm", "thm59", "--max-m", "3", "--emit-matrix", "3"],
     ["tables", "--algorithm", "thm59", "--max-m", "21", "--emit-matrix", "21"],  # n = 174
+    ["tables", "--algorithm", "thm59", "--max-m", "99", "--emit-matrix", "99"],  # n = 798
     ["cube-verify", "--group", "Q8", "--s", "-1", "--t", "i,j,k", "--quasi", "--emit-matrix"],
-], ids=["thm59_m3", "thm59_m21", "q8_cube"])
+], ids=["thm59_m3", "thm59_m21", "thm59_m99", "q8_cube"])
 def test_frame_vector_file(tmp_path, capsys, emit):
     matrix_path = tmp_path / "matrix.json"
     vectors_path = tmp_path / "vectors.csv"
@@ -311,8 +324,78 @@ def test_frame_vector_file(tmp_path, capsys, emit):
     else:
         assert imaginary != {"0"}
     frame, _, _ = frame_from_matrix(matrix_from_json(matrix_path.read_text()))
-    assert text == _per_cell_csv(frame.vectors)
+    assert_same_lines(text, _per_cell_csv(frame.vectors))
     assert "-0," not in text and "-0\n" not in text
+
+
+def _row_template_csv(v):
+    """The vector file as a row template wrote it: "%.12g" per cell, one
+    template per row, + 0.0 to drop negative zero, "0" for a real frame's
+    imaginary cells."""
+    real = not np.iscomplexobj(v)
+    line = ",".join(["%.12g,0" if real else "%.12g,%.12g"] * v.shape[1]) + "\n"
+    cells = v if real else np.ascontiguousarray(v, np.complex128).view(np.float64)
+    return "".join(line % tuple(row) for row in (cells + 0.0).tolist()).encode()
+
+
+def assert_written_as_row_template(values, rows, complex_):
+    """Lay the float64 values out as `rows` rows, as re,im pairs when
+    complex_, and write them both ways."""
+    v = np.asarray(values, np.float64).reshape(rows, -1)
+    v = v.view(np.complex128) if complex_ else v
+    fh = io.BytesIO()
+    cli._write_vectors(fh, v)
+    assert_same_lines(fh.getvalue(), _row_template_csv(v))
+
+
+_LAYOUTS = [(1, False), (1, True), (8, False), (8, True)]  # one row and many, real and complex
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 2 ** 64 - 1), max_size=24),
+       st.sampled_from(_LAYOUTS))
+def test_vector_writer_matches_the_row_template_on_random_cells(seed, bits, layout):
+    rows, complex_ = layout
+    rng = np.random.default_rng(seed)
+    count = 16 * rows
+    pool = np.concatenate([
+        np.array(bits, np.uint64).view(np.float64),                # raw bit patterns
+        rng.normal(0, 0.05, count),                                # frame-like entries
+        rng.normal(size=count) * 10.0 ** rng.integers(-30, 31, count),
+    ])
+    assert_written_as_row_template(rng.choice(pool, count), rows, complex_)
+
+
+def _decimals(rng, count, digits, last=""):
+    """Decimals of `digits` significant digits, then the digit string `last`,
+    from about 10^-300 to 10^40, read as the nearest float64."""
+    lead = rng.integers(10 ** (digits - 1), 10 ** digits, count)
+    exponent = rng.integers(-300, 30, count)
+    return [float(f"{m}{last}e{k}") for m, k in zip(lead.tolist(), exponent.tolist())]
+
+
+@pytest.mark.parametrize("rows, complex_", _LAYOUTS)
+def test_vector_writer_matches_the_row_template_on_hard_cells(rows, complex_):
+    rng = np.random.default_rng(rows + 2 * complex_)
+    # up to 12 digits, so that trailing zeros fill whole 4-digit groups
+    exact = sum((_decimals(rng, 400, digits) for digits in range(1, 13)), [])
+    # 13 digits ending in 5: halfway between two 12-digit strings, up to the
+    # float64 rounding of the decimal itself
+    ties = _decimals(rng, 4000, 12, "5")
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1e-290, np.nextafter(1e-290, 0), 1.0, np.nextafter(1.0, 0)]
+    for values in (exact, ties, near, special):
+        values = np.concatenate([values, np.negative(values)])
+        values = np.resize(values, -(-len(values) // (2 * rows)) * 2 * rows)  # whole rows
+        assert_written_as_row_template(values, rows, complex_)
+
+
+def test_vector_writer_spans_blocks_and_long_rows():
+    rng = np.random.default_rng(7)
+    assert_written_as_row_template(rng.normal(0, 0.05, 3 * cli._CELLS + 100), 1, False)
+    assert_written_as_row_template(rng.normal(0, 0.05, 6 * cli._CELLS), 96, True)
 
 
 @pytest.mark.parametrize("emit", [
@@ -341,6 +424,21 @@ def test_frame_reads_emitted_and_reindented_json_alike(tmp_path, capsys, emit):
     assert run_cli(capsys, "frame", "--from", str(bad)) == (
         2, "", "error: unknown Eisenstein cell token 'q'\n"
     )
+
+
+@pytest.mark.parametrize("declared", [7, 1, None])
+def test_frame_ignores_the_declared_mu(tmp_path, capsys, declared):
+    # the certificate is authoritative: J - I of order 3 has mu = 1 whatever
+    # the file says, and the file is read for the type of its "mu" alone
+    q = SeidelMatrixInt(np.ones((3, 3), np.int64) - np.eye(3, dtype=np.int64))
+    path = tmp_path / "j3.json"
+    path.write_text(matrix_to_json(q, mu=declared) + "\n")
+    code, out, err = run_cli(capsys, "frame", "--from", str(path))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert {key: payload[key] for key in ("mu", "n", "k", "valid")} == {
+        "mu": 1, "n": 3, "k": 1, "valid": True,
+    }
 
 
 def test_frame_rejects_a_matrix_with_more_than_two_eigenvalues(tmp_path, capsys):

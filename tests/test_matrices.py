@@ -35,9 +35,12 @@ from frameforge.eisenstein import (
     OMEGA2,
     ONE,
     EisensteinInt,
+    eis_product,
     unit_from_token,
     unit_to_token,
 )
+from frameforge.generators import generate
+from frameforge.signature_sets import quasi_signature_matrix
 from frameforge.verdicts import Rejection
 
 from conftest import full_nonidentity
@@ -763,3 +766,115 @@ def test_only_emitted_text_is_read_from_its_bytes(monkeypatch, text, emitted):
     else:
         with pytest.raises(AssertionError, match="json.loads path"):
             matrix_from_json(text)
+
+
+def _whole_identity_mu(a, b, sq_a, sq_b):
+    """The identity test with (n-1)I + mu*Q formed whole, as the blocked
+    `matrices._identity_mu` must read: a mu or a Rejection's text per matrix."""
+    n = a.shape[-1]
+    a01, b01, sq_a01, sq_b01 = (x[:, 0, 1] if x.ndim else x for x in (a, b, sq_a, sq_b))
+    mu, mu_b = eis_product(sq_a01, sq_b01, a01 - b01, -b01, np.multiply)
+    exp_a, exp_b = mu[:, None, None] * a, mu[:, None, None] * b
+    exp_a[:, np.arange(n), np.arange(n)] = n - 1
+    off = (sq_a != exp_a) | (sq_b != exp_b)
+    out = []
+    for k, (m, m_b) in enumerate(zip(mu.tolist(), np.broadcast_to(mu_b, mu.shape).tolist())):
+        if m_b:
+            out.append(f"mu-not-real: entry (0,1) gives mu = {EisensteinInt(m, m_b)}")
+        elif off[k].any():
+            i, j = divmod(int(off[k].argmax()), n)
+            got, need = (EisensteinInt(int(x[k, i, j]), int(np.broadcast_to(y, x.shape)[k, i, j]))
+                         for x, y in ((sq_a, sq_b), (exp_a, exp_b)))
+            out.append(f"not-two-eigenvalue: entry ({i},{j}): got {got}, need {need} for mu={m}")
+        else:
+            out.append(m)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 150), st.integers(1, 4), st.booleans())
+def test_blocked_identity_reads_as_the_whole_array_form(seed, n, count, eisenstein):
+    # D (J - I) D* satisfies the identity with mu = n - 2 for a diagonal D of
+    # cube roots; a few changed entries move the first entry that is off
+    rng = np.random.default_rng(seed)
+    roots = np.array([(1, 0), (0, 1), (-1, -1)])
+    da, db = roots[rng.integers(0, 3 if eisenstein else 1, (count, n))].transpose(2, 0, 1)
+    a, b = eis_product(da[:, :, None], db[:, :, None], (da - db)[:, None], -db[:, None], np.multiply)
+    a[:, np.arange(n), np.arange(n)] = b[:, np.arange(n), np.arange(n)] = 0
+    for k in range(count):
+        for _ in range(rng.integers(0, 3)):
+            i, j = rng.integers(0, n, 2)
+            a[k, i, j] += rng.integers(-2, 3)
+            b[k, i, j] += rng.integers(-1, 2) if eisenstein else 0
+    sq_a, sq_b = eis_product(a, b, a, b, np.matmul)
+    for k in range(count):  # a changed Q moves row 0 of Q^2: change Q^2 alone too
+        for _ in range(rng.integers(0, 3)):
+            i, j = rng.integers(0, n, 2)
+            sq_a[k, i, j] += rng.integers(-2, 3)
+            sq_b[k, i, j] += rng.integers(-1, 2) if eisenstein else 0
+    stacks = [(a, b, sq_a, sq_b), tuple(np.asfortranarray(x) for x in (a, b, sq_a, sq_b))]
+    if not eisenstein:  # an integer Q's omega parts are the scalar 0
+        stacks.append((a, np.zeros((), np.int64), sq_a, np.zeros((), np.int64)))
+    for stack in stacks:
+        got = [str(r) if isinstance(r, Rejection) else r for r in matrices._identity_mu(*stack)]
+        assert got == _whole_identity_mu(*stack)
+
+
+def test_identity_names_an_entry_past_the_first_row_block():
+    # a changed entry of Q moves row 0 of Q^2 as well, so the square is changed
+    hit = next(h for h in generate("thm59", 21, verify=False) if h.m == 21)
+    q = quasi_signature_matrix(cyclic(hit.p), Subset.of(hit.p, hit.residues))  # n = 174
+    zero = np.zeros((), np.int64)
+    sq = SeidelMatrixInt.square(q)[None]
+    assert matrices._identity_mu(q.a[None], zero, sq, zero) == [0]
+    for i, j in ((150, 100), (64, 0), (173, 173), (63, 173)):
+        bad = sq.copy()
+        bad[0, i, j] += 3
+        got = matrices._identity_mu(q.a[None], zero, bad, zero)
+        assert str(got[0]) == _whole_identity_mu(q.a[None], zero, bad, zero)[0]
+        assert str(got[0]).startswith(f"not-two-eigenvalue: entry ({i},{j}): ")
+
+
+def _check_as_whole(cls, a, b=0):
+    """SeidelMatrix.check with every test on the int64 components, as the
+    narrow-dtype tests must decide."""
+    a, b = matrices._integer_array(a), matrices._integer_array(b)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape not in ((), a.shape):
+        raise ValueError("matrix components must be square and congruent")
+    if a.diagonal().any() or np.broadcast_to(b, a.shape).diagonal().any():
+        raise ValueError("diagonal entries must be 0")
+    unit = np.logical_or.reduce([(a == z.a) & (b == z.b) for z in cls.UNITS])
+    np.fill_diagonal(unit, True)
+    if not unit.all():
+        raise ValueError(f"off-diagonal entries must be {cls.UNITS_TEXT}")
+    return a, b if any(z.b for z in cls.UNITS) else np.zeros((), dtype=np.int64)
+
+
+def _outcome(check, *args):
+    try:
+        return [x.tolist() for x in check(*args)]
+    except ValueError as exc:
+        return str(exc)
+
+
+_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([SeidelMatrixInt, SeidelMatrixEis]), st.sampled_from(_DTYPES),
+       st.sampled_from(_DTYPES + [None]), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_check_decides_on_the_callers_dtype_as_on_int64(cls, a_dtype, b_dtype, n, seed):
+    # units off the diagonal (-1 is 255 in uint8 and 2**64 - 1 in uint64),
+    # then now and then one entry set to a value each dtype wraps differently;
+    # b_dtype None passes b = 0
+    rng = np.random.default_rng(seed)
+    units = np.array([(z.a, z.b) for z in cls.UNITS])
+    a, b = units[rng.integers(0, len(units), (n, n + (rng.random() < 0.05)))].transpose(2, 0, 1)
+    np.fill_diagonal(a, 0)
+    np.fill_diagonal(b, 0)
+    if n and rng.random() < 0.5:
+        part = a if rng.random() < 0.7 else b
+        part[rng.integers(0, n), rng.integers(0, part.shape[1])] = rng.choice([0, 2, -2, 256, -129, 1, -1])
+    a = a.astype(a_dtype)
+    b = 0 if b_dtype is None else b.astype(b_dtype)
+    assert _outcome(cls.check, a, b) == _outcome(_check_as_whole, cls, a, b)

@@ -8,6 +8,7 @@ point never decides acceptance.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from itertools import chain
@@ -351,7 +352,8 @@ def is_conference(m: np.ndarray) -> bool:
 #: Rows per block of matrix_to_json's text.
 _ROWS = 64
 
-_TOKENS = np.array(CELL_TOKENS, dtype=object)
+#: A word's 4 cell codes are the base-5 digits of its number (_word_rows).
+_PLACES = np.array([125, 25, 5, 1], dtype=np.int16)
 
 #: Cell codes by the two bytes after a token's opening quote, both ASCII; a
 #: one-byte token is followed by its closing quote.
@@ -363,30 +365,49 @@ _CODE_TABLE[
 
 def _cell_codes(q: SeidelMatrix) -> np.ndarray:
     """(n, n) int8 array of each cell's place in CELL_TOKENS, gathered from
-    a 3x3 table indexed by the components (a, b) of each cell a + b*omega;
-    the index -1 reads the last row or column."""
+    a 3x3 table indexed by the components (a, b) of each cell a + b*omega
+    (by a alone when b is the scalar 0); -1 reads the last row or column."""
     grid = np.zeros((3, 3), dtype=np.int8)
     for z in (ZERO, -ONE, *CUBE_ROOTS):  # every value a cell can hold
         grid[z.a, z.b] = CELL_TOKENS.index(unit_to_token(z))
-    return grid[q.a, q.b]
+    return grid[q.a, q.b] if q.b.ndim else grid[:, 0][q.a]
+
+
+@functools.cache
+def _word_table(sep: str) -> np.ndarray:
+    """The 1- to 4-cell word tables end to end: entry i of the w-cell table,
+    at (5**w - 5) // 4 + i, is sep.join of the w tokens whose codes spell i."""
+    tables = [list(CELL_TOKENS)]
+    while len(tables) < len(_PLACES):
+        tables.append([word + sep + token for word in tables[-1] for token in CELL_TOKENS])
+    return np.array(list(chain.from_iterable(tables)), dtype=object)
+
+
+def _word_rows(cells: np.ndarray, sep: str) -> Iterator[list[list[str]]]:
+    """The (n, n) cell codes' rows, _ROWS at a time, each as n // 4 words of
+    4 cells, then one of the n % 4 left, padded in front with codes -1: word
+    w is entry 155 + w . _PLACES of _word_table(sep), in its width's table."""
+    n = len(cells)
+    for lo in range(0, n, _ROWS):
+        block = np.insert(cells[lo:lo + _ROWS], [n - n % 4] * (-n % 4), -1, axis=1)
+        yield _word_table(sep)[block.reshape(len(block), -1, 4) @ _PLACES + 155].tolist()
 
 
 def matrix_to_csv(q: SeidelMatrix) -> str:
     """One row per line, cells comma-separated, no header."""
-    return "\n".join(",".join(row) for row in _TOKENS[_cell_codes(q)].tolist()) + "\n"
+    return "".join(",".join(row) + "\n" for rows in _word_rows(_cell_codes(q), ",") for row in rows)
 
 
 def _json_chunks(cells: np.ndarray, mu: int | None) -> Iterator[str]:
     """matrix_to_json's text for the (n, n) cell codes, in pieces: the head,
-    blocks of _ROWS rows and the tail.  The entries are joined row by row:
-    no cell token needs escaping, and "entries" sorts before the keys
-    json.dumps still writes."""
+    blocks of _ROWS rows and the tail.  The entries are joined row by row
+    from 4-cell words: no cell token needs escaping, and "entries" sorts
+    before the keys json.dumps still writes."""
     n = len(cells)
     rest = {"n": n} if mu is None else {"mu": mu, "n": n}
     yield '{"entries": ['
-    for lo in range(0, n, _ROWS):
-        rows = _TOKENS[cells[lo:lo + _ROWS]].tolist()
-        yield ", " * bool(lo) + ", ".join('["' + '", "'.join(row) + '"]' for row in rows)
+    for i, rows in enumerate(_word_rows(cells, '", "')):
+        yield ", " * bool(i) + ", ".join('["' + '", "'.join(row) + '"]' for row in rows)
     yield "], " + json.dumps(rest, sort_keys=True)[1:]
 
 
@@ -398,21 +419,16 @@ def matrix_to_json(q: SeidelMatrix, mu: int | None = None) -> str:
 
 def matrix_from_json(text: str) -> SeidelMatrix:
     """Parse matrix_to_json output; every schema fault raises ValueError.
-
-    A text that is matrix_to_json(q, mu) for an integer mu or none, with
-    at most one "\n" after it, is read from its bytes (`_emitted_cells`).
-    Every other text goes through json.loads (`_loaded_cells`), which
-    gives the same matrix or the same error on the emitted texts as well.
-    Each cell is a code, the token's place in CELL_TOKENS; the components
-    a and b are gathered from the values of the five tokens.  A matrix
-    whose cells all have b = 0 is an integer matrix.
-    """
+    An emitted text is read from its bytes (`_emitted_cells`), every other
+    through json.loads (`_loaded_cells`), which reads emitted texts alike.
+    Cells are codes, places in CELL_TOKENS, gathered into the components a
+    and b; a matrix whose cells all have b = 0 is an integer matrix."""
     cells = _emitted_cells(text)
     if cells is None:
         cells = _loaded_cells(text)
     units = [unit_from_token(token) for token in CELL_TOKENS]
-    b = np.array([z.b for z in units], dtype=np.int8)[cells]
-    a = np.array([z.a for z in units], dtype=np.int8)[cells]
+    b = np.array([z.b for z in units], dtype=np.int8).take(cells)
+    a = np.array([z.a for z in units], dtype=np.int8).take(cells)
     return SeidelMatrixEis(a, b) if b.any() else SeidelMatrixInt(a)
 
 
@@ -422,9 +438,8 @@ def _emitted_cells(text: str) -> np.ndarray | None:
 
     The tail after the last "]], " is read by json.loads.  Each cell's code
     is looked up from the two bytes after its opening quote, a quote that
-    follows "[" or a space.
-    The codes are trusted only once `_json_chunks` has written the text
-    back from them, chunk by chunk, without building it whole."""
+    follows "[" or a space.  The codes are trusted only once `_json_chunks`
+    has written the text back from them, chunk by chunk, never whole."""
     head = '{"entries": ['
     end = text.rfind("]], ")
     if end < 0 or not text.isascii() or not text.startswith(head + "["):

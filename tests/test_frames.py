@@ -386,6 +386,16 @@ def test_the_frame_path_holds_few_n_by_n_arrays(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["valid"]
 
 
+def test_the_json_writer_holds_no_whole_matrix_of_objects():
+    # thm59 m = 48, n = 390: the text and the blocks of 64 rows it is joined
+    # from peak at 2.0 len(text).  An object array or list of the n^2 cells
+    # (8 bytes an entry, 1.46 len(text)) goes past 2.2, and so does one of
+    # the n^2 / 4 words (0.36 len(text)) that is still held at the join
+    q = thm59_matrix(48)
+    text = matrix_to_json(q, mu=0)
+    assert traced_peak(matrix_to_json, q, 0) < 2.2 * len(text)
+
+
 def assert_same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
     assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()

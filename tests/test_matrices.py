@@ -681,7 +681,7 @@ def _assert_reads_like_reference(text):
 def _emitted_texts(draw):
     """The layout matrix_to_json writes, a diagonal of "0" not always
     among it: json.dumps of a token grid with sorted keys."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 11))  # past two 4-cell words, with every tail width
     tokens = draw(st.sampled_from([("1", "-1"), ("1", "w", "w2"), CELL_TOKENS]))
     zero_diagonal = draw(st.booleans())
     rows = [[draw(st.sampled_from(tokens)) for _ in range(n)] for _ in range(n)]
@@ -765,6 +765,41 @@ def test_only_emitted_text_is_read_from_its_bytes(monkeypatch, text, emitted):
         assert matrix_from_json(text) == _reference_from_json(text)
     else:
         with pytest.raises(AssertionError, match="json.loads path"):
+            matrix_from_json(text)
+
+
+def _every_word_grid(n):
+    """An (n, n) code grid, n >= 625, whose rows spell each of the 5^4 words
+    of 4 cells in each whole-word slot (word s of row r is (r + s) % 625,
+    its first cell the top base-5 digit) and each tail word of n % 4 cells."""
+    r = np.arange(n)[:, None]
+    words = (r + np.arange(n // 4)) % 625
+    tail = n % 4
+    cells = np.hstack([
+        (words[..., None] // 5 ** np.arange(3, -1, -1) % 5).reshape(n, -1),
+        r % 5 ** tail // 5 ** np.arange(tail - 1, -1, -1) % 5,
+    ]).astype(np.int8)
+    assert cells.shape == (n, n)
+    return cells
+
+
+@pytest.mark.parametrize("n", [628, 629, 630, 631], ids=lambda n: f"n%4={n % 4}")
+def test_every_word_in_every_slot_is_written_and_read_back(monkeypatch, n):
+    def refuse(text):
+        raise AssertionError("json.loads path taken")
+
+    monkeypatch.setattr(matrices, "_loaded_cells", refuse)
+    cells = _every_word_grid(n)
+    tokens = np.array(CELL_TOKENS, dtype=object)[cells].tolist()
+    rows = (row for block in matrices._word_rows(cells, ",") for row in block)
+    assert [",".join(row) for row in rows] == [",".join(row) for row in tokens]
+    for mu in (None, -7):
+        text = "".join(matrices._json_chunks(cells, mu))
+        payload = {"n": n, "entries": tokens, **({} if mu is None else {"mu": mu})}
+        assert text == json.dumps(payload, sort_keys=True)
+        assert np.array_equal(matrices._emitted_cells(text), cells)
+        # read from its bytes, then refused as a Seidel matrix by its diagonal
+        with pytest.raises(ValueError, match="diagonal entries must be"):
             matrix_from_json(text)
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numbertheory import is_prime
 from .verdicts import Rejection
 
 __all__ = [
@@ -110,35 +109,26 @@ def in_quasi_band(n, mu):
     return abs(3 * mu) <= n - 6
 
 
-def feasible_mu_values(n: int, context: str = "signature") -> list[int]:
-    """Even mu values that survive every exact screen for the given context.
+def feasible_mu_values(n: int, kind: str = "signature") -> list[int]:
+    """Every mu, ascending, that a frame of size n found by the search kind
+    can have: where `params_from_mu` succeeds, and the kind's own rules hold.
 
-    context="signature": |mu| <= n-2, the counting values (n-2 -+ mu)/4 must
-    be integers, params_from_mu must succeed, and for n = 2p or 4p (p an odd
-    prime) only the classified values survive.
-    context="quasi": range 2 - n/3 <= mu <= n/3 - 2 plus the same
-    integrality/feasibility screens and the 2p / 4p refinements.
+    mu = 0 needs n even.  Any other mu has mu^2 + 4(n-1) = s^2, so
+    u = (s - mu)/2 and v = (s + mu)/2 are a factor pair of n - 1 with
+    mu = v - u and k = nu/(u + v) an integer; the divisors u <= sqrt(n-1)
+    give each pair and both signs of mu.  The real kinds also need n even
+    and the counting values (n-2 -+ mu)/4 integers, and "quasi" the band
+    `in_quasi_band`; the cube kinds need feasible parameters only.
     """
-    if context not in ("signature", "quasi"):
-        raise ValueError(f"unknown context {context!r}")
-    if n < 2:
-        raise ValueError("frame size n must be at least 2")
-    if n % 2:
+    if kind not in ("signature", "quasi", "cube-pair", "cube-quasi"):
+        raise ValueError(f"unknown kind {kind!r}")
+    real = not kind.startswith("cube")
+    if n < 2 or real and n % 2:
         return []
-    out = []
-    for mu in range(-(n - 2), n - 1):
-        if mu % 2 or (n - 2 - mu) % 4:
-            continue
-        if context == "quasi" and not in_quasi_band(n, mu):
-            continue
-        if isinstance(params_from_mu(n, mu), Rejection):
-            continue
-        out.append(mu)
-    half = n // 2
-    if half % 2 and is_prime(half) and half > 2:          # n = 2p
-        allowed = {0, n - 2, -(n - 2)} if context == "signature" else {0}
-        out = [mu for mu in out if mu in allowed]
-    elif half % 2 == 0 and is_prime(half // 2) and half // 2 > 2:  # n = 4p
-        allowed = {n - 2, -(n - 2)} if context == "signature" else set()
-        out = [mu for mu in out if mu in allowed]
-    return out
+    found = {0} if n % 2 == 0 else set()
+    for u in range(1, math.isqrt(n - 1) + 1):
+        v = (n - 1) // u
+        if u * v == n - 1 and n * u % (u + v) == 0:
+            found |= {v - u, u - v}
+    return [mu for mu in sorted(found)
+            if not real or (n - 2 - mu) % 4 == 0 and (kind == "signature" or in_quasi_band(n, mu))]

@@ -3,16 +3,16 @@ cube-root (quasi-)pairs in small groups.
 
 Candidates are numbered by mixed-radix codes over inverse-closure orbits.
 A join on a quotient G/H (`quotients.choose_quotient`) picks out the codes
-whose image solves the Seidel identity of G/H; only these become coefficient
-columns by array gathers and pass an exact batched screen on the group
-algebra, and only the survivors become `Subset`s and reach the verifier
-(`signature_sets.verify_batch`), one batch per chunk, which decides
-acceptance.  The join and the screen test identities that every accepted
-candidate satisfies, exactly in integers, so they only discard candidates
-the verifier would reject, and the hit set equals that of a naive scan of
-all subset assignments.  Every survivor also solves the identity on G, with
-S = S^-1 and V = T^-1 by construction and the quasi band applied, so every
-survivor must verify: a Rejection there is a bug, a hard error, as an
+whose image solves the Seidel identity of G/H with a mu of
+`params.feasible_mu_values` (the --mu value alone, when given); only these
+become coefficient columns by array gathers and pass an exact batched
+screen on the group algebra, and only the survivors become `Subset`s and
+reach the verifier (`signature_sets.verify_batch`), one batch per chunk,
+which decides acceptance.  The join and the screen test conditions that
+every accepted candidate satisfies, exactly in integers, so the hit set
+equals that of a naive scan of all subset assignments.  Every survivor
+solves the identity on G with an admissible mu, and S = S^-1 and V = T^-1
+by construction, so a Rejection of one is a bug, a hard error, as an
 oracle disagreement is inside the verifier.  Results come back in a
 deterministic order.
 """
@@ -25,9 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cube_root import nmu_excluded
 from .groups import GroupTable
-from .params import in_quasi_band
+from .params import feasible_mu_values
 from .quotients import Quotient, choose_quotient
 from .signature_sets import verify_batch
 from .subsets import Subset, seidel_identity
@@ -169,9 +168,9 @@ class Candidates(Sequence):
         index = start[:, None] + q.astype(np.int16)[self._orbit]
         return tuple(np.take(c, index) if np.ndim(c) else c for c in self._table)
 
-    def join(self, quotient: Quotient, kind: str) -> Iterator[np.ndarray]:
-        """The codes whose image in the quotient solves its identity, in
-        batches of at most _CHUNK.
+    def join(self, quotient: Quotient, kind: str, admissible: Sequence[int]) -> Iterator[np.ndarray]:
+        """The codes whose image in the quotient solves its identity with a mu
+        in admissible (the image's mu is G's), in batches of at most _CHUNK.
 
         The image is a sum of (orbit, digit) terms, each packed into one int64
         by `Quotient.pack`, which `Quotient.unpack` inverts.  The images every
@@ -192,9 +191,12 @@ class Candidates(Sequence):
         for lo in range(0, len(keys), 2):  # two orbits per sort, a merge of sorted runs
             reachable = np.sort((_digit_keys(keys[lo:lo + 2])[:, None] + reachable).ravel(), kind="stable")
             reachable = reachable[np.append(True, reachable[1:] != reachable[:-1])]
-        holds = [seidel_identity(quotient.group, kind, *quotient.unpack(reachable[lo:lo + _CHUNK], cube),
-                                 quotient.h)[0] for lo in range(0, len(reachable), _CHUNK)]
-        solutions = reachable[np.concatenate(holds)]
+        solutions = []  # few: a Python test of their mu costs less than np.isin
+        for lo in range(0, len(reachable), _CHUNK):
+            images = reachable[lo:lo + _CHUNK]
+            holds, mu = seidel_identity(quotient.group, kind, *quotient.unpack(images, cube), quotient.h)
+            solutions += [r for r, m in zip(images[holds].tolist(), mu[holds].tolist()) if m in admissible]
+        solutions = np.array(solutions, dtype=np.int64)
 
         low, middle = _split(len(keys), radix)
         low_codes, low_uniq, low_start, low_count = _buckets(_digit_keys(keys[:low]))
@@ -283,26 +285,19 @@ def search(spec: SearchSpec) -> list[SearchHit]:
         )
 
     pairs = spec.kind.startswith("cube")
-    n = group.order + (spec.kind in ("quasi", "cube-quasi"))  # the frame size
-    if n < 2 or (n % 2 and not pairs):
-        return []  # no frame has one vector, and a real frame has an even size
-    if spec.kind == "cube-pair" and spec.mu is not None:
-        if nmu_excluded(group.order, spec.mu, group.is_abelian):
-            return []
-
     # `space` turns codes into the screen's columns and decodes the survivors
     # from them.  The enumerator is called by its public name, so that a
     # wrapper of it sees the scan, and only for the candidate count.
     space = Candidates(group, pairs)  # refuses a space past int64 codes
     count = len((cube_candidates if pairs else enumerate_inverse_closed)(group))
+    n = group.order + (spec.kind in ("quasi", "cube-quasi"))  # the frame size
+    admissible = [m for m in feasible_mu_values(n, spec.kind) if spec.mu in (None, m)]
+    if not admissible:
+        return []
     verdicts = []
-    for codes in space.join(choose_quotient(group, spec.kind, count), spec.kind):
+    for codes in space.join(choose_quotient(group, spec.kind, count), spec.kind, admissible):
         a, b = space.columns(codes)
-        kept, mu = seidel_identity(group, spec.kind, a, b)
-        if spec.kind == "quasi":  # the verifier's mu band
-            kept &= in_quasi_band(n, mu)
-        if spec.mu is not None:
-            kept &= mu == spec.mu
+        kept = seidel_identity(group, spec.kind, a, b)[0]
         if kept.any():
             batch = verify_batch(group, spec.kind, space.decode(a[:, kept], b[:, kept] if pairs else b))
             if rejected := [v for v in batch if not v.ok]:

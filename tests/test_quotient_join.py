@@ -19,7 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frameforge.groups
-from frameforge import GroupTable, SearchSpec, Subset, cyclic, direct_product, make_group, parse_group, search
+from frameforge import (
+    GroupTable,
+    SearchSpec,
+    Subset,
+    cyclic,
+    direct_product,
+    feasible_mu_values,
+    make_group,
+    parse_group,
+    search,
+)
 from frameforge.eisenstein import eis_product
 from frameforge.quotients import (
     _KEYS_PER_HALF_CODE,
@@ -69,6 +79,11 @@ HIT_PINS = [
     ("C3xC9", "cube-pair", 9, "bf057a0ff15a313f7b348c2fb36d12bc35bbb94e891a7598f4624ac8fe543e64"),
     ("Q8", "cube-pair", 1, "b787560c7fa8ebceadc16f9ea1f267f4f5518e5a7f9ddcc4ce143819d88e4009"),
     ("Q8", "cube-quasi", 9, "7e61caecb48e97d7a2212c6e714c75f0c09e20469635bbeeb36ea280d4598f9e"),
+    # orders p and 2p, joined through G/G or C2, where the feasible mu do most of the pruning
+    ("C41", "quasi", 2, "f5b21e7eafba2e9b4eb500340a1359304d23e2b343aa22a4d5a6dcc6b6ef0ae7"),
+    ("C47", "quasi", 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("C58", "signature", 4, "3b8d0614e84446e400aad42452303337953c695159ccb6fcc042a23fff848cf7"),
+    ("C31", "cube-pair", 1, "bfbad57e776cb3d96a9349ea227c5bc246ee71e525eeb20d18ddb0a91bb84cb2"),
 ]
 
 
@@ -122,16 +137,23 @@ def test_quaternion_quotient_by_its_centre_is_a_candidate():
     assert choose_quotient(q8, "cube-quasi", 27).order == 4
 
 
-def brute_force_joined(space, quotient, kind):
-    """Every code whose image in the quotient solves the quotient identity."""
+def every_mu(group):
+    """Every mu a frame from the group can have: |mu| <= n - 1 <= |G|."""
+    return list(range(-group.order, group.order + 1))
+
+
+def brute_force_joined(space, quotient, kind, admissible):
+    """Every code whose image in the quotient solves the quotient identity
+    with a mu in admissible."""
     codes = np.arange(len(space))
     a, b = space.columns(codes)
     images = (project(quotient, a), project(quotient, b) if np.ndim(b) else 0)
-    return set(codes[seidel_identity(quotient.group, kind, *images, quotient.h)[0]].tolist())
+    holds, mu = seidel_identity(quotient.group, kind, *images, quotient.h)
+    return set(codes[holds & np.isin(mu, admissible)].tolist())
 
 
-def joined(space, quotient, kind):
-    batches = list(space.join(quotient, kind))
+def joined(space, quotient, kind, admissible):
+    batches = list(space.join(quotient, kind, admissible))
     assert all(0 < len(codes) <= SEARCH._CHUNK for codes in batches)
     codes = np.concatenate(batches).tolist() if batches else []
     assert len(codes) == len(set(codes))
@@ -231,16 +253,23 @@ def test_nothing_admitted_joins_through_one_coset():
     assert quotient.order == 1 and not quotient.coset.any() and quotient.group.mul.tolist() == [[0]]
     assert not isinstance(quotient.group, frameforge.groups.CyclicGroup)
     space = Candidates(group, False)
-    assert joined(space, quotient, "signature") == brute_force_joined(space, quotient, "signature")
+    admissible = every_mu(group)
+    assert joined(space, quotient, "signature", admissible) == brute_force_joined(
+        space, quotient, "signature", admissible)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_join_equals_the_brute_force_filter(kind):
+    # with every mu, with the feasible ones that search admits, and with each
+    # of those alone, as --mu admits it
     for group in [parse_group(d) for d in supported_descriptors(16)] + [S3, D4]:
         space = Candidates(group, kind.startswith("cube"))
+        feasible = feasible_mu_values(group.order + (kind in ("quasi", "cube-quasi")), kind)
         for quotient in all_quotients(group):
-            want = brute_force_joined(space, quotient, kind)
-            assert joined(space, quotient, kind) == want, (group.name, kind, quotient.order)
+            for admissible in [every_mu(group), feasible] + [[mu] for mu in feasible]:
+                want = brute_force_joined(space, quotient, kind, admissible)
+                got = joined(space, quotient, kind, admissible)
+                assert got == want, (group.name, kind, quotient.order, admissible)
 
 
 @pytest.mark.parametrize("descriptor, kind", [("C4xC4", "signature"), ("C16", "cube-quasi"),
@@ -250,12 +279,13 @@ def test_join_with_small_tables_and_batches(monkeypatch, descriptor, kind):
     # digits walked one value at a time, and ragged batches of 5 codes
     group = parse_group(descriptor)
     space = Candidates(group, kind.startswith("cube"))
-    quotients = all_quotients(group)
-    want = [joined(space, q, kind) for q in quotients]
+    quotients, admissible = all_quotients(group), every_mu(group)
+    want = [joined(space, q, kind, admissible) for q in quotients]
     monkeypatch.setattr(SEARCH, "_HALF_CODES", 8)
     monkeypatch.setattr(SEARCH, "_CHUNK", 5)
     for quotient, codes in zip(quotients, want):
-        assert joined(space, quotient, kind) == codes == brute_force_joined(space, quotient, kind)
+        assert joined(space, quotient, kind, admissible) == codes == brute_force_joined(
+            space, quotient, kind, admissible)
 
 
 @pytest.mark.parametrize("descriptor, kind, order, self_inverse", [

@@ -11,6 +11,8 @@ from frameforge import (
     cyclic,
     direct_product,
     enumerate_inverse_closed,
+    feasible_mu_values,
+    nmu_excluded,
     parse_group,
     quaternion8,
     search,
@@ -93,11 +95,14 @@ def test_search_z5_quasi():
 
 
 def test_search_cube_pair_exclusions():
+    # nmu_excluded holds at n = 9, mu = -2 on an abelian group, but the
+    # parameters are feasible, so the join, not an empty mu set, finds nothing
+    assert nmu_excluded(9, -2, True) and -2 in feasible_mu_values(9, "cube-pair")
     hits9 = search(SearchSpec(group=cyclic(9), kind="cube-pair", mu=-2))
     assert hits9 == []
     g33 = direct_product(cyclic(3), cyclic(3))
     assert search(SearchSpec(group=g33, kind="cube-pair", mu=-2)) == []
-    # also genuinely empty without the (n, mu) shortcut: scan all candidates
+    # and the full search has no hit with mu = -2
     all_hits = search(SearchSpec(group=cyclic(9), kind="cube-pair"))
     assert all(h.verdict.mu != -2 for h in all_hits)
 
@@ -145,7 +150,7 @@ def test_search_mu_filter(monkeypatch):
     assert hits and all(h.verdict.mu == 4 for h in hits)
     # no (6,3) signature set exists in C6: the mu=0 slice is empty
     assert search(SearchSpec(group=cyclic(6), kind="signature", mu=0)) == []
-    # in every kind the mu slice is the filtered full search, and the screen
+    # in every kind the mu slice is the filtered full search, and the join
     # applies mu, so no chunk sends the verifier an empty batch
     batches, verify_batch = [], sys.modules["frameforge.search"].verify_batch
 
@@ -331,8 +336,9 @@ def test_search_equals_reference_scan_past_order_20(descriptor, kind):
 
 @pytest.mark.parametrize("descriptor", ["C5", "C13", "C27", "C3xC9"])
 def test_quasi_batches_hold_only_the_mu_band(monkeypatch, descriptor):
-    # the empty S and S = G\{e} pass the screen but not the verifier's band
-    # |3 mu| <= n - 6; in C27 and C3xC9 they were the only survivors
+    # the empty S and S = G\{e} solve the identity but lie outside the
+    # verifier's band |3 mu| <= n - 6, so the join does not admit their mu;
+    # in C27 and C3xC9 they were the only solutions
     batches, verify_batch = [], sys.modules["frameforge.search"].verify_batch
 
     def spy(group, kind, subsets):
@@ -391,12 +397,12 @@ def test_a_count_only_candidates_builds_no_table(cube):
     assert len(counted) == (3 ** 8 if cube else 2 ** 9)
     assert not {"_orbit", "_table"} & set(vars(counted))
     assert list(counted) == [reference_candidate(group, cube, code) for code in range(len(counted))]
-    # the join of a count-only Candidates gives every code whose image
-    # solves the quotient identity
+    # the join of a count-only Candidates, every mu admitted, gives every
+    # code whose image solves the quotient identity
     kind = "cube-quasi" if cube else "signature"
     quotient = choose_quotient(group, kind, len(counted))
     fresh = Candidates(group, cube)
-    got = np.concatenate(list(fresh.join(quotient, kind)))
+    got = np.concatenate(list(fresh.join(quotient, kind, range(-group.order, group.order + 1))))
     codes = np.arange(len(fresh))
     a, b = fresh.columns(codes)
     images = (project(quotient, a), project(quotient, b) if cube else 0)

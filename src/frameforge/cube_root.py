@@ -13,6 +13,7 @@ from __future__ import annotations
 from .groups import GroupTable
 from .matrices import SeidelMatrixEis, regrep_sum
 from .numbertheory import is_perfect_square
+from .params import cube_mod3_failures
 from .signature_sets import screen_members, verify_batch
 from .subsets import Subset, seidel_coefficients
 from .verdicts import Rejection, SignatureVerdict
@@ -58,15 +59,12 @@ def verify_quasi_signature_pair(
 def cube_necessary_conditions(n: int, mu: int, quasi: bool = False) -> tuple[bool, list[str]]:
     """Necessary (n, mu) screens for nontrivial cube-root frames.
 
-    Base: n divisible by 3, mu = 1 mod 3, and 4(n-1) + mu^2 a perfect
-    square divisible by 9.  In the quasi context the partition sizes
-    (n+2mu-2)/3 and (n-2-mu)/3 must additionally be non-negative integers.
+    Base: n divisible by 3 and mu = 1 mod 3 (`params.cube_mod3_failures`),
+    and 4(n-1) + mu^2 a perfect square divisible by 9.  In the quasi context
+    the partition sizes (n+2mu-2)/3 and (n-2-mu)/3 must additionally be
+    non-negative integers.
     """
-    failures = []
-    if n % 3:
-        failures.append("n-not-divisible-by-3")
-    if mu % 3 != 1:
-        failures.append("mu-not-1-mod-3")
+    failures = cube_mod3_failures(n, mu)
     d = 4 * (n - 1) + mu * mu
     if not is_perfect_square(d):
         failures.append("discriminant-not-square")

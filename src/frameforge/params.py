@@ -132,3 +132,13 @@ def feasible_mu_values(n: int, kind: str = "signature") -> list[int]:
             found |= {v - u, u - v}
     return [mu for mu in sorted(found)
             if not real or (n - 2 - mu) % 4 == 0 and (kind == "signature" or in_quasi_band(n, mu))]
+
+
+def cube_mod3_failures(n: int, mu: int) -> list[str]:
+    """The rules n = 0 and mu = 1 (mod 3) that (n, mu) fails; a cube-root Seidel
+    matrix Q that fails one is switched to J - I, with mu = n - 2.  Mod 3,
+    Z[omega] is F_3[pi]/(pi^2), pi = 1 - omega, omega^a = 1 - a*pi, and
+    Q = J - I - pi*A with A antisymmetric, of row sums r.  Q^2 = (n-1)I + mu*Q
+    reads n - 2 = mu and r_i - r_j = (mu + 2)A_ij, so mu != 1 gives
+    A_ij = s_i - s_j (Bodmann, Paulsen, Tomforde, Linear Algebra Appl. 430, 2009)."""
+    return [rule for rule, fails in (("n-not-divisible-by-3", n % 3), ("mu-not-1-mod-3", mu % 3 != 1)) if fails]

@@ -1,32 +1,35 @@
 """Exhaustive enumeration of signature sets, quasi-signature sets and
 cube-root (quasi-)pairs in small groups.
 
-Candidates are numbered by mixed-radix codes over inverse-closure orbits.
-A join on a quotient G/H (`quotients.choose_quotient`) picks out the codes
-whose image solves the Seidel identity of G/H with a mu of
-`params.feasible_mu_values` (the --mu value alone, when given); only these
-become coefficient columns by array gathers and pass an exact batched
-screen on the group algebra, and only the survivors become `Subset`s and
-reach the verifier (`signature_sets.verify_batch`), one batch per chunk,
-which decides acceptance.  The join and the screen test conditions that
-every accepted candidate satisfies, exactly in integers, so the hit set
-equals that of a naive scan of all subset assignments.  Every survivor
-solves the identity on G with an admissible mu, and S = S^-1 and V = T^-1
-by construction, so a Rejection of one is a bug, a hard error, as an
-oracle disagreement is inside the verifier.  Results come back in a
-deterministic order.
+Of the admissible mu (`params.feasible_mu_values`, the --mu value alone
+when given), the trivial frames' +-(n - 2) have a closed form
+(`_trivial_candidates`).  The rest go to a join, for the cube kinds only
+mu = 1 with n = 0 (mod 3) (`params.cube_mod3_failures`): candidates are
+numbered by mixed-radix codes over inverse-closure orbits, a join on a
+quotient G/H (`quotients.choose_quotient`) picks out the codes whose image
+solves the Seidel identity of G/H with such a mu, and only these become
+coefficient columns, by array gathers, and pass an exact batched screen.
+The survivors and the closed form's candidates become `Subset`s and reach
+the verifier (`signature_sets.verify_batch`), which decides acceptance.
+The closed form, the join and the screen test conditions that every
+accepted candidate satisfies, exactly in integers, so the hit set equals
+that of a naive scan of all subset assignments.  Every candidate solves
+the identity on G with an admissible mu, and S = S^-1 and V = T^-1 by
+construction, so a Rejection of one is a bug, a hard error, as an oracle
+disagreement is inside the verifier.  Results come in a fixed order.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupTable
-from .params import feasible_mu_values
+from .groups import CyclicGroup, GroupTable, subgroup_generated
+from .params import cube_mod3_failures, feasible_mu_values
 from .quotients import Quotient, choose_quotient
 from .signature_sets import verify_batch
 from .subsets import Subset, seidel_identity
@@ -292,23 +295,58 @@ def search(spec: SearchSpec) -> list[SearchHit]:
     count = len((cube_candidates if pairs else enumerate_inverse_closed)(group))
     n = group.order + (spec.kind in ("quasi", "cube-quasi"))  # the frame size
     admissible = [m for m in feasible_mu_values(n, spec.kind) if spec.mu in (None, m)]
-    if not admissible:
-        return []
-    verdicts = []
-    for codes in space.join(choose_quotient(group, spec.kind, count), spec.kind, admissible):
-        a, b = space.columns(codes)
-        kept = seidel_identity(group, spec.kind, a, b)[0]
-        if kept.any():
-            batch = verify_batch(group, spec.kind, space.decode(a[:, kept], b[:, kept] if pairs else b))
-            if rejected := [v for v in batch if not v.ok]:
-                raise RuntimeError(f"internal: a screen survivor failed its verifier: {rejected[0]}")
-            verdicts += batch
+    trivial = {n - 2, 2 - n}.intersection(admissible)
+    joined = [m for m in admissible if m not in trivial and not (pairs and cube_mod3_failures(n, m))]
+    candidates = _trivial_candidates(group, spec.kind, n, trivial) if trivial else []
+    if joined:
+        for codes in space.join(choose_quotient(group, spec.kind, count), spec.kind, joined):
+            a, b = space.columns(codes)
+            kept = seidel_identity(group, spec.kind, a, b)[0]
+            if kept.any():
+                candidates += space.decode(a[:, kept], b[:, kept] if pairs else b)
+    verdicts = verify_batch(group, spec.kind, candidates) if candidates else []
+    if rejected := [v for v in verdicts if not v.ok]:
+        raise RuntimeError(f"internal: a search survivor failed its verifier: {rejected[0]}")
 
     hits = sorted((SearchHit(v, _canonical_key(group, v.subset, v.t_subset)) for v in verdicts),
                   key=lambda h: h.canonical_key)
     if spec.dedupe_conjugates:
         hits = _dedupe_by_conjugation(group, hits)
     return hits[: spec.limit]  # a limit of None keeps every hit
+
+
+def _characters(group: GroupTable, m: int) -> np.ndarray:
+    """Every homomorphism G -> Z_m, one row each, the trivial one first.  Each
+    kernel contains F = <g^m, [g, h]>, G/F is elementary abelian, and a
+    character is its values on a basis of G/F.  A cyclic group needs no table."""
+    e = np.arange(group.order)
+    if isinstance(group, CyclicGroup):
+        return np.arange(m if group.order % m == 0 else 1)[:, None] * e % m
+    mul, inv = group.mul, group.inv
+    powers = mul[mul[e, e], e] if m == 3 else mul[e, e]
+    commutators = mul[mul[inv[:, None], inv], mul]
+    coords = dict.fromkeys(subgroup_generated(group, {*powers.tolist(), *commutators.ravel().tolist()}), ())
+    for b in range(group.order):  # coords: the span of F and the basis so far
+        if b not in coords:  # a new basis element: the span grows m-fold
+            steps = [0, b, int(mul[b, b])][:m]
+            coords = {int(mul[x, y]): c + (a,) for x, c in coords.items() for a, y in enumerate(steps)}
+    basis = np.array([coords[x] for x in range(group.order)])
+    return np.array(list(itertools.product(range(m), repeat=basis.shape[1]))) @ basis.T % m
+
+
+def _trivial_candidates(group: GroupTable, kind: str, n: int, trivial: set[int]) -> list:
+    """The candidates with mu in trivial, a subset of {n - 2, 2 - n}.
+
+    mu = n - 2: Q has the eigenvalues n - 1 (once: trace Q = 0) and -1, so
+    Q + I = vv*, |v_x| = 1, and c(x^-1 y) = v_x conj(v_y) makes c (c(e) = 1)
+    a homomorphism chi into {+-1} or the cube roots of unity: S = ker chi \\ {e},
+    T = chi^-1(omega).  mu = 2 - n: I - Q = vv*, so -c is one: "signature" gets
+    the complements, the cube kinds nothing.  A border of 1s forces chi = 1."""
+    cube, off = kind.startswith("cube"), np.arange(group.order) > 0
+    chi = np.zeros((1, group.order), int) if kind == "cube-quasi" else _characters(group, 3 if cube else 2)
+    sets = [*(chi == 0)] * (n - 2 in trivial) + [*(chi != 0)] * (2 - n in trivial and kind == "signature")
+    s = [Subset.from_mask(group.order, x & off) for x in sets]  # at n = 2 the complements are the same sets
+    return list(zip(s, [Subset.from_mask(group.order, x) for x in chi == 1])) if cube else list(dict.fromkeys(s))
 
 
 def _dedupe_by_conjugation(group: GroupTable, hits: list[SearchHit]) -> list[SearchHit]:
